@@ -12,7 +12,7 @@ import numpy as np
 
 from . import smallmat
 from .errors import ContractError
-from .gaussmodel import GaussianParams
+from .gaussmodel import GaussianParams, mahalanobis_sq_rows
 
 CLASS1 = 1
 CLASS2 = 2
@@ -72,10 +72,8 @@ def llr_scores(x, problem: TwoClassProblem) -> np.ndarray:
     if X.shape[1] != problem.dim:
         raise ContractError(f"points have dimension {X.shape[1]}, problem has {problem.dim}")
     c1, c2 = problem.class1, problem.class2
-    d1 = X - c1.mu
-    d2 = X - c2.mu
-    q1 = np.einsum("ij,jk,ik->i", d1, c1.sigma_inv, d1)
-    q2 = np.einsum("ij,jk,ik->i", d2, c2.sigma_inv, d2)
+    q1 = mahalanobis_sq_rows(X, c1)
+    q2 = mahalanobis_sq_rows(X, c2)
     return -0.5 * (q1 - q2) - 0.5 * (c1.log_det - c2.log_det)
 
 

@@ -3,7 +3,7 @@ moment estimation, and Mahalanobis separation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +87,8 @@ class GaussianParams:
 
     mu: np.ndarray
     sigma: np.ndarray
+    #: Lower Cholesky factor of sigma; factorizing at construction is the SPD check.
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = smallmat.as_vector(self.mu, "mu")
@@ -101,16 +103,11 @@ class GaussianParams:
         object.__setattr__(self, "sigma", sigma)
         L = smallmat.cholesky(sigma)
         L.flags.writeable = False
-        self.__dict__["chol"] = L
+        object.__setattr__(self, "chol", L)
 
     @property
     def dim(self) -> int:
         return self.mu.shape[0]
-
-    @cached_property
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor of sigma (computed at construction)."""
-        return smallmat.cholesky(self.sigma)
 
     @cached_property
     def sigma_inv(self) -> np.ndarray:
@@ -129,10 +126,15 @@ def mvn_logpdf_array(x, params: GaussianParams) -> np.ndarray:
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != params.dim:
         raise ContractError(f"points have dimension {X.shape[1]}, model has {params.dim}")
-    dev = X - params.mu
-    q = np.einsum("ij,jk,ik->i", dev, params.sigma_inv, dev)
+    q = mahalanobis_sq_rows(X, params)
     p = params.dim
     return -0.5 * (q + params.log_det + p * np.log(2.0 * np.pi))
+
+
+def mahalanobis_sq_rows(X: np.ndarray, params: GaussianParams) -> np.ndarray:
+    """(x - mu)' Sigma^-1 (x - mu) for each row x of a validated (n, dim) batch."""
+    dev = X - params.mu
+    return np.einsum("ij,jk,ik->i", dev, params.sigma_inv, dev)
 
 
 def mvn_pdf(x, params: GaussianParams) -> float:

@@ -15,9 +15,12 @@ follow by adaptive quadrature over x1; the integrand's 1/sqrt singularity at
 the support boundary is removed exactly by the substitution
 x1 = center + halfwidth * sin(theta).
 
-Degenerate geometries (equal x2^2 coefficients, or scores that depend on x1
-alone) are dispatched to the linear single-branch and closed-form pushforward
-paths instead.
+Every quadratic is solved by one cancellation-free root helper
+(``_quadratic_roots``), and every branch sum by one evaluator
+(``_branch_sum``): the x2 roots above, the x1 endpoints of the support
+region, and the x1 roots of a score that depends on x1 alone, whose density
+is the same branch sum over the x1 marginal.  A zero x2^2 coefficient leaves
+the one linear root, so equal-covariance scores share the quadratic path.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class ScoreGeometry:
 
     ``kind`` is "quadratic" when a2 != 0, "linear" when a2 == 0 but the x2
     coefficient is not identically zero, and "x1_only" when the score does
-    not involve x2 at all.
+    not involve x2 at all.  An a2 below the classification tolerance is
+    stored as exactly 0, so the root helper sees the linear case.
     """
 
     a2: float
@@ -115,10 +119,9 @@ def score_geometry(problem: TwoClassProblem) -> ScoreGeometry:
     scale_b = max(abs(b0), abs(b1), scale_a, 1e-300)
     if abs(a2) > 1e-12 * scale_a:
         kind = "quadratic"
-    elif abs(b0) > 1e-12 * scale_b or abs(b1) > 1e-12 * scale_b:
-        kind = "linear"
     else:
-        kind = "x1_only"
+        a2 = 0.0
+        kind = "linear" if abs(b0) > 1e-12 * scale_b or abs(b1) > 1e-12 * scale_b else "x1_only"
     return ScoreGeometry(a2=a2, b0=b0, b1=b1, c0=c0, c1=c1, c2=c2, kind=kind)
 
 
@@ -127,30 +130,56 @@ def score_geometry(problem: TwoClassProblem) -> ScoreGeometry:
 # ---------------------------------------------------------------------------
 
 
+def _quadratic_roots(a, b, c, sq):
+    """Roots of a t^2 + b t + c = 0 from sq = sqrt(b^2 - 4 a c), elementwise.
+
+    q = -(b + sign(b) sq) / 2 never subtracts, and the roots q/a and c/q keep
+    full relative accuracy, the small one included (Goldberg 1991, sec. 1.4).
+    a == 0 gives the one linear root c/q = -c/b.  q vanishes only for
+    b = sq = 0, the double root 0 of a t^2, whose second root is then nan.
+    """
+    q = -0.5 * (b + np.copysign(sq, b))
+    if a == 0.0:
+        return (c / q,)
+    return q / a, c / q
+
+
+def _branch_sum(x1, a, b, c, sq, params: GaussianParams) -> np.ndarray:
+    """Sum of the class density over the roots t of a t^2 + b t + c = 0.
+
+    The roots are x2 values paired with ``x1``, or, with ``x1=None`` and 1-D
+    ``params``, points of their own.  ``sq`` is the square root of the
+    discriminant; callers that know it in factored form pass that, which
+    keeps the integrands smooth right up to the support boundary, where the
+    direct evaluation of B^2 - 4A(C - h) is pure cancellation noise.  All
+    points go to one ``mvn_logpdf_array`` call.
+    """
+    roots = _quadratic_roots(a, b, c, sq)
+    k, n = len(roots), np.size(roots[0])
+    pts = np.empty((k, n, params.dim))
+    if x1 is not None:
+        pts[:, :, 0] = x1
+    for i, r in enumerate(roots):
+        pts[i, :, -1] = r
+    dens = np.exp(mvn_logpdf_array(pts.reshape(k * n, params.dim), params))
+    return dens.reshape(k, n).sum(axis=0)
+
+
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
     """All x2 with score(x1, x2) = h; length 0, 1, or 2 by discriminant sign."""
     geom = score_geometry(problem)
-    h = float(h)
-    x1 = float(x1)
+    if geom.kind == "x1_only":
+        raise ContractError("degenerate geometry: the score depends on x1 only")
     b = float(geom.b_at(x1))
-    c_minus_h = float(geom.c_at(x1)) - h
-    if geom.kind == "quadratic":
-        disc = b * b - 4.0 * geom.a2 * c_minus_h
-        if disc < 0.0:
-            return []
-        if disc == 0.0:
-            return [-b / (2.0 * geom.a2)]
-        sq = np.sqrt(disc)
-        q = -0.5 * (b + np.copysign(sq, b if b != 0.0 else 1.0))
-        roots = [q / geom.a2, c_minus_h / q]
-        return sorted(float(r) for r in roots)
-    if geom.kind == "linear":
-        if b == 0.0:
-            raise ContractError(
-                "degenerate geometry: the score does not depend on x2 at this x1"
-            )
-        return [float(-c_minus_h / b)]
-    raise ContractError("degenerate geometry: the score depends on x1 only")
+    c = float(geom.c_at(x1)) - float(h)
+    if geom.a2 == 0.0 and b == 0.0:
+        raise ContractError("degenerate geometry: the score does not depend on x2 at this x1")
+    disc = b * b - 4.0 * geom.a2 * c
+    if disc < 0.0:
+        return []
+    roots = _quadratic_roots(geom.a2, b, c, np.sqrt(disc))
+    # on the fold (disc == 0) q/a is the double root
+    return sorted(float(r) for r in roots[: 1 if disc == 0.0 else 2])
 
 
 def _joint_values(h, x1, params: GaussianParams, geom: ScoreGeometry) -> np.ndarray:
@@ -158,46 +187,18 @@ def _joint_values(h, x1, params: GaussianParams, geom: ScoreGeometry) -> np.ndar
 
     Points exactly on the fold (zero Jacobian) come out as +inf.
     """
-    h = np.asarray(h, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    h, x1 = np.broadcast_arrays(h, x1)
-    out = np.zeros(h.shape)
+    if geom.kind == "x1_only":
+        raise ContractError("degenerate geometry: the score depends on x1 only")
+    h, x1 = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(x1, dtype=float))
     b = geom.b_at(x1)
-    c_minus_h = geom.c_at(x1) - h
-
-    if geom.kind == "quadratic":
-        disc = b * b - 4.0 * geom.a2 * c_minus_h
-        inside = disc > 0.0
-        if np.any(inside):
-            bi = b[inside]
-            ci = c_minus_h[inside]
-            sq = np.sqrt(disc[inside])
-            q = -0.5 * (bi + np.where(bi >= 0.0, sq, -sq))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r_big = q / geom.a2
-                r_small = np.where(q != 0.0, ci / q, -bi / (2.0 * geom.a2))
-            pts1 = np.stack([x1[inside], r_big], axis=-1)
-            pts2 = np.stack([x1[inside], r_small], axis=-1)
-            dens = np.exp(mvn_logpdf_array(pts1, params)) + np.exp(
-                mvn_logpdf_array(pts2, params)
-            )
-            out[inside] = dens / sq
-        on_fold = disc == 0.0
-        if np.any(on_fold):
-            out[on_fold] = np.inf
-        return out
-
-    if geom.kind == "linear":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = -c_minus_h / b
-        ok = np.isfinite(root)
-        if np.any(ok):
-            pts = np.stack([x1[ok], root[ok]], axis=-1)
-            out[ok] = np.exp(mvn_logpdf_array(pts, params)) / np.abs(b[ok])
-        out[~ok] = np.inf
-        return out
-
-    raise ContractError("degenerate geometry: the score depends on x1 only")
+    c = geom.c_at(x1) - h
+    disc = b * b - 4.0 * geom.a2 * c
+    out = np.where(disc == 0.0, np.inf, 0.0)
+    inside = disc > 0.0
+    if np.any(inside):
+        sq = np.sqrt(disc[inside])
+        out[inside] = _branch_sum(x1[inside], geom.a2, b[inside], c[inside], sq, params) / sq
+    return out
 
 
 def joint_density(h: float, x1: float, label: int, problem: TwoClassProblem) -> float:
@@ -207,24 +208,14 @@ def joint_density(h: float, x1: float, label: int, problem: TwoClassProblem) -> 
     below 1e-12) raises :class:`SingularityError`.
     """
     geom = score_geometry(problem)
-    params = _class_params(problem, label)
-    h = float(h)
-    x1 = float(x1)
-    if geom.kind == "quadratic":
-        disc = float(geom.discriminant_at(h, x1))
-        if disc < 0.0:
-            return 0.0
-        if np.sqrt(disc) < 1e-12:
-            raise SingularityError(
-                f"point (h={h:g}, x1={x1:g}) lies on the fold of the score transformation"
-            )
-    elif geom.kind == "linear":
-        if abs(float(geom.b_at(x1))) < 1e-12:
-            raise SingularityError(
-                f"the score transformation is singular at x1={x1:g}"
-            )
-    value = _joint_values(np.array([h]), np.array([x1]), params, geom)[0]
-    return float(value)
+    h, x1 = float(h), float(x1)
+    value = float(_joint_values(h, x1, _class_params(problem, label), geom))
+    disc = float(geom.discriminant_at(h, x1))
+    if disc >= 0.0 and np.sqrt(disc) < 1e-12:
+        raise SingularityError(
+            f"point (h={h:g}, x1={x1:g}) lies on the fold of the score transformation"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +242,16 @@ class SupportSlice:
 
 def _quadratic_nonneg_intervals(d2: float, d1: float, d0: float) -> tuple:
     """Closed intervals where d2 x^2 + d1 x + d0 >= 0."""
-    if d2 == 0.0:
-        if d1 == 0.0:
-            return ((-np.inf, np.inf),) if d0 >= 0.0 else ()
-        x0 = -d0 / d1
-        return ((x0, np.inf),) if d1 > 0.0 else ((-np.inf, x0),)
+    if d2 == 0.0 and d1 == 0.0:
+        return ((-np.inf, np.inf),) if d0 >= 0.0 else ()
     disc = d1 * d1 - 4.0 * d2 * d0
-    if disc < 0.0:
+    if disc <= 0.0:
+        # no sign change (d1 != 0 when d2 == 0 makes disc > 0)
         return ((-np.inf, np.inf),) if d2 > 0.0 else ()
-    sq = np.sqrt(disc)
-    r1 = (-d1 - sq) / (2.0 * d2)
-    r2 = (-d1 + sq) / (2.0 * d2)
-    lo, hi = min(r1, r2), max(r1, r2)
+    roots = sorted(_quadratic_roots(d2, d1, d0, np.sqrt(disc)))
+    if d2 == 0.0:
+        return ((roots[0], np.inf),) if d1 > 0.0 else ((-np.inf, roots[0]),)
+    lo, hi = roots
     if d2 < 0.0:
         return ((lo, hi),)
     if lo == hi:
@@ -306,10 +295,9 @@ def support_h_range(problem: TwoClassProblem) -> tuple[float, float]:
     if geom.kind == "linear":
         return (-np.inf, np.inf)
     # x1_only: range of the x1 polynomial c(x1)
-    if geom.c2 > 0.0:
-        return (float(geom.c_at(-geom.c1 / (2.0 * geom.c2))), np.inf)
-    if geom.c2 < 0.0:
-        return (-np.inf, float(geom.c_at(-geom.c1 / (2.0 * geom.c2))))
+    if geom.c2 != 0.0:
+        edge = float(geom.c_at(-geom.c1 / (2.0 * geom.c2)))
+        return (edge, np.inf) if geom.c2 > 0.0 else (-np.inf, edge)
     if geom.c1 != 0.0:
         return (-np.inf, np.inf)
     raise ContractError("degenerate geometry: the score is constant")
@@ -479,22 +467,6 @@ def _truncation_window(params: GaussianParams, n_sigmas: float = 14.0) -> tuple[
     return m - n_sigmas * s, m + n_sigmas * s
 
 
-def _branch_sum(x1, sqrt_disc, geom: ScoreGeometry, params: GaussianParams) -> np.ndarray:
-    """pdf(x1, r+) + pdf(x1, r-) with roots from a precomputed sqrt discriminant.
-
-    Taking sqrt(D) from its factored form keeps the integrand finite and
-    smooth right up to the support boundary, where the direct evaluation of
-    B^2 - 4A(C - h) is pure cancellation noise.
-    """
-    b = geom.b_at(x1)
-    denom = 2.0 * geom.a2
-    r_plus = (-b + sqrt_disc) / denom
-    r_minus = (-b - sqrt_disc) / denom
-    pts_p = np.stack([x1, r_plus], axis=-1)
-    pts_m = np.stack([x1, r_minus], axis=-1)
-    return np.exp(mvn_logpdf_array(pts_p, params)) + np.exp(mvn_logpdf_array(pts_m, params))
-
-
 def _integrate_slice(geom, params, h, lo, hi, abs_tol, rel_tol, max_evals):
     """Integrate the branch-sum over one x1 interval of the support slice.
 
@@ -502,22 +474,22 @@ def _integrate_slice(geom, params, h, lo, hi, abs_tol, rel_tol, max_evals):
     substitution, under which the 1/sqrt(D) factor cancels exactly against
     the Jacobian; half-infinite ones get the analogous square-root
     substitution at the finite root and a Gaussian-tail truncation at the
-    open end.
+    open end.  Linear scores and whole-line slices, where D stays away from
+    zero, are integrated directly over the truncation window.
     """
     win_lo, win_hi = _truncation_window(params)
 
-    if geom.kind == "linear":
-
-        def integrand(x1):
-            return _joint_values(h, x1, params, geom)
-
+    if geom.kind == "linear" or not (np.isfinite(lo) or np.isfinite(hi)):
         a = max(lo, win_lo)
         b = min(hi, win_hi)
         if a >= b:
             return 0.0, 0.0, True
-        return adaptive_gk(integrand, a, b, abs_tol, rel_tol, max_evals)
+        return adaptive_gk(lambda x1: _joint_values(h, x1, params, geom), a, b, abs_tol, rel_tol, max_evals)
 
     d2, d1, _d0 = geom.discriminant_coeffs(h)
+
+    def branch_sum(x1, sqrt_disc):
+        return _branch_sum(x1, geom.a2, geom.b_at(x1), geom.c_at(x1) - h, sqrt_disc, params)
 
     if np.isfinite(lo) and np.isfinite(hi):
         # Between the two roots of D; requires d2 < 0.
@@ -529,68 +501,24 @@ def _integrate_slice(geom, params, h, lo, hi, abs_tol, rel_tol, max_evals):
 
         def g(theta):
             x1 = center + halfwidth * np.sin(theta)
-            sqrt_disc = sqrt_neg_d2 * halfwidth * np.cos(theta)
-            return _branch_sum(x1, sqrt_disc, geom, params) / sqrt_neg_d2
+            return branch_sum(x1, sqrt_neg_d2 * halfwidth * np.cos(theta)) / sqrt_neg_d2
 
         return adaptive_gk(g, -0.5 * np.pi, 0.5 * np.pi, abs_tol, rel_tol, max_evals)
 
-    if np.isfinite(lo) or np.isfinite(hi):
-        # Half line ending at a root: x1 = root +- u^2.  In factored form
-        # sqrt(D) = u * sqrt(q(x1)) with q smooth and positive inside, so the
-        # substituted integrand 2*branch/sqrt(q) is regular at the root.
-        root = lo if np.isfinite(lo) else hi
-        sign = 1.0 if np.isfinite(lo) else -1.0
-        far = max(win_hi, root + 1.0) if sign > 0 else min(win_lo, root - 1.0)
-        u_max = np.sqrt(abs(far - root))
-        if d2 != 0.0:
-            other = (-d1 / d2) - root  # sum of roots = -d1/d2
+    # Half line ending at a root: x1 = root +- u^2.  In factored form
+    # sqrt(D) = u * sqrt(q(x1)) with q = |D'(root) + d2 (x1 - root)| smooth
+    # and positive inside, so the substituted integrand 2*branch/sqrt(q) is
+    # regular at the root.
+    root = lo if np.isfinite(lo) else hi
+    sign = 1.0 if np.isfinite(lo) else -1.0
+    far = max(win_hi, root + 1.0) if sign > 0 else min(win_lo, root - 1.0)
 
-            def q_at(x1):
-                return np.abs(d2) * np.abs(x1 - other)
+    def g(u):
+        x1 = root + sign * u * u
+        sqrt_q = np.sqrt(np.abs(d1 + d2 * (x1 + root)))
+        return 2.0 * branch_sum(x1, u * sqrt_q) / sqrt_q
 
-        else:
-
-            def q_at(x1):
-                return np.full_like(np.asarray(x1, dtype=float), abs(d1))
-
-        def g(u):
-            x1 = root + sign * u * u
-            q = q_at(x1)
-            sqrt_q = np.sqrt(q)
-            sqrt_disc = u * sqrt_q
-            return 2.0 * _branch_sum(x1, sqrt_disc, geom, params) / sqrt_q
-
-        return adaptive_gk(g, 0.0, u_max, abs_tol, rel_tol, max_evals)
-
-    # Whole line: D is bounded away from zero, direct evaluation is stable.
-    def integrand(x1):
-        return _joint_values(h, x1, params, geom)
-
-    return adaptive_gk(integrand, win_lo, win_hi, abs_tol, rel_tol, max_evals)
-
-
-def _x1_only_density(geom: ScoreGeometry, params: GaussianParams, h_values: np.ndarray):
-    """Closed-form pushforward when the score is a function of x1 alone."""
-    m = float(params.mu[0])
-    s = float(np.sqrt(params.sigma[0, 0]))
-
-    def normal_pdf(x):
-        return np.exp(-0.5 * ((x - m) / s) ** 2) / (s * np.sqrt(2.0 * np.pi))
-
-    out = np.zeros_like(h_values)
-    if geom.c2 == 0.0:
-        if geom.c1 == 0.0:
-            raise ContractError("degenerate geometry: the score is constant")
-        roots = (h_values - geom.c0) / geom.c1
-        out = normal_pdf(roots) / abs(geom.c1)
-        return out
-    disc = geom.c1 * geom.c1 - 4.0 * geom.c2 * (geom.c0 - h_values)
-    inside = disc > 0.0
-    sq = np.sqrt(disc[inside])
-    r_plus = (-geom.c1 + sq) / (2.0 * geom.c2)
-    r_minus = (-geom.c1 - sq) / (2.0 * geom.c2)
-    out[inside] = (normal_pdf(r_plus) + normal_pdf(r_minus)) / sq
-    return out
+    return adaptive_gk(g, 0.0, np.sqrt(abs(far - root)), abs_tol, rel_tol, max_evals)
 
 
 def marginal_density(
@@ -612,7 +540,16 @@ def marginal_density(
     params = _class_params(problem, label)
 
     if geom.kind == "x1_only":
-        dens = _x1_only_density(geom, params, h_arr)
+        # h = c(x1) alone: the branch sum over its x1 roots, under the x1 marginal.
+        if geom.c2 == 0.0 and geom.c1 == 0.0:
+            raise ContractError("degenerate geometry: the score is constant")
+        c = geom.c0 - h_arr
+        disc = geom.c1 * geom.c1 - 4.0 * geom.c2 * c
+        dens = np.zeros_like(h_arr)
+        inside = disc > 0.0
+        sq = np.sqrt(disc[inside])
+        x1_marginal = GaussianParams(params.mu[:1], params.sigma[:1, :1])
+        dens[inside] = _branch_sum(None, geom.c2, geom.c1, c[inside], sq, x1_marginal) / sq
         return DensityGrid(h_arr, dens, np.zeros_like(dens), label)
 
     density = np.zeros_like(h_arr)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from llrlab import (
@@ -22,6 +24,7 @@ from llrlab.errors import ContractError, SingularityError
 from llrlab.llrdist import (
     DensityGrid,
     _joint_values,
+    _quadratic_roots,
     adaptive_gk,
     default_h_grid,
     density_roc,
@@ -97,6 +100,56 @@ class TestInvertLlr:
             invert_llr(0.1, 0.2, equal_cov_problem)
 
 
+finite = st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
+nonzero = finite.filter(lambda v: v != 0.0)
+
+
+@st.composite
+def real_root_quadratics(draw):
+    """(a, b, c) with real roots: a == 0, |a| <= 1e-12 |b|, or any a."""
+    kind = draw(st.sampled_from(["linear", "tiny", "general"]))
+    b = draw(finite if kind == "general" else nonzero)
+    if kind == "linear":
+        a = 0.0
+    elif kind == "tiny":
+        # down to 1e-150, where a * r^2 of the far root b / a still fits a double
+        a = b * draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-150.0, -12.0))
+    else:
+        a = draw(nonzero)
+    c = draw(finite)
+    assume(b * b - 4.0 * a * c >= 0.0)
+    # a t^2 alone: q = 0, the one input the helper declines (see its docstring)
+    assume(b != 0.0 or c != 0.0)
+    return a, b, c
+
+
+class TestQuadraticRoots:
+    @settings(max_examples=500, deadline=None)
+    @given(real_root_quadratics())
+    def test_roots_have_relative_residual_at_rounding_level(self, abc):
+        a, b, c = abc
+        roots = _quadratic_roots(a, b, c, np.sqrt(b * b - 4.0 * a * c))
+        assert len(roots) == (1 if a == 0.0 else 2)
+        for r in roots:
+            r = float(r)
+            scale = abs(a) * r * r + abs(b * r) + abs(c)
+            assert abs(a * r * r + b * r + c) <= 1e-12 * scale
+
+    def test_small_root_survives_where_the_textbook_formula_cancels(self):
+        a, b, c = 1e-10, 1.0, -1.0
+        sq = np.sqrt(b * b - 4.0 * a * c)
+        small = min(_quadratic_roots(a, b, c, sq), key=abs)
+        assert small == pytest.approx(1.0 - 1e-10, rel=1e-14)
+        assert (-b + sq) / (2.0 * a) != pytest.approx(1.0 - 1e-10, rel=1e-9)
+
+    def test_elementwise_over_arrays(self):
+        b = np.array([3.0, -3.0, 1e8])
+        c = np.array([2.0, 2.0, 1.0])
+        big, small = _quadratic_roots(1.0, b, c, np.sqrt(b * b - 4.0 * c))
+        np.testing.assert_allclose(big, [-2.0, 2.0, -1e8], rtol=1e-15)
+        np.testing.assert_allclose(small, [-1.0, 1.0, -1e-8], rtol=1e-15)
+
+
 class TestJointDensity:
     def test_zero_outside_support(self, counterexample_problem):
         assert joint_density(-5.0, 0.5, 1, counterexample_problem) == 0.0
@@ -161,6 +214,20 @@ class TestSupportRegion:
         for h in (-1.0, 0.0, 2.0, 5.0):
             for root in support_region(h, counterexample_problem).intervals[0]:
                 assert abs(float(geom.discriminant_at(h, root))) < 1e-9
+        # A rank-one precision difference rounds d2 to about -7e-18, so the
+        # finite endpoint is the small root -d0/d1, which the textbook
+        # quadratic formula loses to cancellation.
+        near_parabola = TwoClassProblem(
+            class1=GaussianParams([1.0, 0.0], [[1.0, 0.2], [0.2, 1.0]]),
+            class2=GaussianParams([0.0, 0.0], [[1.0, 0.2], [0.2, 1.1]]),
+        )
+        geom = score_geometry(near_parabola)
+        for h, expected in ((-1.0, -0.74955), (0.0, 0.25045), (1.0, 1.25045)):
+            _d2, d1, d0 = geom.discriminant_coeffs(h)
+            lo = support_region(h, near_parabola).intervals[0][0]
+            assert lo == pytest.approx(-d0 / d1, rel=1e-9)
+            assert lo == pytest.approx(expected, abs=1e-5)
+            assert abs(float(geom.discriminant_at(h, lo))) < 1e-9
 
     def test_support_h_range_counterexample(self, counterexample_problem):
         lo, hi = support_h_range(counterexample_problem)
@@ -194,6 +261,23 @@ class TestMarginalDensity:
         grid = marginal_density(h, 1, problem)
         ref = np.exp(-0.5 * (h - dsq / 2) ** 2 / dsq) / np.sqrt(2 * np.pi * dsq)
         assert np.abs(grid.density - ref).max() < 1e-6
+
+    def test_x1_only_quadratic_score_is_scaled_chi_square(self):
+        # var(x1) 1 vs 2, x2 identical: h = ln(2)/2 - x1^2/4, so under class 1
+        # 4 (ln(2)/2 - h) is chi-square with one degree of freedom
+        from scipy.stats import chi2
+
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], np.eye(2)),
+            class2=GaussianParams([0.0, 0.0], np.diag([2.0, 1.0])),
+        )
+        assert score_geometry(problem).kind == "x1_only"
+        h = np.linspace(-6.0, 0.5 * np.log(2.0) - 1e-3, 301)
+        grid = marginal_density(h, 1, problem)
+        ref = 4.0 * chi2.pdf(4.0 * (0.5 * np.log(2.0) - h), df=1)
+        np.testing.assert_allclose(grid.density, ref, rtol=1e-12)
+        above = marginal_density([0.5 * np.log(2.0) + 0.1, 1.0], 1, problem)
+        assert np.all(above.density == 0.0)
 
     def test_single_tailed_counterexample(self, counterexample_problem):
         lo, hi = support_h_range(counterexample_problem)
