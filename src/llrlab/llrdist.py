@@ -1,26 +1,20 @@
 """Exact distribution of the log-likelihood-ratio score for 2-D problems.
 
 For a two-feature problem the score is a quadratic in x2 at fixed x1,
+h(x1, x2) = A x2^2 + B(x1) x2 + C(x1), so the joint density of (h, x1) is
+the branch sum  sum pdf(x1, x2_root) / sqrt(D)  over the x2 roots, with
+D(h, x1) = B(x1)^2 - 4 A (C(x1) - h), on the conic region D >= 0.
 
-    h(x1, x2) = A x2^2 + B(x1) x2 + C(x1),
-
-with B linear and C quadratic in x1.  Solving for x2 makes (x2 -> h) a
-one-to-two change of variables whose Jacobian is sqrt of the discriminant
-
-    D(h, x1) = B(x1)^2 - 4 A (C(x1) - h),
-
-so the joint density of (h, x1) is the branch sum  sum pdf(x1, x2_root) /
-sqrt(D), supported on the conic region D >= 0.  Marginal densities f(h|class)
-follow by adaptive quadrature over x1; the integrand's 1/sqrt singularity at
-the support boundary is removed exactly by the substitution
-x1 = center + halfwidth * sin(theta).
+Marginal densities f(h|class) and the score's range work in the
+simultaneously diagonalized coordinates y instead, where the class
+coordinates are independent normals and h = sum alpha_i y_i^2 + beta_i y_i
++ gamma.  Its level sets are conics in standard position: a normal score, a
+lone square term, a parabola, an ellipse or a hyperbola, each integrated
+along its level curve with a smooth integrand.
 
 Every quadratic is solved by one cancellation-free root helper
-(``_quadratic_roots``), and every branch sum by one evaluator
-(``_branch_sum``): the x2 roots above, the x1 endpoints of the support
-region, and the x1 roots of a score that depends on x1 alone, whose density
-is the same branch sum over the x1 marginal.  A zero x2^2 coefficient leaves
-the one linear root, so equal-covariance scores share the quadratic path.
+(``_quadratic_roots``) and every class-density sum over roots by one
+evaluator (``_branch_sum``).
 """
 
 from __future__ import annotations
@@ -278,29 +272,18 @@ def support_region(h: float, problem: TwoClassProblem) -> SupportSlice:
 
 
 def support_h_range(problem: TwoClassProblem) -> tuple[float, float]:
-    """Range of scores with non-empty support ((-inf, inf) when unbounded)."""
-    geom = score_geometry(problem)
-    if geom.kind == "quadratic":
-        d2, d1, _ = geom.discriminant_coeffs(0.0)
-        if d2 < 0.0:
-            # max over x1 of D is d0(h) - d1^2/(4 d2); the support exists
-            # where it is >= 0, a half line in h.
-            shift = d1 * d1 / (4.0 * d2)
-            # d0(h) = b0^2 - 4 a2 c0 + 4 a2 h
-            h_critical = (shift - (geom.b0 * geom.b0 - 4.0 * geom.a2 * geom.c0)) / (4.0 * geom.a2)
-            if geom.a2 > 0.0:
-                return (h_critical, np.inf)
-            return (-np.inf, h_critical)
+    """Range of scores with non-empty support ((-inf, inf) when unbounded).
+
+    The score is bounded, on one side, only when every coordinate that enters
+    its diagonal form carries a square term of one sign (an ellipse or a
+    lone square term); the bound is the vertex value.
+    """
+    _, alpha, beta, gamma = _diagonal_score(problem)
+    squares = alpha != 0.0
+    if not squares.any() or beta[~squares].any() or alpha.min() * alpha.max() < 0.0:
         return (-np.inf, np.inf)
-    if geom.kind == "linear":
-        return (-np.inf, np.inf)
-    # x1_only: range of the x1 polynomial c(x1)
-    if geom.c2 != 0.0:
-        edge = float(geom.c_at(-geom.c1 / (2.0 * geom.c2)))
-        return (edge, np.inf) if geom.c2 > 0.0 else (-np.inf, edge)
-    if geom.c1 != 0.0:
-        return (-np.inf, np.inf)
-    raise ContractError("degenerate geometry: the score is constant")
+    vertex = gamma - float(np.sum(beta[squares] ** 2 / (4.0 * alpha[squares])))
+    return (vertex, np.inf) if alpha.max() > 0.0 else (-np.inf, vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -461,109 +444,152 @@ class DensityGrid:
         return csv_text(("h", "density", "est_error", "class"), rows)
 
 
-def _truncation_window(params: GaussianParams, n_sigmas: float = 14.0) -> tuple[float, float]:
-    m = float(params.mu[0])
-    s = float(np.sqrt(params.sigma[0, 0]))
-    return m - n_sigmas * s, m + n_sigmas * s
+#: Half-width of a class window, in class standard deviations: level-curve
+#: points farther out than this carry no representable density.
+_N_SIGMAS = 14.0
 
 
-def _integrate_slice(geom, params, h, lo, hi, abs_tol, rel_tol, max_evals):
-    """Integrate the branch-sum over one x1 interval of the support slice.
-
-    Bounded intervals (both endpoints are discriminant roots) get the sine
-    substitution, under which the 1/sqrt(D) factor cancels exactly against
-    the Jacobian; half-infinite ones get the analogous square-root
-    substitution at the finite root and a Gaussian-tail truncation at the
-    open end.  Linear scores and whole-line slices, where D stays away from
-    zero, are integrated directly over the truncation window.
+def _diagonal_score(problem: TwoClassProblem):
+    """(diagonalized problem, alpha, beta, gamma) of the score in the
+    coordinates y of :func:`transform_problem`, where the class coordinates
+    are independent normals and h = sum alpha_i y_i^2 + beta_i y_i + gamma,
+    alpha_i = (1/lam_i - 1)/2.  An alpha_i whose lam_i is within 1e-12
+    (relative) of 1, or a beta_i within 1e-12 of the means' scale, is
+    rounding noise and comes back as exactly 0.
     """
-    win_lo, win_hi = _truncation_window(params)
-
-    if geom.kind == "linear" or not (np.isfinite(lo) or np.isfinite(hi)):
-        a = max(lo, win_lo)
-        b = min(hi, win_hi)
-        if a >= b:
-            return 0.0, 0.0, True
-        return adaptive_gk(lambda x1: _joint_values(h, x1, params, geom), a, b, abs_tol, rel_tol, max_evals)
-
-    d2, d1, _d0 = geom.discriminant_coeffs(h)
-
-    def branch_sum(x1, sqrt_disc):
-        return _branch_sum(x1, geom.a2, geom.b_at(x1), geom.c_at(x1) - h, sqrt_disc, params)
-
-    if np.isfinite(lo) and np.isfinite(hi):
-        # Between the two roots of D; requires d2 < 0.
-        center = 0.5 * (lo + hi)
-        halfwidth = 0.5 * (hi - lo)
-        if halfwidth <= 0.0:
-            return 0.0, 0.0, True
-        sqrt_neg_d2 = np.sqrt(-d2)
-
-        def g(theta):
-            x1 = center + halfwidth * np.sin(theta)
-            return branch_sum(x1, sqrt_neg_d2 * halfwidth * np.cos(theta)) / sqrt_neg_d2
-
-        return adaptive_gk(g, -0.5 * np.pi, 0.5 * np.pi, abs_tol, rel_tol, max_evals)
-
-    # Half line ending at a root: x1 = root +- u^2.  In factored form
-    # sqrt(D) = u * sqrt(q(x1)) with q = |D'(root) + d2 (x1 - root)| smooth
-    # and positive inside, so the substituted integrand 2*branch/sqrt(q) is
-    # regular at the root.
-    root = lo if np.isfinite(lo) else hi
-    sign = 1.0 if np.isfinite(lo) else -1.0
-    far = max(win_hi, root + 1.0) if sign > 0 else min(win_lo, root - 1.0)
-
-    def g(u):
-        x1 = root + sign * u * u
-        sqrt_q = np.sqrt(np.abs(d1 + d2 * (x1 + root)))
-        return 2.0 * branch_sum(x1, u * sqrt_q) / sqrt_q
-
-    return adaptive_gk(g, 0.0, np.sqrt(abs(far - root)), abs_tol, rel_tol, max_evals)
+    if problem.dim != 2:
+        raise ContractError(f"the analytic path handles 2-D problems only, got dim {problem.dim}")
+    diag = transform_problem(problem)
+    lam = diag.lam
+    m1, m2 = diag.problem.class1.mu, diag.problem.class2.mu
+    alpha = np.where(np.abs(lam - 1.0) > 1e-12 * max(1.0, lam[0]), 0.5 * (1.0 / lam - 1.0), 0.0)
+    beta = m1 - m2 / lam
+    beta[np.abs(beta) <= 1e-12 * max(np.abs(m1).max(), np.abs(m2 / lam).max())] = 0.0
+    gamma = 0.5 * (m2 @ (m2 / lam) - m1 @ m1 + np.sum(np.log(lam)))
+    if not (alpha.any() or beta.any()):
+        raise ContractError("degenerate geometry: the score is constant")
+    return diag.problem, alpha, beta, float(gamma)
 
 
-def marginal_density(
-    h_values,
-    label: int,
-    problem: TwoClassProblem,
-    abs_tol: float = 1e-15,
-    rel_tol: float = 1e-9,
-    max_evals: int = 2**15,
-) -> DensityGrid:
-    """f(h | class) on a grid of score values, by quadrature over x1.
+def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityGrid:
+    """f(h | class) on a grid of score values.
 
-    Each grid point carries its own error estimate; points whose adaptive
-    refinement exhausted the evaluation budget keep their best value and a
-    correspondingly large est_error rather than a fabricated tight bound.
+    The square terms of the diagonal form (:func:`_diagonal_score`) decide
+    the method.  With none, h is normal, in closed form; a lone one gives
+    the branch sum over its roots.  A parabola integrates over the square
+    coordinate y_u, with its linear partner as the one root.  An ellipse
+    (hyperbola) puts y_f = c_f + r_f sin t (sinh t) and both roots of the
+    other coordinate in one call, with the factored discriminant
+    2 |alpha_s| r_s cos t (cosh t); the coarea Jacobian is then the
+    constant 1 / (2 sqrt|alpha_f alpha_s|).
+
+    Each integral runs over the arc of the level curve inside both class
+    windows, folded at the curve's axis, so no integrand has an edge
+    singularity or a spike its first panel misses.  Each grid point is one
+    adaptive quadrature with its own error estimate; a point whose
+    refinement exhausted the budget keeps its best value and a large
+    est_error.  At the saddle value of a hyperbola the density is infinite.
     """
     h_arr = np.asarray(h_values, dtype=float)
-    geom = score_geometry(problem)
-    params = _class_params(problem, label)
+    diag_problem, alpha, beta, gamma = _diagonal_score(problem)
+    params = _class_params(diag_problem, label)
+    mean, var = params.mu, np.diag(params.sigma)
+    squares = np.flatnonzero(alpha)
 
-    if geom.kind == "x1_only":
-        # h = c(x1) alone: the branch sum over its x1 roots, under the x1 marginal.
-        if geom.c2 == 0.0 and geom.c1 == 0.0:
-            raise ContractError("degenerate geometry: the score is constant")
-        c = geom.c0 - h_arr
-        disc = geom.c1 * geom.c1 - 4.0 * geom.c2 * c
+    if squares.size == 0:
+        mu_h = gamma + beta @ mean
+        sd_h = np.sqrt(beta * beta @ var)
+        dens = np.exp(-0.5 * ((h_arr - mu_h) / sd_h) ** 2) / (sd_h * np.sqrt(2.0 * np.pi))
+        return DensityGrid(h_arr, dens, np.zeros_like(h_arr), label)
+
+    u, v = squares[0], 1 - squares[0]
+    if squares.size == 1 and beta[v] == 0.0:
+        c = gamma - h_arr
+        disc = beta[u] * beta[u] - 4.0 * alpha[u] * c
         dens = np.zeros_like(h_arr)
         inside = disc > 0.0
         sq = np.sqrt(disc[inside])
-        x1_marginal = GaussianParams(params.mu[:1], params.sigma[:1, :1])
-        dens[inside] = _branch_sum(None, geom.c2, geom.c1, c[inside], sq, x1_marginal) / sq
-        return DensityGrid(h_arr, dens, np.zeros_like(dens), label)
+        marginal = GaussianParams(mean[[u]], np.diag(var[[u]]))
+        dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginal) / sq
+        return DensityGrid(h_arr, dens, np.zeros_like(h_arr), label)
 
-    density = np.zeros_like(h_arr)
-    est_error = np.zeros_like(h_arr)
+    lo_w = mean - _N_SIGMAS * np.sqrt(var)
+    hi_w = mean + _N_SIGMAS * np.sqrt(var)
+    center = -0.5 * beta / np.where(alpha == 0.0, 1.0, alpha)
+    # nearest and farthest distance from each axis to the class window
+    near = np.maximum(0.0, np.maximum(lo_w - center, center - hi_w))
+    far = np.maximum(center - lo_w, hi_w - center)
+    ordered = (params, GaussianParams(mean[::-1], np.diag(var[::-1])))
+
+    def curve_sum(f, h, free, sq):
+        """Class density summed over the curve points at the free coordinate
+        values and at their mirror images in the axis."""
+        free = np.concatenate([free, 2.0 * center[f] - free])
+        c = free * (alpha[f] * free + beta[f]) + gamma - h
+        dens = _branch_sum(free, alpha[1 - f], beta[1 - f], c, np.tile(sq, 2) if np.ndim(sq) else sq, ordered[f])
+        return dens.reshape(2, -1).sum(axis=0)
+
+    if squares.size == 1:
+        # h = a (y_u - c_u)^2 + b_v y_v + base.  y_u itself is the variable,
+        # on the side of the axis that faces the window, so it stays exact
+        # when a is tiny and the axis far away.
+        a, b_v = alpha[u], beta[v]
+        base = gamma - a * center[u] ** 2
+        side = -1.0 if center[u] > hi_w[u] else 1.0
+
+        def level_curve(h):
+            # |y_u - c_u| on the curve, over the y_v window
+            ends = (h - base - b_v * np.array([lo_w[v], hi_w[v]])) / a
+            lo = max(near[u], np.sqrt(max(ends.min(), 0.0)))
+            hi = min(far[u], np.sqrt(max(ends.max(), 0.0)))
+            if lo >= hi:
+                return None, 0.0, 0.0
+            ends = sorted((center[u] + side * lo, center[u] + side * hi))
+            return (lambda y: curve_sum(u, h, y, abs(b_v)) / abs(b_v)), *ends
+    else:
+        vertex = gamma - float(alpha @ center**2)
+        jacobian = 0.5 / np.sqrt(abs(alpha[0] * alpha[1]))
+        hyperbola = alpha[0] * alpha[1] < 0.0
+        if hyperbola:
+            odd, even = np.sinh, np.cosh
+            inv_odd, inv_even = np.arcsinh, (lambda x: np.arccosh(max(x, 1.0)))
+        else:
+            odd, even = np.sin, np.cos
+            inv_odd, inv_even = (lambda x: np.arcsin(min(x, 1.0))), (lambda x: np.arccos(min(x, 1.0)))
+
+        def level_curve(h):
+            k = h - vertex
+            if hyperbola:
+                if k == 0.0:
+                    return None
+                # the free coordinate's square term has the sign of -k
+                f = int(alpha[0] * k > 0.0)
+            else:
+                # the free coordinate takes the larger curvature
+                f = int(abs(alpha[1]) > abs(alpha[0]))
+                if k / alpha[f] <= 0.0:
+                    return None, 0.0, 0.0
+            s = 1 - f
+            r_f, r_s = np.sqrt(np.abs(k / alpha[[f, s]]))
+            t_s = sorted((inv_even(near[s] / r_s), inv_even(far[s] / r_s)))
+            sq_scale = 2.0 * abs(alpha[s]) * r_s
+
+            def g(t):
+                return jacobian * curve_sum(f, h, center[f] + r_f * odd(t), sq_scale * even(t))
+
+            return g, max(inv_odd(near[f] / r_f), t_s[0]), min(inv_odd(far[f] / r_f), t_s[1])
+
+    # level_curve gives None at a saddle value, else (integrand, lo, hi),
+    # with lo >= hi when the curve misses the class windows
+    density, est_error = np.zeros_like(h_arr), np.zeros_like(h_arr)
     for i, h in enumerate(h_arr):
-        slc = support_region(h, problem)
-        total = 0.0
-        err = 0.0
-        for lo, hi in slc.intervals:
-            v, e, _ = _integrate_slice(geom, params, float(h), lo, hi, abs_tol, rel_tol, max_evals)
-            total += v
-            err += e
-        density[i] = max(total, 0.0)
-        est_error[i] = err
+        curve = level_curve(float(h))
+        if curve is None:
+            density[i] = est_error[i] = np.inf
+        elif curve[1] < curve[2]:
+            value, err, _ = adaptive_gk(*curve)
+            density[i] = max(value, 0.0)
+            est_error[i] = err
     return DensityGrid(h_arr, density, est_error, label)
 
 

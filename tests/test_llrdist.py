@@ -49,6 +49,20 @@ def reference_joint_w1(h, x1):
     )
 
 
+# ROADMAP item 1: the precision difference is rank one, so the score's
+# level curves are parabolas; in x1 coordinates d2 rounds to about -7e-18.
+NEAR_PARABOLA = TwoClassProblem(
+    class1=GaussianParams([1.0, 0.0], [[1.0, 0.2], [0.2, 1.0]]),
+    class2=GaussianParams([0.0, 0.0], [[1.0, 0.2], [0.2, 1.1]]),
+)
+
+# Swapped variances: hyperbolic level curves with a saddle at score 0.
+SADDLE = TwoClassProblem(
+    class1=GaussianParams([0.0, 0.0], np.diag([2.0, 0.5])),
+    class2=GaussianParams([1.0, 1.0], np.diag([0.5, 2.0])),
+)
+
+
 def interior_points(problem, n, seed, margin=0.3):
     geom = score_geometry(problem)
     rng = np.random.default_rng(seed)
@@ -217,14 +231,10 @@ class TestSupportRegion:
         # A rank-one precision difference rounds d2 to about -7e-18, so the
         # finite endpoint is the small root -d0/d1, which the textbook
         # quadratic formula loses to cancellation.
-        near_parabola = TwoClassProblem(
-            class1=GaussianParams([1.0, 0.0], [[1.0, 0.2], [0.2, 1.0]]),
-            class2=GaussianParams([0.0, 0.0], [[1.0, 0.2], [0.2, 1.1]]),
-        )
-        geom = score_geometry(near_parabola)
+        geom = score_geometry(NEAR_PARABOLA)
         for h, expected in ((-1.0, -0.74955), (0.0, 0.25045), (1.0, 1.25045)):
             _d2, d1, d0 = geom.discriminant_coeffs(h)
-            lo = support_region(h, near_parabola).intervals[0][0]
+            lo = support_region(h, NEAR_PARABOLA).intervals[0][0]
             assert lo == pytest.approx(-d0 / d1, rel=1e-9)
             assert lo == pytest.approx(expected, abs=1e-5)
             assert abs(float(geom.discriminant_at(h, lo))) < 1e-9
@@ -234,6 +244,8 @@ class TestSupportRegion:
         assert np.isfinite(lo) and hi == np.inf
         assert support_region(lo - 1e-6, counterexample_problem).is_empty
         assert not support_region(lo + 1e-6, counterexample_problem).is_empty
+        # parabolic level curves reach every score
+        assert support_h_range(NEAR_PARABOLA) == (-np.inf, np.inf)
 
 
 class TestMarginalDensity:
@@ -264,20 +276,68 @@ class TestMarginalDensity:
 
     def test_x1_only_quadratic_score_is_scaled_chi_square(self):
         # var(x1) 1 vs 2, x2 identical: h = ln(2)/2 - x1^2/4, so under class 1
-        # 4 (ln(2)/2 - h) is chi-square with one degree of freedom
+        # 4 (ln(2)/2 - h) is chi-square with one degree of freedom.  The map
+        # x -> D x + t leaves every score unchanged; under the second one the
+        # x2 coefficient of the diagonalized score rounds to 1.4e-17, not 0.
         from scipy.stats import chi2
 
+        for d, t in (((1.0, 1.0), (0.0, 0.0)), ((0.5, 0.8), (0.3, 0.05))):
+            D = np.diag(d)
+            problem = TwoClassProblem(
+                class1=GaussianParams(t, D @ D),
+                class2=GaussianParams(t, D @ np.diag([2.0, 1.0]) @ D),
+            )
+            assert score_geometry(problem).kind == "x1_only"
+            h = np.linspace(-6.0, 0.5 * np.log(2.0) - 1e-3, 301)
+            grid = marginal_density(h, 1, problem)
+            ref = 4.0 * chi2.pdf(4.0 * (0.5 * np.log(2.0) - h), df=1)
+            np.testing.assert_allclose(grid.density, ref, rtol=1e-12)
+            above = marginal_density([0.5 * np.log(2.0) + 0.1, 1.0], 1, problem)
+            assert np.all(above.density == 0.0)
+
+    # sigma2[1, 1] = 1 + eps keeps the precision difference rank one: each
+    # of these came back all zero with error 0 when d2 rounded below zero
+    @pytest.mark.parametrize("eps", [0.1, 1e-10, 1e-7, 1e-5, 1e-3])
+    def test_parabolic_score_has_unit_mass_and_ratio_law(self, eps):
         problem = TwoClassProblem(
-            class1=GaussianParams([0.0, 0.0], np.eye(2)),
-            class2=GaussianParams([0.0, 0.0], np.diag([2.0, 1.0])),
+            class1=NEAR_PARABOLA.class1,
+            class2=GaussianParams([0.0, 0.0], [[1.0, 0.2], [0.2, 1.0 + eps]]),
         )
-        assert score_geometry(problem).kind == "x1_only"
-        h = np.linspace(-6.0, 0.5 * np.log(2.0) - 1e-3, 301)
-        grid = marginal_density(h, 1, problem)
-        ref = 4.0 * chi2.pdf(4.0 * (0.5 * np.log(2.0) - h), df=1)
-        np.testing.assert_allclose(grid.density, ref, rtol=1e-12)
-        above = marginal_density([0.5 * np.log(2.0) + 0.1, 1.0], 1, problem)
-        assert np.all(above.density == 0.0)
+        grid_h = default_h_grid(problem)
+        g1 = marginal_density(grid_h, 1, problem)
+        g2 = marginal_density(grid_h, 2, problem)
+        assert g1.integral() == pytest.approx(1.0, abs=1e-3)
+        assert g2.integral() == pytest.approx(1.0, abs=1e-3)
+        mask = (g1.density > 1e-8) & (g2.density > 1e-8)
+        assert mask.sum() > 100
+        ratio = g1.density[mask] / (np.exp(grid_h[mask]) * g2.density[mask])
+        assert np.abs(ratio - 1.0).max() < 1e-6
+
+    def test_level_curves_keep_their_mass_where_the_class_sees_a_short_arc(self):
+        # An ellipse whose class-1 arc is a sliver of a curve far from its
+        # axis, and a parabola whose linear partner moves fast along it: the
+        # quadrature must not miss the class's part of either curve.
+        ellipse = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], np.eye(2)),
+            class2=GaussianParams([8.94, 111.6], np.diag([0.406, 0.0275])),
+        )
+        grid_h = default_h_grid(ellipse)
+        assert marginal_density(grid_h, 1, ellipse).integral() == pytest.approx(1.0, abs=1e-5)
+        parabola = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], np.eye(2)),
+            class2=GaussianParams([0.0, 0.025], np.diag([2.0, 1.0])),
+        )
+        grid_h = default_h_grid(parabola)
+        for label in (1, 2):
+            assert marginal_density(grid_h, label, parabola).integral() == pytest.approx(1.0, abs=1e-3)
+
+    def test_three_features_are_a_contract_error(self):
+        problem = TwoClassProblem(
+            class1=GaussianParams(np.zeros(3), np.eye(3)),
+            class2=GaussianParams(np.ones(3), 2.0 * np.eye(3)),
+        )
+        with pytest.raises(ContractError):
+            marginal_density([0.0, 1.0], 1, problem)
 
     def test_single_tailed_counterexample(self, counterexample_problem):
         lo, hi = support_h_range(counterexample_problem)
@@ -483,24 +543,35 @@ class TestDensityGridAndRoc:
 
 def test_marginal_against_quadpack_oracle(counterexample_problem):
     # independent integration route: QUADPACK on the raw branch-sum integrand
+    # in x1, over each support interval cut to 12 sigma of the class's x1
     from scipy.integrate import quad
 
-    geom = score_geometry(counterexample_problem)
-    params = counterexample_problem.class2
-    h_probe = np.array([-2.0, -1.0, 0.0, 1.5, 4.0])
-    mine = marginal_density(h_probe, 2, counterexample_problem)
-    for h, value in zip(h_probe, mine.density):
-        (lo, hi), = support_region(h, counterexample_problem).intervals
-        ref, err = quad(
-            lambda x1: float(_joint_values(h, x1, params, geom)),
-            lo,
-            hi,
-            points=[lo, hi],
-            limit=400,
-            epsabs=1e-12,
-            epsrel=1e-10,
-        )
-        assert value == pytest.approx(ref, rel=1e-6)
+    probes = (
+        (counterexample_problem, [-2.0, -1.0, 0.0, 1.5, 4.0]),
+        (NEAR_PARABOLA, [-3.0, -1.0, 0.0, 1.0, 3.0]),
+        # away from the saddle value 0, where the density has a log singularity
+        (SADDLE, [-6.0, -2.5, -1.0, 1.0, 2.5, 6.0]),
+    )
+    for problem, h_probe in probes:
+        geom = score_geometry(problem)
+        params = problem.class2
+        m, s = params.mu[0], np.sqrt(params.sigma[0, 0])
+        mine = marginal_density(h_probe, 2, problem)
+        for h, value in zip(h_probe, mine.density):
+            ref = 0.0
+            for lo, hi in support_region(h, problem).intervals:
+                lo, hi = max(lo, m - 12.0 * s), min(hi, m + 12.0 * s)
+                if lo < hi:
+                    ref += quad(
+                        lambda x1: float(_joint_values(h, x1, params, geom)),
+                        lo,
+                        hi,
+                        limit=400,
+                        epsabs=1e-12,
+                        epsrel=1e-10,
+                    )[0]
+            assert value > 1e-6
+            assert value == pytest.approx(ref, rel=1e-6)
 
 
 def test_score_geometry_polynomial_matches_score(counterexample_problem):
