@@ -11,7 +11,8 @@ Config files are line based: `key = value`, `#` comments, optional
 `[problem]` / `[experiment]` / `[output]` section headers, matrices as
 nested bracketed rows `[[1,.2],[.2,1]]`, lists comma separated.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical error, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numerical error (also a density
+grid that fails its own unit-mass or KS check), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import llrdist, mcharness, rocauc, svgplot
 from .bayesllr import CLASS1, CLASS2, TwoClassProblem, llr_scores
 from .csvio import csv_text, fmt17
-from .errors import ConfigError, LlrLabError
+from .errors import ConfigError, InsufficientDataError, LlrLabError
 from .gaussmodel import GaussianParams, SeededRng, mvn_sample
 from .smallmat import std_normal_quantile_array
 
@@ -232,6 +233,13 @@ def _simulated_scores(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return llr_scores(x1, config.problem), llr_scores(x2, config.problem)
 
 
+#: density fails when a class's grid mass is off by more than _MASS_TOL, or
+#: when its KS distance to the command's own simulated scores exceeds the DKW
+#: bound sqrt(ln(2 / _KS_ALPHA) / (2 sim_size)), which a correct density
+#: passes with probability at least 1 - _KS_ALPHA.
+_MASS_TOL, _KS_ALPHA = 1e-3, 1e-6
+
+
 def _cmd_density(config: RunConfig) -> dict:
     s1, s2 = _simulated_scores(config)
     grid_h = llrdist.default_h_grid(config.problem, n_points=config.h_points)
@@ -243,15 +251,28 @@ def _cmd_density(config: RunConfig) -> dict:
         grid_h = np.concatenate([grid_h, [hi_needed + 1e-9]])
     g1 = llrdist.marginal_density(grid_h, CLASS1, config.problem)
     g2 = llrdist.marginal_density(grid_h, CLASS2, config.problem)
+    ks_bound = np.sqrt(np.log(2.0 / _KS_ALPHA) / (2.0 * config.sim_size))
+    hists = []
+    for grid, scores in ((g1, s1), (g2, s2)):
+        where = f"class {grid.label} at h_points={config.h_points}"
+        mass = grid.integral()
+        if not abs(mass - 1.0) <= _MASS_TOL:
+            raise InsufficientDataError(f"{where}: grid mass {mass:.6g} is off by more than {_MASS_TOL:g}")
+        ks, hist = llrdist.histogram_vs_analytic(scores, grid)
+        if ks > ks_bound:
+            raise InsufficientDataError(
+                f"{where}: KS distance {ks:.4g} to {config.sim_size} simulated scores "
+                f"exceeds the DKW bound {ks_bound:.4g}"
+            )
+        hists.append(hist)
     out = {}
     if config.emit_csv:
         out["density_w1.csv"] = g1.to_csv()
         out["density_w2.csv"] = g2.to_csv()
     if config.emit_svg:
         series = []
-        for grid, scores, name in ((g1, s1, "analytic f(h|1)"), (g2, s2, "analytic f(h|2)")):
+        for grid, hist, name in zip((g1, g2), hists, ("analytic f(h|1)", "analytic f(h|2)")):
             series.append(svgplot.Series(name=name, x=tuple(grid.h_values), y=tuple(grid.density)))
-            _, hist = llrdist.histogram_vs_analytic(scores, grid)
             series.append(
                 svgplot.Series(
                     name=name.replace("analytic", "simulated"),

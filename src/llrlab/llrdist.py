@@ -19,7 +19,6 @@ evaluator (``_branch_sum``).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,7 +286,7 @@ def support_h_range(problem: TwoClassProblem) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature (7-15 pair)
+# Gauss-Kronrod quadrature (7-15 pair) on doubling equal panels
 # ---------------------------------------------------------------------------
 
 _XGK = np.array(
@@ -341,51 +340,49 @@ _WG = np.array(
 )
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel: (integral, error estimate)."""
-    hw = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fv = f(mid + hw * _XGK)
-    resk = float(_WGK @ fv)
-    resg = float(_WG @ fv[1::2])
-    reskh = 0.5 * resk
-    resasc = float(_WGK @ np.abs(fv - reskh)) * abs(hw)
-    integral = resk * hw
-    err = abs((resk - resg) * hw)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return integral, err
+_ABS_TOL, _REL_TOL, _MAX_EVALS = 1e-15, 1e-9, 2**15
+#: Panel i of half-width hw from a has nodes a + hw * _PANEL_NODES[i]; the
+#: budget caps a level at (_MAX_EVALS / 15 + 1) / 2 panels, one per row.
+_PANEL_NODES = np.arange(1.0, _MAX_EVALS / _XGK.size, 2.0)[:, None] + _XGK
 
 
-def adaptive_gk(f, a: float, b: float, abs_tol: float = 1e-15, rel_tol: float = 1e-9,
-                max_evals: int = 2**15) -> tuple[float, float, bool]:
-    """Adaptive bisection on Gauss-Kronrod panels.
+def _gk15(f, a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 7-15 rule on ``panels`` equal panels of [a, b], all
+    nodes in one integrand call: (integrals, QUADPACK error estimates)."""
+    hw = 0.5 * (b - a) / panels
+    fv = f((a + hw * _PANEL_NODES[:panels]).ravel()).reshape(panels, _XGK.size)
+    resk = fv @ _WGK
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WGK
+    err = np.abs(resk - fv[:, 1::2] @ _WG)
+    # resasc * min(1, (200 err / resasc)^1.5); a panel whose values are all
+    # equal has resasc == 0 and keeps err
+    flat = resasc == 0.0
+    err = np.where(flat, err, np.minimum(resasc, (200.0 * err) ** 1.5 / np.sqrt(resasc + flat)))
+    return hw * resk, abs(hw) * err
 
-    Returns (integral, error_estimate, converged); never raises on slow
-    convergence — the caller decides what a flagged point means.
+
+def adaptive_gk(f, a: float, b: float) -> tuple[float, float, bool]:
+    """Gauss-Kronrod 7-15 on 1, 2, 4, ... equal panels of [a, b].
+
+    ``f`` maps a 1-D array of abscissae to values; each level is one call.
+    Returns (integral, error_estimate, converged) of the first level whose
+    summed error estimate is at most max(_ABS_TOL, _REL_TOL |integral|), or,
+    flagged unconverged, of the last level before the evaluations of all
+    levels would pass _MAX_EVALS; never raises on slow convergence — the
+    caller decides what a flagged point means.
     """
     if a == b:
         return 0.0, 0.0, True
-    integral, err = _gk15(f, a, b)
-    evals = 15
-    heap = [(-err, 0, a, b, integral, err)]
-    total, total_err = integral, err
-    tiebreak = 1
+    panels, evals = 1, 0
     while True:
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
+        integrals, errors = _gk15(f, a, b, panels)
+        evals += _XGK.size * panels
+        total, total_err = float(integrals.sum()), float(errors.sum())
+        if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):
             return total, total_err, True
-        if evals + 30 > max_evals:
+        panels *= 2
+        if evals + _XGK.size * panels > _MAX_EVALS:
             return total, total_err, False
-        _, _, lo, hi, i_old, e_old = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        i1, e1 = _gk15(f, lo, mid)
-        i2, e2 = _gk15(f, mid, hi)
-        evals += 30
-        total += i1 + i2 - i_old
-        total_err += e1 + e2 - e_old
-        heapq.heappush(heap, (-e1, tiebreak, lo, mid, i1, e1))
-        heapq.heappush(heap, (-e2, tiebreak + 1, mid, hi, i2, e2))
-        tiebreak += 2
 
 
 # ---------------------------------------------------------------------------
@@ -614,33 +611,31 @@ def score_moments(problem: TwoClassProblem, label: int) -> tuple[float, float]:
     return float(mean), float(var)
 
 
-def default_h_grid(
-    problem: TwoClassProblem,
-    n_points: int = 801,
-    n_sigmas: float = 16.0,
-    stretch: float = 1.5,
-) -> np.ndarray:
+_GRID_SIGMAS, _GRID_STRETCH = 16.0, 1.5
+
+
+def default_h_grid(problem: TwoClassProblem, n_points: int = 801) -> np.ndarray:
     """A score grid covering both class distributions and the exact support.
 
-    Points are packed more densely toward a finite support edge, where the
-    marginal density jumps; the far end is set n_sigmas score deviations
-    beyond both class means.
+    Points are packed toward a finite support edge, where the marginal
+    density jumps, as t**_GRID_STRETCH for evenly spaced t in [0, 1]; the far
+    end is set _GRID_SIGMAS score deviations beyond both class means.
     """
     lo_sup, hi_sup = support_h_range(problem)
     bounds = []
     for label in (CLASS1, CLASS2):
         mean, var = score_moments(problem, label)
         sd = np.sqrt(var)
-        bounds.append((mean - n_sigmas * sd, mean + n_sigmas * sd))
+        bounds.append((mean - _GRID_SIGMAS * sd, mean + _GRID_SIGMAS * sd))
     lo = max(min(b[0] for b in bounds), lo_sup)
     hi = min(max(b[1] for b in bounds), hi_sup)
     span = hi - lo
     t = np.linspace(0.0, 1.0, int(n_points))
     if np.isfinite(lo_sup) and not np.isfinite(hi_sup):
-        grid = lo + span * t**stretch
+        grid = lo + span * t**_GRID_STRETCH
         grid[0] = lo + 1e-7 * span
     elif np.isfinite(hi_sup) and not np.isfinite(lo_sup):
-        grid = hi - span * (1.0 - t) ** stretch
+        grid = hi - span * (1.0 - t) ** _GRID_STRETCH
         grid[-1] = hi - 1e-7 * span
     else:
         grid = lo + span * t
@@ -725,16 +720,19 @@ class HistogramTable:
         return self.counts / (total * widths)
 
 
-def freedman_diaconis_bins(scores: np.ndarray, min_bins: int = 20, max_bins: int = 200) -> int:
-    """Freedman-Diaconis bin count, clamped to [min_bins, max_bins]."""
+_MIN_BINS, _MAX_BINS = 20, 200
+
+
+def freedman_diaconis_bins(scores: np.ndarray) -> int:
+    """Freedman-Diaconis bin count, clamped to [_MIN_BINS, _MAX_BINS]."""
     scores = np.asarray(scores, dtype=float)
     q75, q25 = np.percentile(scores, [75.0, 25.0])
     iqr = q75 - q25
     span = scores.max() - scores.min()
     if iqr <= 0.0 or span <= 0.0:
-        return min_bins
+        return _MIN_BINS
     width = 2.0 * iqr / scores.size ** (1.0 / 3.0)
-    return int(np.clip(np.ceil(span / width), min_bins, max_bins))
+    return int(np.clip(np.ceil(span / width), _MIN_BINS, _MAX_BINS))
 
 
 def histogram_vs_analytic(scores, grid: DensityGrid) -> tuple[float, HistogramTable]:

@@ -224,6 +224,40 @@ class TestMain:
         assert "failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_density_that_fails_its_own_mass_check_exits_3(self, tmp_path, capsys):
+        # A parabolic score whose class-2 peak is too narrow for the default
+        # 801-point grid: the densities are right (20 001 points give mass
+        # 1.0000), but this grid integrates to 1.042 and 1.147.
+        code = cli.main(
+            [
+                "density",
+                "--out",
+                str(tmp_path),
+                "--mu1",
+                "-1.0806560260576248,-2.7496676481277817",
+                "--sigma1",
+                "[[1.0229036726384353,0.9738040184530798],[0.9738040184530798,2.181942197582763]]",
+                "--mu2",
+                "-0.6467949956447576,-2.0797586305822158",
+                "--sigma2",
+                "[[0.4397709224674652,-0.07278191278339577],[-0.07278191278339577,0.3035669714597664]]",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "class 1" in err and "grid mass 1.04" in err and "h_points=801" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_density_that_fails_its_own_ks_check_exits_3(self, tmp_path, capsys, monkeypatch):
+        # each class's grid checked against the other class's scores
+        simulated = cli._simulated_scores
+        monkeypatch.setattr(cli, "_simulated_scores", lambda config: simulated(config)[::-1])
+        code = cli.main(["density", "--out", str(tmp_path), "--sim_size", "2000"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "class 1" in err and "exceeds the DKW bound 0.06" in err and "h_points=801" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "314")
         cfg_a = cli.parse_config("", [("command", "simulate")])
@@ -250,7 +284,7 @@ class TestMain:
 
         monkeypatch.setattr(pathlib.Path, "write_text", flaky)
         code = cli.main(
-            ["density", "--out", str(tmp_path), "--sim_size", "500", "--h_points", "64"]
+            ["density", "--out", str(tmp_path), "--sim_size", "500"]
         )
         assert code == 4
         assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.special import expit, ndtr
 
 from llrlab import (
     GaussianParams,
@@ -22,7 +23,9 @@ from llrlab import (
 )
 from llrlab.errors import ContractError, SingularityError
 from llrlab.llrdist import (
+    _MAX_EVALS,
     DensityGrid,
+    _diagonal_score,
     _joint_values,
     _quadratic_roots,
     adaptive_gk,
@@ -248,6 +251,38 @@ class TestSupportRegion:
         assert support_h_range(NEAR_PARABOLA) == (-np.inf, np.inf)
 
 
+@st.composite
+def spd_problems(draw):
+    """A 2-D problem with covariance eigenvalues in [0.2, 5] at random
+    rotations and means in [-3, 3]^2.  Some draws give class 2
+    the precision of class 1 plus a rank-one term, so one diagonal
+    coordinate of the score has no square: a parabola (or a lone square)."""
+
+    def rotation():
+        a = draw(st.floats(0.0, np.pi))
+        return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+    def covariance():
+        r = rotation()
+        return r @ np.diag([draw(st.floats(0.2, 5.0)) for _ in range(2)]) @ r.T
+
+    def mean():
+        return [draw(st.floats(-3.0, 3.0)) for _ in range(2)]
+
+    sigma1 = covariance()
+    if draw(st.booleans()):
+        v = rotation()[:, 0]
+        # precision1 + s vv' / (v' sigma1 v) is positive definite iff s > -1
+        s = draw(st.floats(-0.8, 4.0).filter(lambda s: abs(s) >= 0.2))
+        sigma2 = np.linalg.inv(np.linalg.inv(sigma1) + s / (v @ sigma1 @ v) * np.outer(v, v))
+    else:
+        sigma2 = covariance()
+    return TwoClassProblem(
+        class1=GaussianParams(mean(), 0.5 * (sigma1 + sigma1.T)),
+        class2=GaussianParams(mean(), 0.5 * (sigma2 + sigma2.T)),
+    )
+
+
 class TestMarginalDensity:
     def test_equal_covariance_closed_form(self, equal_cov_problem):
         dsq = 0.8
@@ -338,6 +373,46 @@ class TestMarginalDensity:
         )
         with pytest.raises(ContractError):
             marginal_density([0.0, 1.0], 1, problem)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(spd_problems())
+    def test_random_spd_pairs_follow_the_ratio_law_and_have_unit_mass(self, problem):
+        try:
+            diag_problem, alpha, beta, gamma = _diagonal_score(problem)
+        except ContractError:
+            assume(False)  # equal classes: the score is a constant
+        squares = alpha != 0.0
+        lo_sup, hi_sup = support_h_range(problem)
+        # tanh-sinh nodes, which crowd double-exponentially toward both ends
+        # of a panel, and their weights on a panel of unit length
+        tau = np.linspace(-3.0, 3.0, 61)
+        u = 0.5 * np.pi * np.sinh(tau)
+        nodes, weights = expit(2.0 * u), 0.25 * np.pi * np.cosh(tau) / np.cosh(u) ** 2
+        for label, params in ((1, diag_problem.class1), (2, diag_problem.class2)):
+            mean, var = score_moments(problem, label)
+            lo = max(mean - 12.0 * np.sqrt(var), lo_sup)
+            hi = min(mean + 12.0 * np.sqrt(var), hi_sup)
+            # The density is singular, or can peak far more narrowly than the
+            # score deviation, at the score of the axis point of each square
+            # term with the other coordinate on its axis or at its class mean
+            # (the vertex or saddle of the conic, and the near-vertices of a
+            # parabola or a nearly parabolic conic).  Panels end there and at
+            # the mean, so every peak sits at a panel end.
+            axis = np.where(squares, -0.5 * beta / np.where(squares, alpha, 1.0), params.mu)
+            peaks = [axis, [axis[0], params.mu[1]], [params.mu[0], axis[1]]]
+            peak_scores = [alpha @ np.square(y) + beta @ y + gamma for y in peaks]
+            edges = np.unique(np.clip([lo, mean, hi, *peak_scores], lo, hi))
+            width = np.diff(edges)[:, None]
+            h = edges[:-1, None] + width * nodes
+            grid, index = np.unique(h, return_inverse=True)
+            f1, f2 = (marginal_density(grid, c, problem).density[index].reshape(h.shape) for c in (1, 2))
+            both = np.isfinite(f1) & np.isfinite(f2) & (f1 > 1e-8) & (f2 > 1e-8)
+            assert np.all(np.abs(f1[both] / (np.exp(h[both]) * f2[both]) - 1.0) <= 1e-6)
+            # a node that rounds onto a saddle value has an infinite density
+            # and a weight below 1e-12 of its panel: it counts as 0
+            f = (f1, f2)[label - 1]
+            mass = np.sum(np.trapezoid(np.where(np.isfinite(f), f, 0.0) * width * weights, tau))
+            assert mass == pytest.approx(1.0, abs=1e-3)
 
     def test_single_tailed_counterexample(self, counterexample_problem):
         lo, hi = support_h_range(counterexample_problem)
@@ -476,9 +551,28 @@ class TestAdaptiveGk:
         assert err < 1e-9
 
     def test_budget_exhaustion_is_flagged(self):
-        val, err, ok = adaptive_gk(lambda x: np.abs(x) ** -0.95, 0.0, 1.0, max_evals=600)
+        evals = []
+
+        def spike(x):
+            evals.append(x.size)
+            return np.abs(x) ** -0.95
+
+        val, err, ok = adaptive_gk(spike, 0.0, 1.0)
         assert not ok
         assert err > 1e-9
+        assert sum(evals) <= _MAX_EVALS
+
+    def test_peak_needs_more_than_one_level(self):
+        calls = []
+
+        def peak(x):
+            calls.append(x.size)
+            return np.exp(-0.5 * ((x - 0.3) / 0.1) ** 2) / (0.1 * np.sqrt(2.0 * np.pi))
+
+        val, err, ok = adaptive_gk(peak, -1.0, 1.0)
+        assert ok
+        assert len(calls) >= 2
+        assert val == pytest.approx(ndtr(7.0) - ndtr(-13.0), rel=1e-12)
 
     def test_empty_interval(self):
         assert adaptive_gk(np.exp, 1.0, 1.0) == (0.0, 0.0, True)
