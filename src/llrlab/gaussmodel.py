@@ -132,9 +132,17 @@ def mvn_logpdf_array(x, params: GaussianParams) -> np.ndarray:
 
 
 def mahalanobis_sq_rows(X: np.ndarray, params: GaussianParams) -> np.ndarray:
-    """(x - mu)' Sigma^-1 (x - mu) for each row x of a validated (n, dim) batch."""
-    dev = X - params.mu
-    return np.einsum("ij,jk,ik->i", dev, params.sigma_inv, dev)
+    """(x - mu)' Sigma^-1 (x - mu) for each row x of a validated (n, dim) batch.
+
+    The deviations are laid out as one C-contiguous (dim, n) array so that the
+    row axis is einsum's inner loop, which vectorizes over rows instead of over
+    a handful of features.  Each row still sums its terms (d_j S_jk) d_k with j
+    outer and k inner, the order of the row-major form; that order must not
+    change, because `llr_scores` feeds these values into score files written
+    at 17 significant digits.
+    """
+    dev = np.subtract(X.T, params.mu[:, None], order="C")
+    return np.einsum("ji,jk,ki->i", dev, params.sigma_inv, dev)
 
 
 def mvn_pdf(x, params: GaussianParams) -> float:

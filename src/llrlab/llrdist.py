@@ -485,7 +485,8 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     singularity or a spike its first panel misses.  Each grid point is one
     adaptive quadrature with its own error estimate; a point whose
     refinement exhausted the budget keeps its best value and a large
-    est_error.  At the saddle value of a hyperbola the density is infinite.
+    est_error.  At the saddle value of a hyperbola and at the vertex value of
+    a lone square term the density is infinite, with an infinite est_error.
     """
     h_arr = np.asarray(h_values, dtype=float)
     diag_problem, alpha, beta, gamma = _diagonal_score(problem)
@@ -501,14 +502,18 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
 
     u, v = squares[0], 1 - squares[0]
     if squares.size == 1 and beta[v] == 0.0:
+        # the discriminant in vertex form is exactly 0 at the finite end of
+        # support_h_range, where the density is infinite
         c = gamma - h_arr
-        disc = beta[u] * beta[u] - 4.0 * alpha[u] * c
-        dens = np.zeros_like(h_arr)
+        disc = 4.0 * alpha[u] * (h_arr - (gamma - beta[u] ** 2 / (4.0 * alpha[u])))
+        dens, err = np.zeros_like(h_arr), np.zeros_like(h_arr)
+        at_vertex = disc == 0.0
+        dens[at_vertex] = err[at_vertex] = np.inf
         inside = disc > 0.0
         sq = np.sqrt(disc[inside])
         marginal = GaussianParams(mean[[u]], np.diag(var[[u]]))
         dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginal) / sq
-        return DensityGrid(h_arr, dens, np.zeros_like(h_arr), label)
+        return DensityGrid(h_arr, dens, err, label)
 
     lo_w = mean - _N_SIGMAS * np.sqrt(var)
     hi_w = mean + _N_SIGMAS * np.sqrt(var)

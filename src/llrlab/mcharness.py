@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,8 +150,13 @@ def asymptotic_auc(target_delta_sq: float) -> float:
     return smallmat.std_normal_cdf(np.sqrt(target) / np.sqrt(2.0))
 
 
+@lru_cache(maxsize=64)
 def population(p: int, c: float) -> TwoClassProblem:
-    """The simulation population: mu1 = 0, mu2 = c*1, identity covariances."""
+    """The simulation population: mu1 = 0, mu2 = c*1, identity covariances.
+
+    Built once per (p, c) and shared by every trial of a cell; the problem is
+    frozen and its arrays read-only, so pool threads can share it too.
+    """
     eye = np.eye(int(p))
     return TwoClassProblem(
         class1=GaussianParams(np.zeros(int(p)), eye),

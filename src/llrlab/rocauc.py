@@ -116,8 +116,9 @@ class BinormalFit:
 def _win_tie_counts(s1: np.ndarray, s2: np.ndarray) -> tuple[int, int]:
     """Exact counts of class-1-over-class-2 wins and ties across all pairs."""
     sorted2 = np.sort(s2)
-    lo = np.searchsorted(sorted2, s1, side="left")
-    hi = np.searchsorted(sorted2, s1, side="right")
+    keys = np.sort(s1)  # sorted keys keep the binary searches cache-friendly
+    lo = np.searchsorted(sorted2, keys, side="left")
+    hi = np.searchsorted(sorted2, keys, side="right")
     return int(lo.sum()), int((hi - lo).sum())
 
 

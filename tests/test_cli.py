@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -305,6 +306,28 @@ class TestMain:
         assert names_a == names_b
         for name in names_a:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, digests",
+        [
+            ("simulate", {"scores.csv": "20687e4a9589828dd7c0b3f4f2d9e380285431f6b817a8f1517036251e89ffac"}),
+            (
+                "roc",
+                {
+                    "roc.csv": "9d7d4e693cde6188ae9267f02f39d1359c6d8b232903a4ec1073d4538eeca9c4",
+                    "roc.svg": "f1aa353e87d10b00f6d3d0dc03c999cc9d599e33ecce8da1d1cc7b8b1f22edbf",
+                },
+            ),
+        ],
+    )
+    def test_output_bytes_match_golden_digests(self, tmp_path, command, digests):
+        # Pinned from the row-major scoring kernel's output: scores are written at
+        # 17 digits, so any change to the scoring arithmetic shows here.
+        assert cli.main([command, "--seed", "2", "--sim_size", "200", "--out", str(tmp_path)]) == 0
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
+        }
+        assert written == digests
 
     def test_simulate_schema(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path), "--sim_size", "20"]) == 0

@@ -17,6 +17,7 @@ from llrlab.errors import (
     DecompositionError,
     InsufficientDataError,
 )
+from llrlab.gaussmodel import mahalanobis_sq_rows
 from tests.conftest import MU1, MU2, SIGMA1, SIGMA2
 
 
@@ -187,3 +188,28 @@ class TestMahalanobis:
             A = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
             mapped = mahalanobis(A @ mu1, A @ mu2, A @ S @ A.T)
             assert abs(mapped - base) < 1e-10
+
+
+class TestMahalanobisRows:
+    # Scores are written at 17 digits, so the kernel must keep the row-major
+    # form's per-row summation order exactly.  At n = p = 2 the row-major form
+    # itself sums a C-ordered batch in another order than an F-ordered copy
+    # of it, so that batch has no single oracle and is left out.
+    @pytest.mark.parametrize(
+        "p, n, order",
+        [
+            (p, n, order)
+            for p in (1, 2, 3, 7, 11)
+            for n in (1, 2, 3, 20, 257, 1000)
+            for order in "CF"
+            if not (n == p == 2 and order == "C")
+        ],
+    )
+    def test_bit_identical_to_row_major_einsum(self, p, n, order):
+        gen = np.random.default_rng(1000 * p + n)
+        a = gen.normal(size=(p, p))
+        params = GaussianParams(gen.normal(size=p), a @ a.T + p * np.eye(p))
+        X = np.asarray(3.0 * gen.normal(size=(n, p)), order=order)
+        dev = X - params.mu
+        oracle = np.einsum("ij,jk,ik->i", dev, params.sigma_inv, dev)
+        assert np.array_equal(mahalanobis_sq_rows(X, params), oracle)

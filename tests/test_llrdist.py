@@ -329,6 +329,29 @@ class TestMarginalDensity:
             np.testing.assert_allclose(grid.density, ref, rtol=1e-12)
             above = marginal_density([0.5 * np.log(2.0) + 0.1, 1.0], 1, problem)
             assert np.all(above.density == 0.0)
+        # A lone square term with a linear term of its own: class 2 has the
+        # precision I + vv', and the mean difference lies along v, so
+        # h = vertex + (w - c)^2 / 2 in w = v'x, c = -3 eps / sqrt(2).  The
+        # square is scaled noncentral chi-square: w has variance 1 (class 1)
+        # or 1/2 (class 2).  At the vertex itself the density is infinite,
+        # however b^2 - 4ac would round there.
+        from scipy.stats import ncx2
+
+        v = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        offsets = np.array([1e-12, 1e-9, 1e-6, 1e-3])
+        for eps in (0.01, 0.5):
+            problem = TwoClassProblem(
+                class1=GaussianParams([0.0, eps], np.eye(2)),
+                class2=GaussianParams([-eps, 0.0], np.linalg.inv(np.eye(2) + np.outer(v, v))),
+            )
+            vertex = support_h_range(problem)[0]
+            for label, scale, noncentrality in ((1, 0.5, 8.0 * eps**2), (2, 0.25, 4.0 * eps**2)):
+                at = marginal_density([vertex, vertex + 1.0], label, problem)
+                assert at.density[0] == np.inf and at.est_error[0] == np.inf
+                h = vertex + offsets
+                grid = marginal_density(h, label, problem)
+                ref = ncx2.pdf((h - vertex) / scale, 1, noncentrality) / scale
+                np.testing.assert_allclose(grid.density, ref, rtol=1e-12)
 
     # sigma2[1, 1] = 1 + eps keeps the precision difference rank one: each
     # of these came back all zero with error 0 when d2 rounded below zero

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,14 @@ class TestRunTrial:
         result = run_trial(3, 10_000, calibrate_c(3, 0.8), 10_000, SeededRng(12).derive(0))
         assert result.auc_true == pytest.approx(asymptotic_auc(0.8), abs=0.01)
 
+    def test_population_is_built_once_and_read_only(self):
+        c = calibrate_c(7, 0.8)
+        pop = mcharness.population(7, c)
+        assert mcharness.population(7, c) is pop
+        for params in (pop.class1, pop.class2):
+            for arr in (params.mu, params.sigma, params.chol):
+                assert not arr.flags.writeable
+
     def test_n_not_exceeding_p_rejected(self):
         with pytest.raises(ContractError):
             run_trial(5, 5, 0.4, 100, SeededRng(1))
@@ -112,6 +122,15 @@ class TestLearningCurve:
         assert np.isnan(row.var_auc_true) and np.isnan(row.var_auc_apparent)
         trial = run_trial(2, 10, calibrate_c(2, 0.8), 30, cfg.rng().derive(2, 10, 0))
         assert row.mean_auc_true == trial.auc_true
+
+    def test_csv_bytes_match_golden_digest(self):
+        # Pinned from the row-major scoring kernel's output: a faster trial must
+        # not move a single output bit.
+        cfg = ExperimentConfig(
+            dims=(3, 7), train_sizes=(20, 100), n_trials=5, test_size=300, base_seed=13
+        )
+        digest = hashlib.sha256(learning_curve(cfg).to_csv().encode()).hexdigest()
+        assert digest == "c5c9c4f451bd57849c0519f7a06ddfaa5a86a1f4888db27fbd5890d94f612503"
 
     def test_parallel_schedule_is_bitwise_identical(self):
         cfg = ExperimentConfig(**SMALL)
