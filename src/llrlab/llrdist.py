@@ -13,8 +13,10 @@ lone square term, a parabola, an ellipse or a hyperbola, each integrated
 along its level curve with a smooth integrand.
 
 Every quadratic is solved by one cancellation-free root helper
-(``_quadratic_roots``) and every class-density sum over roots by one
-evaluator (``_branch_sum``).
+(``_quadratic_roots``), every class-density sum over roots by one
+evaluator (``_branch_sum``), and every level-curve integral by one
+level-doubling Gauss-Kronrod engine (``adaptive_gk_rows``) that refines the
+curves of all grid points together.
 """
 
 from __future__ import annotations
@@ -281,8 +283,15 @@ def support_h_range(problem: TwoClassProblem) -> tuple[float, float]:
     squares = alpha != 0.0
     if not squares.any() or beta[~squares].any() or alpha.min() * alpha.max() < 0.0:
         return (-np.inf, np.inf)
-    vertex = gamma - float(np.sum(beta[squares] ** 2 / (4.0 * alpha[squares])))
+    vertex = _vertex_score(alpha, beta, gamma)
     return (vertex, np.inf) if alpha.max() > 0.0 else (-np.inf, vertex)
+
+
+def _vertex_score(alpha, beta, gamma) -> float:
+    """gamma - sum beta_i^2 / (4 alpha_i) over the square terms: the score at
+    their axis point, the finite end of a bounded score range."""
+    squares = alpha != 0.0
+    return gamma - float(np.sum(beta[squares] ** 2 / (4.0 * alpha[squares])))
 
 
 # ---------------------------------------------------------------------------
@@ -346,43 +355,65 @@ _ABS_TOL, _REL_TOL, _MAX_EVALS = 1e-15, 1e-9, 2**15
 _PANEL_NODES = np.arange(1.0, _MAX_EVALS / _XGK.size, 2.0)[:, None] + _XGK
 
 
-def _gk15(f, a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod 7-15 rule on ``panels`` equal panels of [a, b], all
-    nodes in one integrand call: (integrals, QUADPACK error estimates)."""
+def _gk15(f, rows, a, b, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 7-15 rule on ``panels`` equal panels of each row's [a, b],
+    all nodes of all rows in one integrand call: per-row (integrals, QUADPACK
+    error estimates), each summed over the panels."""
     hw = 0.5 * (b - a) / panels
-    fv = f((a + hw * _PANEL_NODES[:panels]).ravel()).reshape(panels, _XGK.size)
+    x = a[:, None, None] + hw[:, None, None] * _PANEL_NODES[:panels]
+    fv = f(rows, x.reshape(rows.size, -1)).reshape(x.shape)
+    # the stacked matmuls take each row's (panels, 15) block on its own, so a
+    # row's bits do not depend on the other rows; a flat (rows * panels, 15)
+    # matmul rounds differently as the row count varies
     resk = fv @ _WGK
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WGK
-    err = np.abs(resk - fv[:, 1::2] @ _WG)
+    resasc = np.abs(fv - 0.5 * resk[..., None]) @ _WGK
+    err = np.abs(resk - fv[..., 1::2] @ _WG)
     # resasc * min(1, (200 err / resasc)^1.5); a panel whose values are all
     # equal has resasc == 0 and keeps err
     flat = resasc == 0.0
     err = np.where(flat, err, np.minimum(resasc, (200.0 * err) ** 1.5 / np.sqrt(resasc + flat)))
-    return hw * resk, abs(hw) * err
+    return (hw[:, None] * resk).sum(axis=1), (np.abs(hw)[:, None] * err).sum(axis=1)
+
+
+def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 7-15 on 1, 2, 4, ... equal panels of [a[i], b[i]], every
+    row i at once.
+
+    ``f(rows, x)`` maps the indices of the rows still refining and their
+    abscissae, an array of shape (len(rows), 15 * panels), to values of that
+    shape; each level is one call.  Row i returns (integral, error_estimate,
+    converged) of the first level whose summed error estimate is at most
+    max(_ABS_TOL, _REL_TOL |integral|), and leaves later calls; or, flagged
+    unconverged, of the last level before the evaluations of all levels
+    would pass _MAX_EVALS.  A row with a == b is 0 with error 0 and never
+    reaches ``f``.  Rows do not interact, so each row's result is that of
+    :func:`adaptive_gk` on it alone.  Never raises on slow convergence: the
+    caller decides what a flagged row means.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    total, total_err = np.zeros(a.shape), np.zeros(a.shape)
+    converged = np.ones(a.shape, dtype=bool)
+    rows = np.flatnonzero(a != b)
+    panels, evals = 1, 0
+    while rows.size:
+        integrals, errors = _gk15(f, rows, a[rows], b[rows], panels)
+        total[rows], total_err[rows] = integrals, errors
+        # a NaN error estimate never converges
+        rows = rows[~(errors <= np.fmax(_ABS_TOL, _REL_TOL * np.abs(integrals)))]
+        evals += _XGK.size * panels
+        panels *= 2
+        if evals + _XGK.size * panels > _MAX_EVALS:
+            converged[rows] = False
+            break
+    return total, total_err, converged
 
 
 def adaptive_gk(f, a: float, b: float) -> tuple[float, float, bool]:
-    """Gauss-Kronrod 7-15 on 1, 2, 4, ... equal panels of [a, b].
-
-    ``f`` maps a 1-D array of abscissae to values; each level is one call.
-    Returns (integral, error_estimate, converged) of the first level whose
-    summed error estimate is at most max(_ABS_TOL, _REL_TOL |integral|), or,
-    flagged unconverged, of the last level before the evaluations of all
-    levels would pass _MAX_EVALS; never raises on slow convergence — the
-    caller decides what a flagged point means.
-    """
-    if a == b:
-        return 0.0, 0.0, True
-    panels, evals = 1, 0
-    while True:
-        integrals, errors = _gk15(f, a, b, panels)
-        evals += _XGK.size * panels
-        total, total_err = float(integrals.sum()), float(errors.sum())
-        if total_err <= max(_ABS_TOL, _REL_TOL * abs(total)):
-            return total, total_err, True
-        panels *= 2
-        if evals + _XGK.size * panels > _MAX_EVALS:
-            return total, total_err, False
+    """The one-row case of :func:`adaptive_gk_rows`: (integral,
+    error_estimate, converged) of ``f``, which maps a 1-D array of abscissae
+    to values, over [a, b]."""
+    value, error, converged = adaptive_gk_rows(lambda rows, x: f(x[0]), [a], [b])
+    return float(value[0]), float(error[0]), bool(converged[0])
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +513,15 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
 
     Each integral runs over the arc of the level curve inside both class
     windows, folded at the curve's axis, so no integrand has an edge
-    singularity or a spike its first panel misses.  Each grid point is one
-    adaptive quadrature with its own error estimate; a point whose
-    refinement exhausted the budget keeps its best value and a large
-    est_error.  At the saddle value of a hyperbola and at the vertex value of
-    a lone square term the density is infinite, with an infinite est_error.
+    singularity or a spike its first panel misses.  The arcs of all grid
+    points are the rows of one :func:`adaptive_gk_rows` call per free
+    coordinate (a hyperbola has two), so a point's value and error estimate
+    are those of its own adaptive quadrature, whatever else is on the grid; a
+    point whose refinement exhausted the budget keeps its best value and a
+    large est_error.  At the saddle value of a hyperbola and at the vertex
+    value of a lone square term the density is infinite, with an infinite
+    est_error.  At the vertex value of an ellipse it is the limit from inside
+    the support, pi pdf(axis point) / sqrt|alpha_0 alpha_1|, with est_error 0.
     """
     h_arr = np.asarray(h_values, dtype=float)
     diag_problem, alpha, beta, gamma = _diagonal_score(problem)
@@ -505,7 +540,7 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
         # the discriminant in vertex form is exactly 0 at the finite end of
         # support_h_range, where the density is infinite
         c = gamma - h_arr
-        disc = 4.0 * alpha[u] * (h_arr - (gamma - beta[u] ** 2 / (4.0 * alpha[u])))
+        disc = 4.0 * alpha[u] * (h_arr - _vertex_score(alpha, beta, gamma))
         dens, err = np.zeros_like(h_arr), np.zeros_like(h_arr)
         at_vertex = disc == 0.0
         dens[at_vertex] = err[at_vertex] = np.inf
@@ -525,73 +560,86 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
 
     def curve_sum(f, h, free, sq):
         """Class density summed over the curve points at the free coordinate
-        values and at their mirror images in the axis."""
-        free = np.concatenate([free, 2.0 * center[f] - free])
-        c = free * (alpha[f] * free + beta[f]) + gamma - h
-        dens = _branch_sum(free, alpha[1 - f], beta[1 - f], c, np.tile(sq, 2) if np.ndim(sq) else sq, ordered[f])
-        return dens.reshape(2, -1).sum(axis=0)
+        values, one row per score in ``h``, and at their mirror images in the
+        axis."""
+        free = np.stack([free, 2.0 * center[f] - free])
+        c = free * (alpha[f] * free + beta[f]) + gamma - h[:, None]
+        sq = np.broadcast_to(sq, free.shape).ravel() if np.ndim(sq) else sq
+        dens = _branch_sum(free.ravel(), alpha[1 - f], beta[1 - f], c.ravel(), sq, ordered[f])
+        return dens.reshape(free.shape).sum(axis=0)
 
+    # arcs holds (grid rows, arc start, arc end, integrand) per set of level
+    # curves with one free coordinate
+    density, est_error = np.zeros_like(h_arr), np.zeros_like(h_arr)
     if squares.size == 1:
         # h = a (y_u - c_u)^2 + b_v y_v + base.  y_u itself is the variable,
         # on the side of the axis that faces the window, so it stays exact
         # when a is tiny and the axis far away.
         a, b_v = alpha[u], beta[v]
         base = gamma - a * center[u] ** 2
-        side = -1.0 if center[u] > hi_w[u] else 1.0
-
-        def level_curve(h):
-            # |y_u - c_u| on the curve, over the y_v window
-            ends = (h - base - b_v * np.array([lo_w[v], hi_w[v]])) / a
-            lo = max(near[u], np.sqrt(max(ends.min(), 0.0)))
-            hi = min(far[u], np.sqrt(max(ends.max(), 0.0)))
-            if lo >= hi:
-                return None, 0.0, 0.0
-            ends = sorted((center[u] + side * lo, center[u] + side * hi))
-            return (lambda y: curve_sum(u, h, y, abs(b_v)) / abs(b_v)), *ends
+        # |y_u - c_u| on the curve, over the y_v window
+        ends = (h_arr[:, None] - base - b_v * np.array([lo_w[v], hi_w[v]])) / a
+        r_lo = np.maximum(near[u], np.sqrt(np.maximum(ends.min(axis=1), 0.0)))
+        r_hi = np.minimum(far[u], np.sqrt(np.maximum(ends.max(axis=1), 0.0)))
+        if center[u] > hi_w[u]:
+            lo, hi = center[u] - r_hi, center[u] - r_lo
+        else:
+            lo, hi = center[u] + r_lo, center[u] + r_hi
+        arcs = [(np.arange(h_arr.size), lo, hi, lambda i, y: curve_sum(u, h_arr[i], y, abs(b_v)) / abs(b_v))]
     else:
-        vertex = gamma - float(alpha @ center**2)
+        # the radii are measured from the score at the computed axis point,
+        # which can differ in the last bit from _vertex_score, the support
+        # edge of an ellipse
+        k = h_arr - (gamma - float(alpha @ center**2))
         jacobian = 0.5 / np.sqrt(abs(alpha[0] * alpha[1]))
-        hyperbola = alpha[0] * alpha[1] < 0.0
-        if hyperbola:
+        if alpha[0] * alpha[1] < 0.0:
             odd, even = np.sinh, np.cosh
-            inv_odd, inv_even = np.arcsinh, (lambda x: np.arccosh(max(x, 1.0)))
+            inv_odd, inv_even = np.arcsinh, (lambda x: np.arccosh(np.maximum(x, 1.0)))
+            saddle = k == 0.0
+            density[saddle] = est_error[saddle] = np.inf
+            # the free coordinate's square term has the sign of -k
+            free = alpha[0] * k > 0.0
+            groups = [(0, ~saddle & ~free), (1, ~saddle & free)]
         else:
             odd, even = np.sin, np.cos
-            inv_odd, inv_even = (lambda x: np.arcsin(min(x, 1.0))), (lambda x: np.arccos(min(x, 1.0)))
+            inv_odd, inv_even = (
+                (lambda x: np.arcsin(np.minimum(x, 1.0))),
+                (lambda x: np.arccos(np.minimum(x, 1.0))),
+            )
+            # the free coordinate takes the larger curvature
+            f = int(abs(alpha[1]) > abs(alpha[0]))
+            inside = (h_arr - _vertex_score(alpha, beta, gamma)) / alpha[f]
+            on_curve = (inside > 0.0) & (k / alpha[f] > 0.0)
+            # at the vertex, or within rounding of it, the level curve is the
+            # axis point: the density is its limit from inside the support,
+            # pi pdf(axis point) / sqrt|alpha_0 alpha_1|
+            at_vertex = (inside >= 0.0) & ~on_curve
+            axis_pdf = np.exp(mvn_logpdf_array(center[None], params)[0])
+            density[at_vertex] = np.pi * axis_pdf / np.sqrt(abs(alpha[0] * alpha[1]))
+            groups = [(f, on_curve)]
 
-        def level_curve(h):
-            k = h - vertex
-            if hyperbola:
-                if k == 0.0:
-                    return None
-                # the free coordinate's square term has the sign of -k
-                f = int(alpha[0] * k > 0.0)
-            else:
-                # the free coordinate takes the larger curvature
-                f = int(abs(alpha[1]) > abs(alpha[0]))
-                if k / alpha[f] <= 0.0:
-                    return None, 0.0, 0.0
+        def conic_arc(f, rows):
             s = 1 - f
-            r_f, r_s = np.sqrt(np.abs(k / alpha[[f, s]]))
-            t_s = sorted((inv_even(near[s] / r_s), inv_even(far[s] / r_s)))
+            h = h_arr[rows]
+            r_f, r_s = np.sqrt(np.abs(k[rows] / alpha[f])), np.sqrt(np.abs(k[rows] / alpha[s]))
+            t_near, t_far = inv_even(near[s] / r_s), inv_even(far[s] / r_s)
             sq_scale = 2.0 * abs(alpha[s]) * r_s
 
-            def g(t):
-                return jacobian * curve_sum(f, h, center[f] + r_f * odd(t), sq_scale * even(t))
+            def g(i, t):
+                free = center[f] + r_f[i, None] * odd(t)
+                return jacobian * curve_sum(f, h[i], free, sq_scale[i, None] * even(t))
 
-            return g, max(inv_odd(near[f] / r_f), t_s[0]), min(inv_odd(far[f] / r_f), t_s[1])
+            lo = np.maximum(inv_odd(near[f] / r_f), np.minimum(t_near, t_far))
+            hi = np.minimum(inv_odd(far[f] / r_f), np.maximum(t_near, t_far))
+            return rows, lo, hi, g
 
-    # level_curve gives None at a saddle value, else (integrand, lo, hi),
-    # with lo >= hi when the curve misses the class windows
-    density, est_error = np.zeros_like(h_arr), np.zeros_like(h_arr)
-    for i, h in enumerate(h_arr):
-        curve = level_curve(float(h))
-        if curve is None:
-            density[i] = est_error[i] = np.inf
-        elif curve[1] < curve[2]:
-            value, err, _ = adaptive_gk(*curve)
-            density[i] = max(value, 0.0)
-            est_error[i] = err
+        arcs = [conic_arc(f, np.flatnonzero(mask)) for f, mask in groups]
+
+    for rows, lo, hi, integrand in arcs:
+        # a curve that misses the class windows has lo >= hi: an empty arc
+        value, err, _ = adaptive_gk_rows(integrand, lo, np.maximum(lo, hi))
+        density[rows] = np.maximum(value, 0.0)
+        est_error[rows] = err
     return DensityGrid(h_arr, density, est_error, label)
 
 

@@ -318,11 +318,19 @@ class TestMain:
                     "roc.svg": "f1aa353e87d10b00f6d3d0dc03c999cc9d599e33ecce8da1d1cc7b8b1f22edbf",
                 },
             ),
+            (
+                "density",
+                {
+                    "density_w1.csv": "eb7ebb8a8a3e78ccb11e4823858d2fb081a7c9388e545d0481b77358e739b480",
+                    "density_w2.csv": "a58725c4719866a0d502b2c63759a8576b1dc2378f5b53210bffe69247f3f677",
+                    "density.svg": "44044a567e5547e126f7eaf68377067b78b65e154cb11e72534fdb29aaecf568",
+                },
+            ),
         ],
     )
     def test_output_bytes_match_golden_digests(self, tmp_path, command, digests):
-        # Pinned from the row-major scoring kernel's output: scores are written at
-        # 17 digits, so any change to the scoring arithmetic shows here.
+        # Scores and densities are written at 17 digits, so any change to the
+        # scoring or density quadrature arithmetic shows here.
         assert cli.main([command, "--seed", "2", "--sim_size", "200", "--out", str(tmp_path)]) == 0
         written = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()

@@ -29,6 +29,7 @@ from llrlab.llrdist import (
     _joint_values,
     _quadratic_roots,
     adaptive_gk,
+    adaptive_gk_rows,
     default_h_grid,
     density_roc,
     freedman_diaconis_bins,
@@ -389,6 +390,20 @@ class TestMarginalDensity:
         for label in (1, 2):
             assert marginal_density(grid_h, label, parabola).integral() == pytest.approx(1.0, abs=1e-3)
 
+    def test_ellipse_vertex_is_the_limit_from_inside(self):
+        # At the vertex the level curve shrinks to the axis point, and the
+        # density is its limit pi pdf(axis point) / sqrt|alpha_0 alpha_1|.
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.3, 0.1], np.eye(2)),
+            class2=GaussianParams([0.0, 0.0], np.diag([0.5, 0.4])),
+        )
+        vertex = support_h_range(problem)[0]
+        for label, limit in ((1, 0.67258859), (2, 1.65935811)):
+            grid = marginal_density([vertex - 1e-12, vertex, vertex + 1e-12], label, problem)
+            assert grid.density[0] == 0.0
+            assert grid.density[1] == pytest.approx(limit, abs=1e-8)
+            assert grid.density[1] == pytest.approx(grid.density[2], rel=1e-6)
+
     def test_three_features_are_a_contract_error(self):
         problem = TwoClassProblem(
             class1=GaussianParams(np.zeros(3), np.eye(3)),
@@ -600,6 +615,32 @@ class TestAdaptiveGk:
     def test_empty_interval(self):
         assert adaptive_gk(np.exp, 1.0, 1.0) == (0.0, 0.0, True)
 
+    def test_rows_match_their_one_row_runs(self):
+        # Centred peaks of three widths and the budget-exhausting spike in one
+        # batch: each row leaves at its own level, and no row sees another.
+        sds = (1.0, 0.1, 0.003)
+
+        def peak(sd):
+            return lambda x: np.exp(-0.5 * (x / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
+
+        funcs = [peak(sd) for sd in sds] + [lambda x: np.abs(x) ** -0.95]
+        a, b = np.array([-1.0, -1.0, -1.0, 0.0]), np.ones(4)
+        calls = []
+
+        def batch(rows, x):
+            calls.append(list(rows))
+            return np.stack([funcs[r](xr) for r, xr in zip(rows, x)])
+
+        values, errors, converged = adaptive_gk_rows(batch, a, b)
+        for i, f in enumerate(funcs):
+            assert (values[i], errors[i], converged[i]) == adaptive_gk(f, a[i], b[i])
+        assert list(converged) == [True, True, True, False]
+        for sd, value in zip(sds, values):
+            assert value == pytest.approx(ndtr(1.0 / sd) - ndtr(-1.0 / sd), rel=1e-9)
+        # converged rows leave, and the last levels refine the spike alone
+        assert calls[0] == [0, 1, 2, 3] and calls[-1] == [3]
+        assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
+
 
 class TestDensityGridAndRoc:
     def test_csv_round_trip(self, counterexample_problem):
@@ -705,12 +746,24 @@ def test_score_geometry_polynomial_matches_score(counterexample_problem):
 
 
 def test_marginal_points_are_independent_of_the_batch(counterexample_problem):
-    grid = default_h_grid(counterexample_problem, 41)
-    full = marginal_density(grid, 2, counterexample_problem)
-    for i in (1, 7, 23, 40):
-        pair = marginal_density(grid[i - 1 : i + 1], 2, counterexample_problem)
-        assert pair.density[1] == full.density[i]
-        assert pair.est_error[1] == full.est_error[i]
+    # An ellipse, a hyperbola, a parabola and a lone square term, each grid
+    # with the score 0 and the finite support ends: the ellipse's vertex, the
+    # hyperbola's saddle value 0 and the lone square term's vertex.
+    lone_square = TwoClassProblem(
+        class1=GaussianParams([0.0, 0.0], np.eye(2)),
+        class2=GaussianParams([0.0, 0.0], np.diag([2.0, 1.0])),
+    )
+    for problem in (counterexample_problem, SADDLE, NEAR_PARABOLA, lone_square):
+        ends = [h for h in support_h_range(problem) if np.isfinite(h)]
+        grid = np.union1d(default_h_grid(problem, 41), [0.0, *ends])
+        for label in (1, 2):
+            full = marginal_density(grid, label, problem)
+            if problem is SADDLE:
+                assert full.density[np.searchsorted(grid, 0.0)] == np.inf
+            for i in range(1, grid.size):
+                pair = marginal_density(grid[i - 1 : i + 1], label, problem)
+                assert np.array_equal(pair.density, full.density[i - 1 : i + 1])
+                assert np.array_equal(pair.est_error, full.est_error[i - 1 : i + 1])
 
 
 def test_score_moments_match_simulation(counterexample_problem):
