@@ -28,7 +28,7 @@ import numpy as np
 
 from . import llrdist, mcharness, rocauc, svgplot
 from .bayesllr import CLASS1, CLASS2, TwoClassProblem, llr_scores
-from .csvio import csv_text, fmt17
+from .csvio import csv_text
 from .errors import ConfigError, InsufficientDataError, LlrLabError
 from .gaussmodel import GaussianParams, SeededRng, mvn_sample
 from .smallmat import std_normal_quantile_array
@@ -272,12 +272,12 @@ def _cmd_density(config: RunConfig) -> dict:
     if config.emit_svg:
         series = []
         for grid, hist, name in zip((g1, g2), hists, ("analytic f(h|1)", "analytic f(h|2)")):
-            series.append(svgplot.Series(name=name, x=tuple(grid.h_values), y=tuple(grid.density)))
+            series.append(svgplot.Series(name=name, x=grid.h_values, y=grid.density))
             series.append(
                 svgplot.Series(
                     name=name.replace("analytic", "simulated"),
-                    x=tuple(hist.bin_edges),
-                    y=tuple(hist.densities) + (0.0,),
+                    x=hist.bin_edges,
+                    y=np.append(hist.densities, 0.0),
                     step=True,
                 )
             )
@@ -305,7 +305,7 @@ def _cmd_roc(config: RunConfig) -> dict:
             x_label="false positive fraction",
             y_label="true positive fraction",
             series=(
-                svgplot.Series(name="ROC", x=tuple(curve.fpf), y=tuple(curve.tpf)),
+                svgplot.Series(name="ROC", x=curve.fpf, y=curve.tpf),
                 svgplot.Series(name="chance", x=(0.0, 1.0), y=(0.0, 1.0)),
             ),
         )
@@ -322,12 +322,8 @@ def _cmd_normal_deviate(config: RunConfig) -> dict:
     zy = std_normal_quantile_array(curve.tpf[mask])
     out = {}
     if config.emit_csv:
-        out["deviate_points.csv"] = csv_text(
-            ("z_fpf", "z_tpf"), [(fmt17(a), fmt17(b)) for a, b in zip(zx, zy)]
-        )
-        out["binormal_fit.csv"] = csv_text(
-            ("a", "b", "residual"), [(fmt17(fit.a), fmt17(fit.b), fmt17(fit.residual))]
-        )
+        out["deviate_points.csv"] = csv_text(("z_fpf", "z_tpf"), (zx, zy))
+        out["binormal_fit.csv"] = csv_text(("a", "b", "residual"), ([fit.a], [fit.b], [fit.residual]))
     if config.emit_svg:
         line_y = (fit.a + fit.b * zx[0], fit.a + fit.b * zx[-1])
         spec = svgplot.PlotSpec(
@@ -336,7 +332,7 @@ def _cmd_normal_deviate(config: RunConfig) -> dict:
             x_label="normal deviate of FPF",
             y_label="normal deviate of TPF",
             series=(
-                svgplot.Series(name="deviate points", x=tuple(zx), y=tuple(zy)),
+                svgplot.Series(name="deviate points", x=zx, y=zy),
                 svgplot.Series(name="least-squares line", x=(zx[0], zx[-1]), y=line_y),
             ),
         )
@@ -401,8 +397,8 @@ def _cmd_variance_study(config: RunConfig) -> dict:
 
 def _cmd_simulate(config: RunConfig) -> dict:
     s1, s2 = _simulated_scores(config)
-    rows = [("1", fmt17(v)) for v in s1] + [("2", fmt17(v)) for v in s2]
-    return {"scores.csv": csv_text(("label", "score"), rows)}
+    labels = np.repeat([CLASS1, CLASS2], (s1.size, s2.size))
+    return {"scores.csv": csv_text(("label", "score"), (labels, np.concatenate((s1, s2))))}
 
 
 _RUNNERS = {

@@ -1,21 +1,26 @@
-"""CSV emission helpers: 17-significant-digit rendering so every emitted
-number re-parses to the identical float."""
+"""CSV emission: every number at 17 significant digits, so it re-parses to
+the identical float."""
 
 from __future__ import annotations
 
-import math
+from itertools import chain
+
+import numpy as np
+
+from .errors import ContractError
 
 
-def fmt17(x) -> str:
-    """Render a float at 17 significant digits; infinities as inf/-inf."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+def csv_text(header, columns) -> str:
+    """Render equal-length 1-D columns under a header tuple.
 
-
-def csv_text(header, rows) -> str:
-    """Join a header tuple and row tuples of already-rendered strings."""
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    Integer columns are written with %d, every other column with %.17g,
+    which also writes inf, -inf, nan and -0.  The body is a single %
+    call on a repeated row template, so no per-value Python call is made.
+    """
+    cols = [np.asarray(c) for c in columns]
+    if len(cols) != len(header) or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
+        raise ContractError("csv_text needs one equal-length 1-D column per header field")
+    n = cols[0].size
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols) + "\n"
+    body = (row * n) % tuple(chain.from_iterable(zip(*[c.tolist() for c in cols])))
+    return ",".join(header) + "\n" + body

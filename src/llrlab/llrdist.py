@@ -27,7 +27,7 @@ import numpy as np
 
 from . import smallmat
 from .bayesllr import CLASS1, CLASS2, TwoClassProblem
-from .csvio import csv_text, fmt17
+from .csvio import csv_text
 from .errors import ContractError, SingularityError
 from .gaussmodel import GaussianParams, mvn_logpdf_array
 from .rocauc import RocCurve
@@ -440,7 +440,7 @@ class DensityGrid:
             raise ContractError("h_values must be strictly increasing")
         if np.any(d < 0.0):
             raise ContractError("densities must be non-negative")
-        _require_class(self.label)
+        object.__setattr__(self, "label", _require_class(self.label))
         for name, arr in (("h_values", h), ("density", d), ("est_error", e)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -465,11 +465,10 @@ class DensityGrid:
 
     def to_csv(self) -> str:
         """Schema: h,density,est_error,class."""
-        rows = [
-            (fmt17(h), fmt17(d), fmt17(e), str(self.label))
-            for h, d, e in zip(self.h_values, self.density, self.est_error)
-        ]
-        return csv_text(("h", "density", "est_error", "class"), rows)
+        return csv_text(
+            ("h", "density", "est_error", "class"),
+            (self.h_values, self.density, self.est_error, np.full(self.h_values.size, self.label)),
+        )
 
 
 #: Half-width of a class window, in class standard deviations: level-curve

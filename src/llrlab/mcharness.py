@@ -21,7 +21,7 @@ import numpy as np
 
 from . import smallmat
 from .bayesllr import TwoClassProblem, llr_scores
-from .csvio import csv_text, fmt17
+from .csvio import csv_text
 from .errors import ConditioningError, ContractError, InsufficientDataError, LlrLabError
 from .gaussmodel import GaussianParams, SeededRng, estimate_params, mvn_sample
 from .rocauc import ScoreSet, empirical_auc
@@ -101,18 +101,6 @@ class CurveSummary:
 
     def to_csv(self) -> str:
         """Schema: p,n,mean_auc_true,mean_auc_apparent,var_auc_true,var_auc_apparent,n_trials."""
-        out = [
-            (
-                str(r.p),
-                str(r.n),
-                fmt17(r.mean_auc_true),
-                fmt17(r.mean_auc_apparent),
-                fmt17(r.var_auc_true),
-                fmt17(r.var_auc_apparent),
-                str(r.n_trials),
-            )
-            for r in self.rows
-        ]
         header = (
             "p",
             "n",
@@ -122,7 +110,7 @@ class CurveSummary:
             "var_auc_apparent",
             "n_trials",
         )
-        return csv_text(header, out)
+        return csv_text(header, [[getattr(r, name) for r in self.rows] for name in header])
 
     def cell(self, p: int, n: int) -> CurveRow:
         for r in self.rows:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallmat
-from .csvio import csv_text, fmt17
+from .csvio import csv_text
 from .errors import ContractError, DomainError, InsufficientDataError
 
 
@@ -92,11 +92,7 @@ class RocCurve:
 
     def to_csv(self) -> str:
         """Schema: fpf,tpf,threshold with inf/-inf at the anchors."""
-        rows = [
-            (fmt17(x), fmt17(y), fmt17(t))
-            for x, y, t in zip(self.fpf, self.tpf, self.thresholds)
-        ]
-        return csv_text(("fpf", "tpf", "threshold"), rows)
+        return csv_text(("fpf", "tpf", "threshold"), (self.fpf, self.tpf, self.thresholds))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .errors import ContractError
 
@@ -30,14 +33,14 @@ class Series:
     step: bool = False  # render as a staircase (histograms)
 
     def __post_init__(self):
-        xs = tuple(float(v) for v in self.x)
-        ys = tuple(float(v) for v in self.y)
-        if len(xs) != len(ys) or not xs:
+        xs = np.asarray(self.x, dtype=float)
+        ys = np.asarray(self.y, dtype=float)
+        if xs.ndim != 1 or xs.shape != ys.shape or not xs.size:
             raise ContractError(f"series {self.name!r} needs matching non-empty x and y")
-        if any(not math.isfinite(v) for v in xs + ys):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ContractError(f"series {self.name!r} contains non-finite values")
-        object.__setattr__(self, "x", xs)
-        object.__setattr__(self, "y", ys)
+        object.__setattr__(self, "x", tuple(xs.tolist()))
+        object.__setattr__(self, "y", tuple(ys.tolist()))
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:
+            break  # an axis a few ulps wide: step is below half an ulp of t
         t += step
     return ticks
 
@@ -98,10 +103,12 @@ def render_svg(spec: PlotSpec) -> str:
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # px and py take scalars or arrays; elementwise IEEE arithmetic gives
+    # the same bits either way.
+    def px(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -156,15 +163,11 @@ def render_svg(spec: PlotSpec) -> str:
 
     for i, s in enumerate(spec.series):
         color = PALETTE[i % len(PALETTE)]
-        pts = []
-        if s.step:
-            for j, (x, y) in enumerate(zip(s.x, s.y)):
-                if j:
-                    pts.append((x, s.y[j - 1]))
-                pts.append((x, y))
-        else:
-            pts = list(zip(s.x, s.y))
-        coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
+        x, y = np.asarray(s.x), np.asarray(s.y)
+        if s.step:  # staircase: (x0, y0), (x1, y0), (x1, y1), (x2, y1), ...
+            x, y = np.repeat(x, 2)[1:], np.repeat(y, 2)[:-1]
+        xy = tuple(chain.from_iterable(zip(px(x).tolist(), py(y).tolist())))
+        coords = ("%.2f,%.2f " * x.size)[:-1] % xy
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

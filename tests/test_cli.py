@@ -133,6 +133,48 @@ class TestRenderSvg:
         with pytest.raises(ContractError):
             Series(name="bad", x=(), y=())
 
+    def test_series_accepts_arrays_and_validates_them(self):
+        s = Series(name="a", x=np.array([0.0, 0.5]), y=np.array([1, 2]))
+        assert s.x == (0.0, 0.5) and s.y == (1.0, 2.0)
+        assert all(type(v) is float for v in s.x + s.y)
+        for x, y in (
+            (np.array([0.0, np.nan]), np.zeros(2)),
+            (np.zeros(2), np.array([np.inf, 0.0])),
+            (np.zeros(3), np.zeros(2)),
+            (np.zeros((2, 2)), np.zeros((2, 2))),
+        ):
+            with pytest.raises(ContractError):
+                Series(name="bad", x=x, y=y)
+
+    @staticmethod
+    def _points(svg: str) -> list[str]:
+        root = ET.fromstring(svg)
+        return [el.get("points") for el in root.iter("{http://www.w3.org/2000/svg}polyline")]
+
+    def test_step_series_matches_per_point_staircase(self):
+        x = (-1.0, 0.25, 0.5, 2.0, 3.5)
+        y = (0.3, 0.9, 0.1, 0.6, 0.0)
+        # The per-point staircase loop the array form replaced.
+        pts = []
+        for j, (xj, yj) in enumerate(zip(x, y)):
+            if j:
+                pts.append((xj, y[j - 1]))
+            pts.append((xj, yj))
+
+        def spec(series):
+            return PlotSpec(kind="density-overlay", title="t", x_label="x", y_label="y", series=(series,))
+
+        step = render_svg(spec(Series(name="s", x=x, y=y, step=True)))
+        expanded = render_svg(spec(Series(name="s", x=[p[0] for p in pts], y=[p[1] for p in pts])))
+        assert self._points(step) == self._points(expanded)
+        assert len(self._points(step)[0].split(" ")) == 2 * len(x) - 1
+
+    def test_axis_a_few_ulps_wide_terminates(self):
+        y = (1e6, float(np.nextafter(1e6, 2e6)))
+        svg = render_svg(PlotSpec(kind="roc", title="t", x_label="x", y_label="y",
+                                  series=(Series(name="s", x=(0.0, 1.0), y=y),)))
+        assert len(self._points(svg)) == 1
+
 
 class TestMain:
     def test_density_outputs_normalized_grids(self, tmp_path):
@@ -326,12 +368,35 @@ class TestMain:
                     "density.svg": "44044a567e5547e126f7eaf68377067b78b65e154cb11e72534fdb29aaecf568",
                 },
             ),
+            (
+                "normal-deviate",
+                {
+                    "deviate_points.csv": "f5bdac9191fafba4213888c9ec3c3041d9240a48edbe2a454461090ea29480f7",
+                    "binormal_fit.csv": "9c47f8ab79fa57cb5d7ff851a382c156d62e60a6da236dec093929d9b1658e1b",
+                    "deviate.svg": "21c6948eb66ed1ac92c6be644ed6696eb8beeea31d1b9464522701c0b5b9b280",
+                },
+            ),
+            (
+                "learning-curve --n_trials 3 --train_sizes 20,50 --test_size 200",
+                {
+                    "learning_curve.csv": "1069630f6cb738e8d4e9ba61f8c2891b7ecfac8964ab22d693cf20a83e728344",
+                    "learning_curve.svg": "68925a680ab8134b8325c359e6ee5e2155e8a46fa87e46839802058ea576a73f",
+                },
+            ),
+            (
+                "variance-study --n_trials 3 --train_sizes 20,50 --test_size 200",
+                {
+                    "variance_study.csv": "7bbb1cc984f6d80281a3bd6bbd6c88eb8799bb986f7d501cc707d5f1e6b65ade",
+                    "variance_study.svg": "10911b4ef82c7427486e19e32702005fa29ef3a9224cad98daae0577d0f5e820",
+                },
+            ),
         ],
     )
     def test_output_bytes_match_golden_digests(self, tmp_path, command, digests):
         # Scores and densities are written at 17 digits, so any change to the
-        # scoring or density quadrature arithmetic shows here.
-        assert cli.main([command, "--seed", "2", "--sim_size", "200", "--out", str(tmp_path)]) == 0
+        # scoring or density quadrature arithmetic shows here; every CSV and
+        # SVG emitter is pinned.
+        assert cli.main(command.split() + ["--seed", "2", "--sim_size", "200", "--out", str(tmp_path)]) == 0
         written = {
             path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
         }
