@@ -22,6 +22,7 @@ curves of all grid points together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -476,6 +477,7 @@ class DensityGrid:
 _N_SIGMAS = 14.0
 
 
+@lru_cache(maxsize=64)
 def _diagonal_score(problem: TwoClassProblem):
     """(diagonalized problem, alpha, beta, gamma) of the score in the
     coordinates y of :func:`transform_problem`, where the class coordinates
@@ -483,6 +485,9 @@ def _diagonal_score(problem: TwoClassProblem):
     alpha_i = (1/lam_i - 1)/2.  An alpha_i whose lam_i is within 1e-12
     (relative) of 1, or a beta_i within 1e-12 of the means' scale, is
     rounding noise and comes back as exactly 0.
+
+    Built once per problem and shared by every caller: a problem is frozen
+    and compares by identity, and alpha and beta come back read-only.
     """
     if problem.dim != 2:
         raise ContractError(f"the analytic path handles 2-D problems only, got dim {problem.dim}")
@@ -495,7 +500,22 @@ def _diagonal_score(problem: TwoClassProblem):
     gamma = 0.5 * (m2 @ (m2 / lam) - m1 @ m1 + np.sum(np.log(lam)))
     if not (alpha.any() or beta.any()):
         raise ContractError("degenerate geometry: the score is constant")
+    alpha.flags.writeable = beta.flags.writeable = False
     return diag.problem, alpha, beta, float(gamma)
+
+
+@lru_cache(maxsize=128)
+def _class_frames(problem: TwoClassProblem, label: int):
+    """The model of class ``label`` in the diagonal coordinates of
+    :func:`_diagonal_score`, in the frames :func:`marginal_density` sums it
+    in, built once per (problem, label): ``ordered[f]`` has coordinate f
+    first, and ``marginals[i]`` is the 1-D model of y_i alone.
+    """
+    params = _class_params(_diagonal_score(problem)[0], label)
+    mean, var = params.mu, np.diag(params.sigma)
+    ordered = (params, GaussianParams(mean[::-1], np.diag(var[::-1])))
+    marginals = tuple(GaussianParams(mean[[i]], np.diag(var[[i]])) for i in range(mean.size))
+    return ordered, marginals
 
 
 def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityGrid:
@@ -523,8 +543,11 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     the support, pi pdf(axis point) / sqrt|alpha_0 alpha_1|, with est_error 0.
     """
     h_arr = np.asarray(h_values, dtype=float)
-    diag_problem, alpha, beta, gamma = _diagonal_score(problem)
-    params = _class_params(diag_problem, label)
+    if h_arr.ndim != 1:
+        raise ContractError(f"h_values must be a 1-D array of scores, got shape {h_arr.shape}")
+    _, alpha, beta, gamma = _diagonal_score(problem)
+    ordered, marginals = _class_frames(problem, _require_class(label))
+    params = ordered[0]
     mean, var = params.mu, np.diag(params.sigma)
     squares = np.flatnonzero(alpha)
 
@@ -545,8 +568,7 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
         dens[at_vertex] = err[at_vertex] = np.inf
         inside = disc > 0.0
         sq = np.sqrt(disc[inside])
-        marginal = GaussianParams(mean[[u]], np.diag(var[[u]]))
-        dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginal) / sq
+        dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginals[u]) / sq
         return DensityGrid(h_arr, dens, err, label)
 
     lo_w = mean - _N_SIGMAS * np.sqrt(var)
@@ -555,7 +577,6 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     # nearest and farthest distance from each axis to the class window
     near = np.maximum(0.0, np.maximum(lo_w - center, center - hi_w))
     far = np.maximum(center - lo_w, hi_w - center)
-    ordered = (params, GaussianParams(mean[::-1], np.diag(var[::-1])))
 
     def curve_sum(f, h, free, sq):
         """Class density summed over the curve points at the free coordinate

@@ -217,6 +217,8 @@ def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> 
     and the aggregation is keyed by (p, n, trial) so the summary does not
     depend on the schedule.
     """
+    if max_workers is not None and max_workers < 1:
+        raise ContractError(f"max_workers must be at least 1, got {max_workers}")
     base = config.rng()
     specs = [
         (p, n, t)

@@ -99,6 +99,9 @@ def render_svg(spec: PlotSpec) -> str:
     pad_y = 0.06 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
+    for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
+        if not math.isfinite(hi - lo):
+            raise ContractError(f"the {axis} axis span of {spec.title!r} overflows a float")
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

@@ -175,6 +175,15 @@ class TestRenderSvg:
                                   series=(Series(name="s", x=(0.0, 1.0), y=y),)))
         assert len(self._points(svg)) == 1
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_span_that_overflows_a_float_is_a_contract_error(self, axis):
+        wide, narrow = (-1e308, 1e308), (0.0, 1.0)
+        x, y = (wide, narrow) if axis == "x" else (narrow, wide)
+        spec = PlotSpec(kind="roc", title="t", x_label="x", y_label="y",
+                        series=(Series(name="s", x=x, y=y),))
+        with pytest.raises(ContractError, match=f"the {axis} axis"):
+            render_svg(spec)
+
 
 class TestMain:
     def test_density_outputs_normalized_grids(self, tmp_path):

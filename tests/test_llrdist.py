@@ -21,6 +21,7 @@ from llrlab import (
     support_region,
     transform_problem,
 )
+from llrlab import llrdist
 from llrlab.errors import ContractError, SingularityError
 from llrlab.llrdist import (
     _MAX_EVALS,
@@ -412,6 +413,15 @@ class TestMarginalDensity:
         with pytest.raises(ContractError):
             marginal_density([0.0, 1.0], 1, problem)
 
+    def test_scores_that_are_not_1d_are_a_contract_error(self, counterexample_problem, monkeypatch):
+        def must_not_run(problem):
+            raise AssertionError("the diagonal form was built for a malformed grid")
+
+        monkeypatch.setattr(llrdist, "_diagonal_score", must_not_run)
+        for h in (0.5, [[0.0, 1.0], [2.0, 3.0]]):
+            with pytest.raises(ContractError, match="1-D"):
+                marginal_density(h, 1, counterexample_problem)
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(spd_problems())
     def test_random_spd_pairs_follow_the_ratio_law_and_have_unit_mass(self, problem):
@@ -545,6 +555,88 @@ class TestTransformProblem:
         np.testing.assert_allclose(diag.lam, [1.0, 1.0], atol=1e-12)
         W = diag.transform
         np.testing.assert_allclose(W @ W.T, np.eye(2), atol=1e-12)
+
+
+# One problem per kind of level curve that marginal_density integrates along.
+CONICS = {
+    "ellipse": TwoClassProblem(
+        class1=GaussianParams([0.3, 0.1], np.eye(2)),
+        class2=GaussianParams([0.0, 0.0], np.diag([0.5, 0.4])),
+    ),
+    "hyperbola": SADDLE,
+    "parabola": TwoClassProblem(
+        class1=GaussianParams([0.0, 0.0], np.eye(2)),
+        class2=GaussianParams([0.0, 0.025], np.diag([2.0, 1.0])),
+    ),
+    "lone square": TwoClassProblem(
+        class1=GaussianParams([0.0, 0.01], np.eye(2)),
+        class2=GaussianParams([-0.01, 0.0], np.linalg.inv(np.eye(2) + 0.5 * np.ones((2, 2)))),
+    ),
+}
+
+
+def _clear_diagonal_caches():
+    llrdist._diagonal_score.cache_clear()
+    llrdist._class_frames.cache_clear()
+
+
+def _tabulate(problem, chunk=37):
+    """default_h_grid plus its saddle value, tabulated per class in chunks:
+    the bytes of every density and est_error."""
+    h = np.union1d(default_h_grid(problem, 201), [0.0])
+    return [
+        getattr(marginal_density(h[c:c + chunk], label, problem), field).tobytes()
+        for label in (1, 2)
+        for c in range(0, h.size, chunk)
+        for field in ("density", "est_error")
+    ]
+
+
+class TestDiagonalFormCache:
+    def test_one_simultaneous_diagonalization_per_problem(self, monkeypatch):
+        calls = []
+
+        def counting_simdiag(sigma1, sigma2):
+            calls.append(1)
+            return simdiag(sigma1, sigma2)
+
+        monkeypatch.setattr(llrdist, "simdiag", counting_simdiag)
+        for problem in CONICS.values():
+            # a fresh problem of equal values is a cold cache entry
+            fresh = TwoClassProblem(class1=problem.class1, class2=problem.class2)
+            _tabulate(fresh)
+            support_h_range(fresh)
+        assert len(calls) == len(CONICS)
+
+    def test_cached_coefficients_are_read_only(self):
+        _, alpha, beta, _ = _diagonal_score(CONICS["ellipse"])
+        for arr in (alpha, beta):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_warm_cache_results_are_bitwise_cold_results(self):
+        cold = {}
+        for name, problem in CONICS.items():
+            _clear_diagonal_caches()
+            cold[name] = _tabulate(problem)
+        # the hyperbola's grid holds its saddle value, where the density is infinite
+        assert np.float64(np.inf).tobytes() in b"".join(cold["hyperbola"])
+        for problem in CONICS.values():
+            _tabulate(problem)
+        for name, problem in CONICS.items():
+            assert _tabulate(problem) == cold[name], name
+
+    def test_equal_problems_each_get_their_own_form(self):
+        ellipse = CONICS["ellipse"]
+        problems = [TwoClassProblem(class1=ellipse.class1, class2=ellipse.class2) for _ in range(2)]
+        problems.append(CONICS["hyperbola"])
+        forms = [_diagonal_score(p) for p in problems]
+        assert forms[0][0] is not forms[1][0]
+        for p, form in zip(problems, forms):
+            diag = transform_problem(p)
+            np.testing.assert_array_equal(form[0].class2.sigma, diag.problem.class2.sigma)
+            np.testing.assert_array_equal(form[0].class2.mu, diag.problem.class2.mu)
+        assert not np.array_equal(forms[0][1], forms[2][1])
 
 
 class TestHistogramVsAnalytic:

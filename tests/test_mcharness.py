@@ -158,6 +158,16 @@ class TestLearningCurve:
             se = np.sqrt(small.var_auc_true / 40 + big.var_auc_true / 40)
             assert big.mean_auc_true >= small.mean_auc_true - 2 * se
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_a_contract_error(self, workers, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before max_workers was checked")
+
+        monkeypatch.setattr(mcharness, "ThreadPoolExecutor", must_not_run)
+        monkeypatch.setattr(mcharness, "run_trial", must_not_run)
+        with pytest.raises(ContractError, match="max_workers"):
+            learning_curve(ExperimentConfig(**SMALL), max_workers=workers)
+
     def test_invalid_config(self):
         with pytest.raises(ContractError):
             ExperimentConfig(dims=(3,), train_sizes=(3,))
