@@ -76,7 +76,6 @@ class RunConfig:
     out_dir: Path
     emit_svg: bool
     emit_csv: bool
-    explicit: frozenset
 
 
 def _parse_value(key: str, kind: str, raw: str, line: int | None):
@@ -217,7 +216,6 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         out_dir=Path(values["out_dir"]),
         emit_svg=bool(values["emit_svg"]),
         emit_csv=bool(values["emit_csv"]),
-        explicit=explicit,
     )
 
 
@@ -282,7 +280,6 @@ def _cmd_density(config: RunConfig) -> dict:
                 )
             )
         spec = svgplot.PlotSpec(
-            kind="density-overlay",
             title="Score densities: analytic vs simulated",
             x_label="score h (nats)",
             y_label="density",
@@ -300,7 +297,6 @@ def _cmd_roc(config: RunConfig) -> dict:
         out["roc.csv"] = curve.to_csv()
     if config.emit_svg:
         spec = svgplot.PlotSpec(
-            kind="roc",
             title=f"Empirical ROC (AUC = {rocauc.trapezoid_auc(curve):.4f})",
             x_label="false positive fraction",
             y_label="true positive fraction",
@@ -327,7 +323,6 @@ def _cmd_normal_deviate(config: RunConfig) -> dict:
     if config.emit_svg:
         line_y = (fit.a + fit.b * zx[0], fit.a + fit.b * zx[-1])
         spec = svgplot.PlotSpec(
-            kind="deviate-line",
             title=f"Normal-deviate plot (a={fit.a:.3f}, b={fit.b:.3f}, rms={fit.residual:.4f})",
             x_label="normal deviate of FPF",
             y_label="normal deviate of TPF",
@@ -375,7 +370,6 @@ def _curve_files(summary: mcharness.CurveSummary, config: RunConfig, stem: str, 
             title = "Mean AUC vs 1/n"
             x_label, y_label = "1 / training size", "mean AUC"
         spec = svgplot.PlotSpec(
-            kind="variance" if variance else "learning-curve",
             title=title,
             x_label=x_label,
             y_label=y_label,
@@ -485,21 +479,12 @@ def main(argv=None) -> int:
         if args.no_svg:
             overrides.append(("emit_svg", "false"))
         overrides.extend(_split_overrides(extras))
-        config = parse_config(text, overrides)
-    except ConfigError as err:
-        print(f"llr-lab: config error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"llr-lab: i/o error: {err}", file=sys.stderr)
-        return 4
-
-    try:
-        written = run_command(config)
+        written = run_command(parse_config(text, overrides))
     except ConfigError as err:
         print(f"llr-lab: config error: {err}", file=sys.stderr)
         return 2
     except LlrLabError as err:
-        print(f"llr-lab: {config.command} failed: {err}", file=sys.stderr)
+        print(f"llr-lab: {args.command} failed: {err}", file=sys.stderr)
         return 3
     except OSError as err:
         print(f"llr-lab: i/o error: {err}", file=sys.stderr)

@@ -7,13 +7,12 @@ A trial trains the plug-in Bayes rule on n samples per class, then scores
 both the training sample itself (apparent AUC) and a fresh pseudo-infinite
 test sample (true AUC).
 
-Every trial draws from a stream derived from (base_seed, p, n, trial), so
-results are bitwise identical regardless of execution order or parallelism.
+Every trial draws from its own stream derived from (base_seed, p, n, trial),
+so a cell's rows do not depend on which other cells run in the same call.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -143,7 +142,7 @@ def population(p: int, c: float) -> TwoClassProblem:
     """The simulation population: mu1 = 0, mu2 = c*1, identity covariances.
 
     Built once per (p, c) and shared by every trial of a cell; the problem is
-    frozen and its arrays read-only, so pool threads can share it too.
+    frozen and its arrays read-only, so no trial can alter it for the next.
     """
     eye = np.eye(int(p))
     return TwoClassProblem(
@@ -213,43 +212,24 @@ def _summarize(p: int, n: int, results: list[TrialResult]) -> CurveRow:
 def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> CurveSummary:
     """Mean and variance of true and apparent AUC over the whole grid.
 
-    Trials are independent; with max_workers set they run on a thread pool,
-    and the aggregation is keyed by (p, n, trial) so the summary does not
-    depend on the schedule.
+    Trials run one after another in (p, n, trial) order.  max_workers is
+    still accepted and must be at least 1, but it does not change how the
+    trials run.
     """
     if max_workers is not None and max_workers < 1:
         raise ContractError(f"max_workers must be at least 1, got {max_workers}")
     base = config.rng()
-    specs = [
-        (p, n, t)
-        for p in sorted(config.dims)
-        for n in sorted(config.train_sizes)
-        for t in range(config.n_trials)
-    ]
-
-    def one(spec):
-        p, n, t = spec
-        c = calibrate_c(p, config.target_delta_sq)
-        try:
-            result = run_trial(p, n, c, config.test_size, base.derive(p, n, t))
-        except LlrLabError as err:
-            raise type(err)(f"trial (p={p}, n={n}, trial={t}) failed: {err}") from err
-        return TrialResult(result.auc_true, result.auc_apparent, n, p, t)
-
-    if max_workers is None:
-        results = [one(spec) for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(one, specs))
-
-    by_cell = {}
-    for r in results:
-        by_cell.setdefault((r.p, r.n), []).append(r)
     rows = []
     for p in sorted(config.dims):
+        c = calibrate_c(p, config.target_delta_sq)
         for n in sorted(config.train_sizes):
-            cell = sorted(by_cell[(p, n)], key=lambda r: r.trial_index)
-            rows.append(_summarize(p, n, cell))
+            results = []
+            for t in range(config.n_trials):
+                try:
+                    results.append(run_trial(p, n, c, config.test_size, base.derive(p, n, t)))
+                except LlrLabError as err:
+                    raise type(err)(f"trial (p={p}, n={n}, trial={t}) failed: {err}") from err
+            rows.append(_summarize(p, n, results))
     return CurveSummary(rows=tuple(rows))
 
 

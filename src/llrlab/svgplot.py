@@ -20,8 +20,6 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62, 16, 34, 46
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
-PLOT_KINDS = ("density-overlay", "roc", "deviate-line", "learning-curve", "variance")
-
 
 @dataclass(frozen=True)
 class Series:
@@ -47,29 +45,28 @@ class Series:
 class PlotSpec:
     """Everything needed to render one chart."""
 
-    kind: str
     title: str
     x_label: str
     y_label: str
     series: tuple
 
     def __post_init__(self):
-        if self.kind not in PLOT_KINDS:
-            raise ContractError(f"unknown plot kind {self.kind!r}")
         if not self.series:
             raise ContractError("a plot needs at least one series")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """Round tick positions via the 1-2-5 ladder."""
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / target
+    """Round tick positions via the 1-2-5 ladder over lo < hi."""
+    # On an axis a few subnormals wide, the raw step or its power of ten
+    # underflows to 0; the smallest positive float is then the only step left.
+    raw = max((hi - lo) / target, math.ulp(0.0))
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
+    else:
+        step = raw
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
@@ -102,6 +99,8 @@ def render_svg(spec: PlotSpec) -> str:
     for axis, lo, hi in (("x", x_lo, x_hi), ("y", y_lo, y_hi)):
         if not math.isfinite(hi - lo):
             raise ContractError(f"the {axis} axis span of {spec.title!r} overflows a float")
+        if hi == lo:  # a constant series too large for +-0.5 to move it
+            raise ContractError(f"the {axis} axis of {spec.title!r} has zero width at {lo!r}")
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM

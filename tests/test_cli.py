@@ -86,7 +86,6 @@ class TestParseConfig:
 class TestRenderSvg:
     def test_two_point_diagonal_has_one_polyline(self):
         spec = PlotSpec(
-            kind="roc",
             title="diag",
             x_label="x",
             y_label="y",
@@ -98,7 +97,6 @@ class TestRenderSvg:
 
     def test_byte_identical_for_identical_specs(self):
         spec = PlotSpec(
-            kind="learning-curve",
             title="t",
             x_label="x",
             y_label="y",
@@ -112,7 +110,6 @@ class TestRenderSvg:
     def test_legend_references_every_series(self):
         names = ("ts p=3", "tr p=3", "ts p=7")
         spec = PlotSpec(
-            kind="learning-curve",
             title="curves",
             x_label="1/n",
             y_label="AUC",
@@ -129,7 +126,7 @@ class TestRenderSvg:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ContractError):
-            PlotSpec(kind="roc", title="", x_label="", y_label="", series=())
+            PlotSpec(title="", x_label="", y_label="", series=())
         with pytest.raises(ContractError):
             Series(name="bad", x=(), y=())
 
@@ -162,7 +159,7 @@ class TestRenderSvg:
             pts.append((xj, yj))
 
         def spec(series):
-            return PlotSpec(kind="density-overlay", title="t", x_label="x", y_label="y", series=(series,))
+            return PlotSpec(title="t", x_label="x", y_label="y", series=(series,))
 
         step = render_svg(spec(Series(name="s", x=x, y=y, step=True)))
         expanded = render_svg(spec(Series(name="s", x=[p[0] for p in pts], y=[p[1] for p in pts])))
@@ -171,7 +168,7 @@ class TestRenderSvg:
 
     def test_axis_a_few_ulps_wide_terminates(self):
         y = (1e6, float(np.nextafter(1e6, 2e6)))
-        svg = render_svg(PlotSpec(kind="roc", title="t", x_label="x", y_label="y",
+        svg = render_svg(PlotSpec(title="t", x_label="x", y_label="y",
                                   series=(Series(name="s", x=(0.0, 1.0), y=y),)))
         assert len(self._points(svg)) == 1
 
@@ -179,10 +176,41 @@ class TestRenderSvg:
     def test_span_that_overflows_a_float_is_a_contract_error(self, axis):
         wide, narrow = (-1e308, 1e308), (0.0, 1.0)
         x, y = (wide, narrow) if axis == "x" else (narrow, wide)
-        spec = PlotSpec(kind="roc", title="t", x_label="x", y_label="y",
+        spec = PlotSpec(title="t", x_label="x", y_label="y",
                         series=(Series(name="s", x=x, y=y),))
         with pytest.raises(ContractError, match=f"the {axis} axis"):
             render_svg(spec)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_constant_series_too_large_to_pad_is_a_contract_error(self, axis):
+        # 1e17 +- 0.5 rounds back to 1e17, so the padded axis has no width.
+        flat, narrow = (1e17, 1e17), (0.0, 1.0)
+        x, y = (flat, narrow) if axis == "x" else (narrow, flat)
+        spec = PlotSpec(title="t", x_label="x", y_label="y",
+                        series=(Series(name="s", x=x, y=y),))
+        with pytest.raises(ContractError, match=f"the {axis} axis"):
+            render_svg(spec)
+
+    # Spans that rendered before subnormal spans were handled keep their bytes.
+    _SUBNORMAL_DIGESTS = {
+        ("x", 1e-322): "5fe9f7797ebb7ba71262ed26278c8903956d99e4711770b13ac8d588e46381ed",
+        ("y", 1e-322): "8c579573d15e4f519e3d09100caa535e0d73f05142d90b0e98b1f801d472e573",
+    }
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("span", [5e-324, 1e-323, 3e-323, 1e-322])
+    def test_axis_a_few_subnormals_wide_renders(self, axis, span):
+        x, y = ((0.0, span), (0.0, 1.0)) if axis == "x" else ((0.0, 1.0), (0.0, span))
+        svg = render_svg(PlotSpec(title="t", x_label="x", y_label="y",
+                                  series=(Series(name="s", x=x, y=y),)))
+        assert len(self._points(svg)) == 1
+        anchor = "middle" if axis == "x" else "end"
+        root = ET.fromstring(svg)
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+                  if el.get("font-size") == "11" and el.get("text-anchor") == anchor]
+        assert "0" in labels and len(labels) >= 2
+        if (axis, span) in self._SUBNORMAL_DIGESTS:
+            assert hashlib.sha256(svg.encode()).hexdigest() == self._SUBNORMAL_DIGESTS[(axis, span)]
 
 
 class TestMain:
@@ -252,6 +280,13 @@ class TestMain:
         bad.write_text("sigma1 = [[1,2],[2,1]]\n")
         assert cli.main(["density", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_exit_code_4_on_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        out = tmp_path / "out"
+        assert cli.main(["roc", "--config", str(missing), "--out", str(out)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_exit_code_3_on_module_error(self, tmp_path, capsys):
         # 3-D problem has no analytic density path

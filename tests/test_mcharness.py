@@ -163,7 +163,6 @@ class TestLearningCurve:
         def must_not_run(*args, **kwargs):
             raise AssertionError("work started before max_workers was checked")
 
-        monkeypatch.setattr(mcharness, "ThreadPoolExecutor", must_not_run)
         monkeypatch.setattr(mcharness, "run_trial", must_not_run)
         with pytest.raises(ContractError, match="max_workers"):
             learning_curve(ExperimentConfig(**SMALL), max_workers=workers)
