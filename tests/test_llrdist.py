@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -637,6 +639,49 @@ class TestDiagonalFormCache:
             np.testing.assert_array_equal(form[0].class2.sigma, diag.problem.class2.sigma)
             np.testing.assert_array_equal(form[0].class2.mu, diag.problem.class2.mu)
         assert not np.array_equal(forms[0][1], forms[2][1])
+
+
+class TestDensityBytes:
+    """sha256 of every density and est_error byte, per branch of
+    marginal_density, so a faster evaluation has to give the same grids."""
+
+    # equal covariances: no square term, the closed-form normal branch
+    LINEAR = TwoClassProblem(
+        class1=GaussianParams([1.0, 0.5], [[1.0, 0.3], [0.3, 2.0]]),
+        class2=GaussianParams([0.2, -0.1], [[1.0, 0.3], [0.3, 2.0]]),
+    )
+
+    MARGINAL_DIGESTS = {
+        "ellipse": "5f2ec8e63249c84562547851737a3a96deb52125cf0517c21d6140fdac4262ae",
+        "hyperbola": "957489c7e90bbbc22bf5dfb452571a4408c6f30ac40579a43b03180fea68c00a",
+        "parabola": "df9bd4581e98f03590c756f7b3ee4d2a86df84d0c1027b9f48c8168e705ce041",
+        "lone square": "dec02e7e8b966b0e95235fd220f38c34785356e6591b22b3c74b1212a1046b06",
+        "linear": "3b1702f0a11397ce3421e620e7587d22f8cc0fb565eb4c391705682f90f28263",
+    }
+
+    @pytest.mark.parametrize("name", list(MARGINAL_DIGESTS))
+    def test_marginal_density_bytes(self, name):
+        # the 801-point default grid, the score 0 (the hyperbola's saddle
+        # value) and the finite support end (the ellipse's and the lone
+        # square term's vertex)
+        problem = CONICS.get(name, self.LINEAR)
+        ends = [h for h in support_h_range(problem) if np.isfinite(h)]
+        h = np.union1d(default_h_grid(problem, 801), [0.0, *ends])
+        sha = hashlib.sha256()
+        for label in (1, 2):
+            grid = marginal_density(h, label, problem)
+            sha.update(grid.density.tobytes())
+            sha.update(grid.est_error.tobytes())
+        assert sha.hexdigest() == self.MARGINAL_DIGESTS[name]
+
+    def test_joint_density_bytes(self, counterexample_problem):
+        # non-diagonal class models, both roots and the support edge
+        h, x1 = np.meshgrid(np.linspace(-3.0, 9.0, 61), np.linspace(-2.0, 5.0, 57))
+        geom = score_geometry(counterexample_problem)
+        sha = hashlib.sha256()
+        for params in (counterexample_problem.class1, counterexample_problem.class2):
+            sha.update(_joint_values(h, x1, params, geom).tobytes())
+        assert sha.hexdigest() == "ef44e09f63804cbf85d370c4550834638e8b7082df0707a5747ff88fd6521991"
 
 
 class TestHistogramVsAnalytic:
