@@ -20,6 +20,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _U53 = 1 << 53
 _U53_INV = 1.0 / _U53
 
+_LOG_2PI = np.log(2.0 * np.pi)
+
 
 def _splitmix64(x: int) -> int:
     x = (x + _GOLDEN) & _MASK64
@@ -128,7 +130,7 @@ def mvn_logpdf_array(x, params: GaussianParams) -> np.ndarray:
         raise ContractError(f"points have dimension {X.shape[1]}, model has {params.dim}")
     q = mahalanobis_sq_rows(X, params)
     p = params.dim
-    return -0.5 * (q + params.log_det + p * np.log(2.0 * np.pi))
+    return -0.5 * (q + params.log_det + p * _LOG_2PI)
 
 
 def mahalanobis_sq_rows(X: np.ndarray, params: GaussianParams) -> np.ndarray:
@@ -143,6 +145,34 @@ def mahalanobis_sq_rows(X: np.ndarray, params: GaussianParams) -> np.ndarray:
     """
     dev = np.subtract(X.T, params.mu[:, None], order="C")
     return np.einsum("ji,jk,ki->i", dev, params.sigma_inv, dev)
+
+
+def mvn_logpdf_coords(coords, params: GaussianParams) -> np.ndarray:
+    """Log density at points given coordinate by coordinate.
+
+    ``coords[j]`` holds coordinate j of every point, as arrays of one shape
+    (or scalars), and the result takes that shape.  Each point sums its terms
+    (d_j S_jk) d_k in the order of :func:`mahalanobis_sq_rows`, j outer and k
+    inner, zero terms included, so a non-finite coordinate still gives nan:
+    the values of :func:`mvn_logpdf_array` bit for bit, without building a
+    point array.
+    """
+    if len(coords) != params.dim:
+        raise ContractError(f"points have dimension {len(coords)}, model has {params.dim}")
+    dev = [np.subtract(x, m) for x, m in zip(coords, params.mu)]
+    q = None
+    for dj, s_j in zip(dev, params.sigma_inv.tolist()):
+        for s_jk, dk in zip(s_j, dev):
+            t = dj * s_jk
+            t *= dk
+            if q is None:
+                q = t
+            else:
+                q += t
+    q += params.log_det
+    q += params.dim * _LOG_2PI
+    q *= -0.5
+    return q
 
 
 def mvn_pdf(x, params: GaussianParams) -> float:

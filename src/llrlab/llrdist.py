@@ -14,7 +14,8 @@ along its level curve with a smooth integrand.
 
 Every quadratic is solved by one cancellation-free root helper
 (``_quadratic_roots``), every class-density sum over roots by one
-evaluator (``_branch_sum``), and every level-curve integral by one
+evaluator (``_branch_sum``), which scores the coordinate arrays it holds
+with ``gaussmodel.mvn_logpdf_coords``, and every level-curve integral by one
 level-doubling Gauss-Kronrod engine (``adaptive_gk_rows``) that refines the
 curves of all grid points together.
 """
@@ -30,7 +31,7 @@ from . import smallmat
 from .bayesllr import CLASS1, CLASS2, TwoClassProblem
 from .csvio import csv_text
 from .errors import ContractError, SingularityError
-from .gaussmodel import GaussianParams, mvn_logpdf_array
+from .gaussmodel import GaussianParams, mvn_logpdf_array, mvn_logpdf_coords
 from .rocauc import RocCurve
 
 
@@ -144,21 +145,19 @@ def _branch_sum(x1, a, b, c, sq, params: GaussianParams) -> np.ndarray:
     """Sum of the class density over the roots t of a t^2 + b t + c = 0.
 
     The roots are x2 values paired with ``x1``, or, with ``x1=None`` and 1-D
-    ``params``, points of their own.  ``sq`` is the square root of the
-    discriminant; callers that know it in factored form pass that, which
-    keeps the integrands smooth right up to the support boundary, where the
-    direct evaluation of B^2 - 4A(C - h) is pure cancellation noise.  All
-    points go to one ``mvn_logpdf_array`` call.
+    ``params``, points of their own; ``x1``, the roots and the sum share one
+    shape.  ``sq`` is the square root of the discriminant; callers that know
+    it in factored form pass that, which keeps the integrands smooth right up
+    to the support boundary, where the direct evaluation of B^2 - 4A(C - h)
+    is pure cancellation noise.  Each root's density comes from the
+    coordinate arrays themselves (``mvn_logpdf_coords``), with no point array
+    built, and the densities add in root order.
     """
-    roots = _quadratic_roots(a, b, c, sq)
-    k, n = len(roots), np.size(roots[0])
-    pts = np.empty((k, n, params.dim))
-    if x1 is not None:
-        pts[:, :, 0] = x1
-    for i, r in enumerate(roots):
-        pts[i, :, -1] = r
-    dens = np.exp(mvn_logpdf_array(pts.reshape(k * n, params.dim), params))
-    return dens.reshape(k, n).sum(axis=0)
+    dens = [
+        np.exp(mvn_logpdf_coords((r,) if x1 is None else (x1, r), params))
+        for r in _quadratic_roots(a, b, c, sq)
+    ]
+    return sum(dens[1:], start=dens[0])
 
 
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
@@ -582,11 +581,11 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
         """Class density summed over the curve points at the free coordinate
         values, one row per score in ``h``, and at their mirror images in the
         axis."""
-        free = np.stack([free, 2.0 * center[f] - free])
-        c = free * (alpha[f] * free + beta[f]) + gamma - h[:, None]
-        sq = np.broadcast_to(sq, free.shape).ravel() if np.ndim(sq) else sq
-        dens = _branch_sum(free.ravel(), alpha[1 - f], beta[1 - f], c.ravel(), sq, ordered[f])
-        return dens.reshape(free.shape).sum(axis=0)
+        def side(y):
+            c = y * (alpha[f] * y + beta[f]) + gamma - h[:, None]
+            return _branch_sum(y, alpha[1 - f], beta[1 - f], c, sq, ordered[f])
+
+        return side(free) + side(2.0 * center[f] - free)
 
     # arcs holds (grid rows, arc start, arc end, integrand) per set of level
     # curves with one free coordinate

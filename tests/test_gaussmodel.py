@@ -17,7 +17,7 @@ from llrlab.errors import (
     DecompositionError,
     InsufficientDataError,
 )
-from llrlab.gaussmodel import mahalanobis_sq_rows
+from llrlab.gaussmodel import mahalanobis_sq_rows, mvn_logpdf_array, mvn_logpdf_coords
 from tests.conftest import MU1, MU2, SIGMA1, SIGMA2
 
 
@@ -213,3 +213,53 @@ class TestMahalanobisRows:
         dev = X - params.mu
         oracle = np.einsum("ij,jk,ik->i", dev, params.sigma_inv, dev)
         assert np.array_equal(mahalanobis_sq_rows(X, params), oracle)
+
+
+class TestLogpdfCoords:
+    # The level-curve densities of llrdist are pinned to the bytes the point
+    # array path gave, so the coordinate kernel must match it bit for bit.
+    # At a single 2-D point einsum adds the terms pairwise,
+    # (t00 + t01) + (t10 + t11), so batches here hold at least two points.
+    @staticmethod
+    def _params(p, diagonal, seed):
+        gen = np.random.default_rng(seed)
+        if diagonal:
+            return GaussianParams(gen.normal(size=p), np.diag(gen.uniform(0.2, 3.0, size=p)))
+        a = gen.normal(size=(p, p))
+        return GaussianParams(gen.normal(size=p), a @ a.T + 0.3 * np.eye(p))
+
+    @pytest.mark.parametrize(
+        "p, diagonal",
+        [(1, True), (2, True), (2, False), (3, True), (3, False)],
+    )
+    @pytest.mark.parametrize("shape", [(2,), (3,), (257,), (7, 45)])
+    def test_bit_identical_to_point_array_path(self, p, diagonal, shape):
+        for seed in range(10):
+            params = self._params(p, diagonal, seed)
+            X = 3.0 * np.random.default_rng(100 + seed).normal(size=(*shape, p))
+            coords = tuple(np.moveaxis(X, -1, 0))
+            got = mvn_logpdf_coords(coords, params)
+            assert got.shape == shape
+            want = mvn_logpdf_array(X.reshape(-1, p), params).reshape(shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p, diagonal", [(1, True), (2, True), (2, False), (3, True)])
+    def test_infinite_coordinate_gives_nan_as_before(self, p, diagonal):
+        # inf * 0 in a cross term of a diagonal model is what makes it nan;
+        # dropping the zero terms would give -inf instead
+        params = self._params(p, diagonal, 7)
+        X = np.random.default_rng(8).normal(size=(6, p))
+        X[1, -1] = np.inf
+        X[4, 0] = -np.inf
+        with np.errstate(invalid="ignore"):
+            got = mvn_logpdf_coords(tuple(X.T), params)
+            want = mvn_logpdf_array(X, params)
+        if p > 1:
+            assert np.isnan(got[[1, 4]]).all()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_scalars_and_dimension_mismatch(self):
+        params = GaussianParams([0.3, -0.7], np.eye(2))
+        assert mvn_logpdf_coords((0.3, -0.7), params) == pytest.approx(-np.log(2.0 * np.pi), rel=1e-15)
+        with pytest.raises(ContractError):
+            mvn_logpdf_coords((np.zeros(3),), params)
