@@ -154,12 +154,15 @@ def mvn_logpdf_coords(coords, params: GaussianParams) -> np.ndarray:
     (or scalars), and the result takes that shape.  Each point sums its terms
     (d_j S_jk) d_k in the order of :func:`mahalanobis_sq_rows`, j outer and k
     inner, zero terms included, so a non-finite coordinate still gives nan:
-    the values of :func:`mvn_logpdf_array` bit for bit, without building a
-    point array.
+    the values of :func:`mvn_logpdf_array` on a batch of two or more points
+    bit for bit (einsum adds the terms of a lone 2-D row pairwise), without
+    building a point array.
     """
     if len(coords) != params.dim:
         raise ContractError(f"points have dimension {len(coords)}, model has {params.dim}")
     dev = [np.subtract(x, m) for x, m in zip(coords, params.mu)]
+    # in place: a fresh array per operation costs about a tenth of a
+    # marginal_density pass
     q = None
     for dj, s_j in zip(dev, params.sigma_inv.tolist()):
         for s_jk, dk in zip(s_j, dev):

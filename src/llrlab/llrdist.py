@@ -436,10 +436,12 @@ class DensityGrid:
         e = np.asarray(self.est_error, dtype=float)
         if not (h.shape == d.shape == e.shape) or h.ndim != 1 or h.size < 2:
             raise ContractError("density grid needs matching 1-D arrays of length >= 2")
-        if np.any(np.diff(h) <= 0.0):
-            raise ContractError("h_values must be strictly increasing")
-        if np.any(d < 0.0):
-            raise ContractError("densities must be non-negative")
+        # written so that NaN fails; an infinite density (a saddle or vertex
+        # score) passes
+        if not np.all(np.diff(h) > 0.0):
+            raise ContractError("h_values must be strictly increasing (and not NaN)")
+        if not np.all(d >= 0.0):
+            raise ContractError("densities must be non-negative (and not NaN)")
         object.__setattr__(self, "label", _require_class(self.label))
         for name, arr in (("h_values", h), ("density", d), ("est_error", e)):
             arr.flags.writeable = False
@@ -810,12 +812,14 @@ def freedman_diaconis_bins(scores: np.ndarray) -> int:
 def histogram_vs_analytic(scores, grid: DensityGrid) -> tuple[float, HistogramTable]:
     """Kolmogorov-Smirnov distance between scores and a tabulated density.
 
-    The analytic CDF is the grid's cumulative trapezoid integral; the grid
-    must span the empirical score range.
+    The analytic CDF is the grid's cumulative trapezoid integral; the scores
+    must be finite and the grid must span their range.
     """
     s = np.sort(np.asarray(scores, dtype=float).ravel())
     if s.size == 0:
         raise ContractError("need at least one score")
+    if not np.all(np.isfinite(s)):
+        raise ContractError(f"scores must be finite, got {np.count_nonzero(~np.isfinite(s))} that are not")
     if s[0] < grid.h_values[0] - 1e-12 or s[-1] > grid.h_values[-1] + 1e-12:
         raise ContractError(
             f"grid [{grid.h_values[0]:g}, {grid.h_values[-1]:g}] does not cover "

@@ -72,9 +72,10 @@ def std_normal_cdf_array(z) -> np.ndarray:
 
 
 def std_normal_quantile_array(p) -> np.ndarray:
-    """Vectorized normal quantile; every entry must lie strictly in (0, 1)."""
+    """Vectorized normal quantile; every entry must lie strictly in (0, 1),
+    so a NaN entry is a :class:`DomainError`, as it is for the scalar form."""
     arr = np.asarray(p, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("quantile requires all probabilities strictly inside (0, 1)")
     return special.ndtri(arr)
 

@@ -706,6 +706,12 @@ class TestHistogramVsAnalytic:
         ks, _ = histogram_vs_analytic(s, g2w)
         assert ks > 0.3
 
+    def test_non_finite_scores_are_a_contract_error(self, counterexample_problem):
+        grid = marginal_density(np.linspace(-2.0, 3.0, 64), 2, counterexample_problem)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ContractError, match="finite"):
+                histogram_vs_analytic(np.array([0.5, bad, 1.0]), grid)
+
     def test_coverage_error(self, counterexample_problem):
         grid_h = np.linspace(0.0, 1.0, 64)
         grid = marginal_density(grid_h, 2, counterexample_problem)
@@ -799,6 +805,16 @@ class TestDensityGridAndRoc:
             DensityGrid(np.array([0.0, 1.0]), np.array([-1.0, 1.0]), np.zeros(2), 1)
         with pytest.raises(ContractError):
             DensityGrid(np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.zeros(2), 7)
+
+    def test_grid_rejects_nan_but_keeps_infinite_densities(self):
+        with pytest.raises(ContractError, match="non-negative"):
+            DensityGrid(np.array([0.0, 1.0, 2.0]), np.array([1.0, np.nan, 1.0]), np.zeros(3), 1)
+        for h in ([0.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, 1.0, np.nan]):
+            with pytest.raises(ContractError, match="increasing"):
+                DensityGrid(np.array(h), np.ones(3), np.zeros(3), 1)
+        # a saddle or vertex score has an infinite density and est_error
+        grid = DensityGrid(np.array([0.0, 1.0, 2.0]), np.array([0.5, np.inf, 0.5]), np.array([0.0, np.inf, 0.0]), 2)
+        assert grid.density[1] == np.inf
 
     def test_density_roc_matches_binormal_model(self, equal_cov_problem):
         from llrlab import binormal_auc, normal_deviate_fit, trapezoid_auc

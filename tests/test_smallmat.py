@@ -4,7 +4,7 @@ from scipy.integrate import simpson
 
 from llrlab import cholesky, spd_solve, std_normal_cdf, std_normal_quantile
 from llrlab.errors import ConditioningError, ContractError, DecompositionError, DomainError
-from llrlab.smallmat import condition_estimate, std_normal_cdf_array
+from llrlab.smallmat import condition_estimate, std_normal_cdf_array, std_normal_quantile_array
 
 
 def phi_by_integration(z: float, n: int = 200_001) -> float:
@@ -69,9 +69,17 @@ class TestStdNormalQuantile:
         assert std_normal_quantile(0.975) == pytest.approx(1.95996, abs=1e-5)
 
     def test_domain_errors(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        for p in (0.0, 1.0, -0.1, 1.1, np.nan):
             with pytest.raises(DomainError):
                 std_normal_quantile(p)
+
+    def test_array_domain_errors_match_the_scalar_form(self):
+        for p in (0.0, 1.0, -0.1, 1.1, np.nan):
+            with pytest.raises(DomainError):
+                std_normal_quantile_array([0.3, p])
+        with pytest.raises(DomainError):
+            std_normal_quantile_array(np.full((2, 3), np.nan))
+        np.testing.assert_array_equal(std_normal_quantile_array([0.5, 0.975]), [0.0, std_normal_quantile(0.975)])
 
     def test_quantile_cdf_identity(self):
         z = np.linspace(-6.0, 6.0, 2_001)
