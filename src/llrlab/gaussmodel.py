@@ -139,9 +139,11 @@ def mahalanobis_sq_rows(X: np.ndarray, params: GaussianParams) -> np.ndarray:
     The deviations are laid out as one C-contiguous (dim, n) array so that the
     row axis is einsum's inner loop, which vectorizes over rows instead of over
     a handful of features.  Each row still sums its terms (d_j S_jk) d_k with j
-    outer and k inner, the order of the row-major form; that order must not
-    change, because `llr_scores` feeds these values into score files written
-    at 17 significant digits.
+    outer and k inner, the order of the row-major form, except a lone 2-D row,
+    whose terms einsum adds pairwise, (t00 + t01) + (t10 + t11): that point
+    can differ in the last bit from its value inside a larger batch.  The
+    order must not change, because `llr_scores` feeds these values into
+    score files written at 17 significant digits.
     """
     dev = np.subtract(X.T, params.mu[:, None], order="C")
     return np.einsum("ji,jk,ki->i", dev, params.sigma_inv, dev)

@@ -13,11 +13,12 @@ lone square term, a parabola, an ellipse or a hyperbola, each integrated
 along its level curve with a smooth integrand.
 
 Every quadratic is solved by one cancellation-free root helper
-(``_quadratic_roots``), every class-density sum over roots by one
-evaluator (``_branch_sum``), which scores the coordinate arrays it holds
-with ``gaussmodel.mvn_logpdf_coords``, and every level-curve integral by one
-level-doubling Gauss-Kronrod engine (``adaptive_gk_rows``) that refines the
-curves of all grid points together.
+(``_quadratic_roots``), every class-density sum over points by one evaluator
+(``_pdf_sum``), which scores the coordinate arrays it holds with
+``gaussmodel.mvn_logpdf_coords``, and every level-curve integral by one
+nested trapezoid engine (``adaptive_gk_rows``) that refines the curves of
+all grid points together.  A conic level curve is parametrized in both
+coordinates, so no root is solved along it.
 """
 
 from __future__ import annotations
@@ -141,23 +142,27 @@ def _quadratic_roots(a, b, c, sq):
     return q / a, c / q
 
 
+def _pdf_sum(points, params: GaussianParams) -> np.ndarray:
+    """Sum of the class density over points given coordinate by coordinate,
+    added in the order given.  Each point's density comes from the
+    coordinate arrays themselves (``mvn_logpdf_coords``), with no point array
+    built."""
+    dens = [np.exp(mvn_logpdf_coords(p, params)) for p in points]
+    return sum(dens[1:], start=dens[0])
+
+
 def _branch_sum(x1, a, b, c, sq, params: GaussianParams) -> np.ndarray:
     """Sum of the class density over the roots t of a t^2 + b t + c = 0.
 
     The roots are x2 values paired with ``x1``, or, with ``x1=None`` and 1-D
     ``params``, points of their own; ``x1``, the roots and the sum share one
-    shape.  ``sq`` is the square root of the discriminant; callers that know
-    it in factored form pass that, which keeps the integrands smooth right up
-    to the support boundary, where the direct evaluation of B^2 - 4A(C - h)
-    is pure cancellation noise.  Each root's density comes from the
-    coordinate arrays themselves (``mvn_logpdf_coords``), with no point array
-    built, and the densities add in root order.
+    shape.  ``sq`` is the square root of the discriminant; the lone-square
+    and parabola densities know it in factored form and pass that, which
+    keeps them exact right up to the support boundary, where the direct
+    evaluation of B^2 - 4A(C - h) is pure cancellation noise.  The
+    densities add in root order.
     """
-    dens = [
-        np.exp(mvn_logpdf_coords((r,) if x1 is None else (x1, r), params))
-        for r in _quadratic_roots(a, b, c, sq)
-    ]
-    return sum(dens[1:], start=dens[0])
+    return _pdf_sum(((r,) if x1 is None else (x1, r) for r in _quadratic_roots(a, b, c, sq)), params)
 
 
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
@@ -295,124 +300,71 @@ def _vertex_score(alpha, beta, gamma) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod quadrature (7-15 pair) on doubling equal panels
+# Nested trapezoid rule
 # ---------------------------------------------------------------------------
 
-_XGK = np.array(
-    [
-        -0.9914553711208126,
-        -0.9491079123427585,
-        -0.8648644233597691,
-        -0.7415311855993944,
-        -0.5860872354676911,
-        -0.4058451513773972,
-        -0.2077849550078985,
-        0.0,
-        0.2077849550078985,
-        0.4058451513773972,
-        0.5860872354676911,
-        0.7415311855993944,
-        0.8648644233597691,
-        0.9491079123427585,
-        0.9914553711208126,
-    ]
-)
-_WGK = np.array(
-    [
-        0.02293532201052922,
-        0.06309209262997855,
-        0.1047900103222502,
-        0.1406532597155259,
-        0.1690047266392679,
-        0.1903505780647854,
-        0.2044329400752989,
-        0.2094821410847278,
-        0.2044329400752989,
-        0.1903505780647854,
-        0.1690047266392679,
-        0.1406532597155259,
-        0.1047900103222502,
-        0.06309209262997855,
-        0.02293532201052922,
-    ]
-)
-_WG = np.array(
-    [
-        0.1294849661688697,
-        0.2797053914892767,
-        0.3818300505051189,
-        0.4179591836734694,
-        0.3818300505051189,
-        0.2797053914892767,
-        0.1294849661688697,
-    ]
-)
-
-
 _ABS_TOL, _REL_TOL, _MAX_EVALS = 1e-15, 1e-9, 2**15
-#: Panel i of half-width hw from a has nodes a + hw * _PANEL_NODES[i]; the
-#: budget caps a level at (_MAX_EVALS / 15 + 1) / 2 panels, one per row.
-_PANEL_NODES = np.arange(1.0, _MAX_EVALS / _XGK.size, 2.0)[:, None] + _XGK
-
-
-def _gk15(f, rows, a, b, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod 7-15 rule on ``panels`` equal panels of each row's [a, b],
-    all nodes of all rows in one integrand call: per-row (integrals, QUADPACK
-    error estimates), each summed over the panels."""
-    hw = 0.5 * (b - a) / panels
-    x = a[:, None, None] + hw[:, None, None] * _PANEL_NODES[:panels]
-    fv = f(rows, x.reshape(rows.size, -1)).reshape(x.shape)
-    # the stacked matmuls take each row's (panels, 15) block on its own, so a
-    # row's bits do not depend on the other rows; a flat (rows * panels, 15)
-    # matmul rounds differently as the row count varies
-    resk = fv @ _WGK
-    resasc = np.abs(fv - 0.5 * resk[..., None]) @ _WGK
-    err = np.abs(resk - fv[..., 1::2] @ _WG)
-    # resasc * min(1, (200 err / resasc)^1.5); a panel whose values are all
-    # equal has resasc == 0 and keeps err
-    flat = resasc == 0.0
-    err = np.where(flat, err, np.minimum(resasc, (200.0 * err) ** 1.5 / np.sqrt(resasc + flat)))
-    return (hw[:, None] * resk).sum(axis=1), (np.abs(hw)[:, None] * err).sum(axis=1)
+#: Equal steps of the first trapezoid level; each later level halves them.
+_FIRST_STEPS = 8
 
 
 def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Kronrod 7-15 on 1, 2, 4, ... equal panels of [a[i], b[i]], every
-    row i at once.
+    """Nested trapezoid rule on 8, 16, 32, ... equal steps of [a[i], b[i]],
+    every row i at once.
+
+    Meant for integrands that are analytic on the interval and even about,
+    or negligible at, each end, as every level-curve integrand of
+    :func:`marginal_density` is: the rule then converges geometrically
+    (Trefethen & Weideman 2014, SIAM Review 56:385), and halving the step
+    reuses every node.
 
     ``f(rows, x)`` maps the indices of the rows still refining and their
-    abscissae, an array of shape (len(rows), 15 * panels), to values of that
-    shape; each level is one call.  Row i returns (integral, error_estimate,
-    converged) of the first level whose summed error estimate is at most
-    max(_ABS_TOL, _REL_TOL |integral|), and leaves later calls; or, flagged
-    unconverged, of the last level before the evaluations of all levels
-    would pass _MAX_EVALS.  A row with a == b is 0 with error 0 and never
-    reaches ``f``.  Rows do not interact, so each row's result is that of
+    abscissae, an array of shape (len(rows), m), to values of that shape.
+    The first level is one call on its 9 nodes, each later level one call on
+    the new midpoints only.  Row i returns (integral, error_estimate,
+    converged) of the first level T_2n with |T_2n - T_n| <= max(_ABS_TOL,
+    _REL_TOL |T_2n|), the estimate being |T_2n - T_n|, and leaves later
+    calls; or, flagged unconverged, of the last level before the
+    evaluations would pass _MAX_EVALS.  A row whose value is not finite
+    leaves at once, flagged, with error inf: no later level can change a sum
+    that holds it.  A row with a == b is 0 with error 0 and never reaches
+    ``f``.  Rows do not interact, so each row's result is that of
     :func:`adaptive_gk` on it alone.  Never raises on slow convergence: the
     caller decides what a flagged row means.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    total, total_err = np.zeros(a.shape), np.zeros(a.shape)
+    value, error = np.zeros(a.shape), np.zeros(a.shape)
     converged = np.ones(a.shape, dtype=bool)
     rows = np.flatnonzero(a != b)
-    panels, evals = 1, 0
-    while rows.size:
-        integrals, errors = _gk15(f, rows, a[rows], b[rows], panels)
-        total[rows], total_err[rows] = integrals, errors
-        # a NaN error estimate never converges
-        rows = rows[~(errors <= np.fmax(_ABS_TOL, _REL_TOL * np.abs(integrals)))]
-        evals += _XGK.size * panels
-        panels *= 2
-        if evals + _XGK.size * panels > _MAX_EVALS:
-            converged[rows] = False
+    if rows.size == 0:
+        return value, error, converged
+    lo, width = a[rows], b[rows] - a[rows]
+    steps = _FIRST_STEPS
+    fx = f(rows, lo[:, None] + width[:, None] * (np.arange(steps + 1) / steps))
+    # every node value so far, the two ends at half weight
+    sums = 0.5 * (fx[:, 0] + fx[:, -1]) + fx[:, 1:-1].sum(axis=1)
+    new, err = sums * width / steps, np.full(rows.size, np.inf)
+    while True:
+        finite = np.isfinite(new)
+        value[rows], error[rows] = new, np.where(finite, err, np.inf)
+        converged[rows[~finite]] = False
+        keep = finite & ~(err <= np.fmax(_ABS_TOL, _REL_TOL * np.abs(new)))
+        rows, lo, width, sums = rows[keep], lo[keep], width[keep], sums[keep]
+        if rows.size == 0 or 2 * steps + 1 > _MAX_EVALS:
             break
-    return total, total_err, converged
+        sums = sums + f(rows, lo[:, None] + width[:, None] * ((np.arange(steps) + 0.5) / steps)).sum(axis=1)
+        steps *= 2
+        new = sums * width / steps
+        err = np.abs(new - value[rows])
+    converged[rows] = False
+    return value, error, converged
 
 
 def adaptive_gk(f, a: float, b: float) -> tuple[float, float, bool]:
     """The one-row case of :func:`adaptive_gk_rows`: (integral,
     error_estimate, converged) of ``f``, which maps a 1-D array of abscissae
     to values, over [a, b]."""
-    value, error, converged = adaptive_gk_rows(lambda rows, x: f(x[0]), [a], [b])
+    value, error, converged = adaptive_gk_rows(lambda rows, x: f(x[0])[None], [a], [b])
     return float(value[0]), float(error[0]), bool(converged[0])
 
 
@@ -423,7 +375,9 @@ def adaptive_gk(f, a: float, b: float) -> tuple[float, float, bool]:
 
 @dataclass(frozen=True, eq=False)
 class DensityGrid:
-    """Tabulated f(h | class) with per-point quadrature error bounds."""
+    """Tabulated f(h | class) with a per-point quadrature error estimate, the
+    difference |T_2n - T_n| of the last two trapezoid levels (0 for a closed
+    form, inf where the density is infinite or its quadrature failed)."""
 
     h_values: np.ndarray
     density: np.ndarray
@@ -436,12 +390,14 @@ class DensityGrid:
         e = np.asarray(self.est_error, dtype=float)
         if not (h.shape == d.shape == e.shape) or h.ndim != 1 or h.size < 2:
             raise ContractError("density grid needs matching 1-D arrays of length >= 2")
-        # written so that NaN fails; an infinite density (a saddle or vertex
-        # score) passes
+        # written so that NaN fails; an infinite density or est_error (a
+        # saddle or vertex score, a row whose quadrature failed) passes
         if not np.all(np.diff(h) > 0.0):
             raise ContractError("h_values must be strictly increasing (and not NaN)")
         if not np.all(d >= 0.0):
             raise ContractError("densities must be non-negative (and not NaN)")
+        if not np.all(e >= 0.0):
+            raise ContractError("error estimates must be non-negative (and not NaN)")
         object.__setattr__(self, "label", _require_class(self.label))
         for name, arr in (("h_values", h), ("density", d), ("est_error", e)):
             arr.flags.writeable = False
@@ -526,22 +482,24 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     the method.  With none, h is normal, in closed form; a lone one gives
     the branch sum over its roots.  A parabola integrates over the square
     coordinate y_u, with its linear partner as the one root.  An ellipse
-    (hyperbola) puts y_f = c_f + r_f sin t (sinh t) and both roots of the
-    other coordinate in one call, with the factored discriminant
-    2 |alpha_s| r_s cos t (cosh t); the coarea Jacobian is then the
+    (hyperbola) takes both coordinates from its parametrization,
+    y_f = c_f +- r_f sin t (sinh t) and y_s = c_s +- r_s cos t (cosh t),
+    and sums the four curve points; the coarea Jacobian is then the
     constant 1 / (2 sqrt|alpha_f alpha_s|).
 
     Each integral runs over the arc of the level curve inside both class
-    windows, folded at the curve's axis, so no integrand has an edge
-    singularity or a spike its first panel misses.  The arcs of all grid
-    points are the rows of one :func:`adaptive_gk_rows` call per free
-    coordinate (a hyperbola has two), so a point's value and error estimate
-    are those of its own adaptive quadrature, whatever else is on the grid; a
-    point whose refinement exhausted the budget keeps its best value and a
-    large est_error.  At the saddle value of a hyperbola and at the vertex
-    value of a lone square term the density is infinite, with an infinite
-    est_error.  At the vertex value of an ellipse it is the limit from inside
-    the support, pi pdf(axis point) / sqrt|alpha_0 alpha_1|, with est_error 0.
+    windows, folded at the curve's axis, so each integrand is analytic on
+    its arc and, at each end, even (a fold) or negligible (a window edge 14
+    class deviations out): the nested trapezoid rule converges geometrically
+    there.  The arcs of all grid points are the rows of one
+    :func:`adaptive_gk_rows` call per free coordinate (a hyperbola has two),
+    so a point's value and error estimate are those of its own quadrature,
+    whatever else is on the grid; a point whose refinement exhausted the
+    budget keeps its best value and a large est_error.  At the saddle value
+    of a hyperbola and at the vertex value of a lone square term the density
+    is infinite, with an infinite est_error.  At the vertex value of an
+    ellipse it is the limit from inside the support,
+    pi pdf(axis point) / sqrt|alpha_0 alpha_1|, with est_error 0.
     """
     h_arr = np.asarray(h_values, dtype=float)
     if h_arr.ndim != 1:
@@ -579,16 +537,6 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     near = np.maximum(0.0, np.maximum(lo_w - center, center - hi_w))
     far = np.maximum(center - lo_w, hi_w - center)
 
-    def curve_sum(f, h, free, sq):
-        """Class density summed over the curve points at the free coordinate
-        values, one row per score in ``h``, and at their mirror images in the
-        axis."""
-        def side(y):
-            c = y * (alpha[f] * y + beta[f]) + gamma - h[:, None]
-            return _branch_sum(y, alpha[1 - f], beta[1 - f], c, sq, ordered[f])
-
-        return side(free) + side(2.0 * center[f] - free)
-
     # arcs holds (grid rows, arc start, arc end, integrand) per set of level
     # curves with one free coordinate
     density, est_error = np.zeros_like(h_arr), np.zeros_like(h_arr)
@@ -606,7 +554,17 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
             lo, hi = center[u] - r_hi, center[u] - r_lo
         else:
             lo, hi = center[u] + r_lo, center[u] + r_hi
-        arcs = [(np.arange(h_arr.size), lo, hi, lambda i, y: curve_sum(u, h_arr[i], y, abs(b_v)) / abs(b_v))]
+
+        def parabola(i, y):
+            # the curve points over y_u and their mirror images in the axis,
+            # each with its linear partner y_v as the one root
+            def side(y_u):
+                c = y_u * (a * y_u + beta[u]) + gamma - h_arr[i, None]
+                return _branch_sum(y_u, alpha[v], b_v, c, abs(b_v), ordered[u])
+
+            return (side(y) + side(2.0 * center[u] - y)) / abs(b_v)
+
+        arcs = [(np.arange(h_arr.size), lo, hi, parabola)]
     else:
         # the radii are measured from the score at the computed axis point,
         # which can differ in the last bit from _vertex_score, the support
@@ -641,14 +599,15 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
 
         def conic_arc(f, rows):
             s = 1 - f
-            h = h_arr[rows]
             r_f, r_s = np.sqrt(np.abs(k[rows] / alpha[f])), np.sqrt(np.abs(k[rows] / alpha[s]))
             t_near, t_far = inv_even(near[s] / r_s), inv_even(far[s] / r_s)
-            sq_scale = 2.0 * abs(alpha[s]) * r_s
 
             def g(i, t):
-                free = center[f] + r_f[i, None] * odd(t)
-                return jacobian * curve_sum(f, h[i], free, sq_scale[i, None] * even(t))
+                # the curve points (c_f +- r_f odd(t), c_s +- r_s even(t))
+                d_f, d_s = r_f[i, None] * odd(t), r_s[i, None] * even(t)
+                y_s = (center[s] + d_s, center[s] - d_s)
+                points = ((y_f, y) for y_f in (center[f] + d_f, center[f] - d_f) for y in y_s)
+                return jacobian * _pdf_sum(points, ordered[f])
 
             lo = np.maximum(inv_odd(near[f] / r_f), np.minimum(t_near, t_far))
             hi = np.minimum(inv_odd(far[f] / r_f), np.maximum(t_near, t_far))

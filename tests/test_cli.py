@@ -407,8 +407,8 @@ class TestMain:
             (
                 "density",
                 {
-                    "density_w1.csv": "eb7ebb8a8a3e78ccb11e4823858d2fb081a7c9388e545d0481b77358e739b480",
-                    "density_w2.csv": "a58725c4719866a0d502b2c63759a8576b1dc2378f5b53210bffe69247f3f677",
+                    "density_w1.csv": "1f7014b0dd30c707993dccae24f3fc486505e3a770cbc42057ed4e9d892e6c34",
+                    "density_w2.csv": "e8083dbe724c1013f994de2250c088ba630f8e7585542c85419d754005c80a6a",
                     "density.svg": "44044a567e5547e126f7eaf68377067b78b65e154cb11e72534fdb29aaecf568",
                 },
             ),

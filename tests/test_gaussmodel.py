@@ -191,28 +191,50 @@ class TestMahalanobis:
 
 
 class TestMahalanobisRows:
-    # Scores are written at 17 digits, so the kernel must keep the row-major
-    # form's per-row summation order exactly.  At n = p = 2 the row-major form
-    # itself sums a C-ordered batch in another order than an F-ordered copy
-    # of it, so that batch has no single oracle and is left out.
-    @pytest.mark.parametrize(
-        "p, n, order",
-        [
-            (p, n, order)
-            for p in (1, 2, 3, 7, 11)
-            for n in (1, 2, 3, 20, 257, 1000)
-            for order in "CF"
-            if not (n == p == 2 and order == "C")
-        ],
-    )
-    def test_bit_identical_to_row_major_einsum(self, p, n, order):
-        gen = np.random.default_rng(1000 * p + n)
+    # Scores are written at 17 digits, so the kernel must keep its per-row
+    # summation order exactly: the terms (d_j S_jk) d_k one at a time, j
+    # outer and k inner, as the loop below adds them.  The one exception is
+    # a lone 2-D row, whose four terms einsum adds pairwise.
+    @staticmethod
+    def _problem(p, n, order, seed):
+        gen = np.random.default_rng(seed)
         a = gen.normal(size=(p, p))
         params = GaussianParams(gen.normal(size=p), a @ a.T + p * np.eye(p))
-        X = np.asarray(3.0 * gen.normal(size=(n, p)), order=order)
-        dev = X - params.mu
-        oracle = np.einsum("ij,jk,ik->i", dev, params.sigma_inv, dev)
+        return np.asarray(3.0 * gen.normal(size=(n, p)), order=order), params
+
+    @staticmethod
+    def _pairwise(X, params):
+        (d0, d1), = (X - params.mu).tolist()
+        (s00, s01), (s10, s11) = params.sigma_inv.tolist()
+        return (d0 * s00 * d0 + d0 * s01 * d1) + (d1 * s10 * d0 + d1 * s11 * d1)
+
+    @pytest.mark.parametrize(
+        "p, n, order",
+        [(p, n, order) for p in (1, 2, 3, 7, 11) for n in (1, 2, 3, 20, 257, 1000) for order in "CF"],
+    )
+    def test_bit_identical_to_row_major_einsum(self, p, n, order):
+        X, params = self._problem(p, n, order, 1000 * p + n)
+        S = params.sigma_inv.tolist()
+        oracle = []
+        for d in (X - params.mu).tolist():
+            q = 0.0
+            for j in range(p):
+                for k in range(p):
+                    q += d[j] * S[j][k] * d[k]
+            oracle.append(q)
+        if (p, n) == (2, 1):
+            oracle = [self._pairwise(X, params)]
         assert np.array_equal(mahalanobis_sq_rows(X, params), oracle)
+
+    def test_a_lone_2d_row_is_summed_pairwise(self):
+        differs = 0
+        for seed in range(40):
+            X, params = self._problem(2, 1, "C", seed)
+            got = mahalanobis_sq_rows(X, params)[0]
+            assert got == self._pairwise(X, params)
+            # the same row inside a batch of two takes the j-outer, k-inner sum
+            differs += got != mahalanobis_sq_rows(np.vstack([X, X]), params)[0]
+        assert differs > 0
 
 
 class TestLogpdfCoords:

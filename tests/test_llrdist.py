@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
-from scipy.special import expit, ndtr
+from scipy.special import expit, i0, i0e, k0e, ndtr
 
 from llrlab import (
     GaussianParams,
@@ -260,7 +260,9 @@ def spd_problems(draw):
     """A 2-D problem with covariance eigenvalues in [0.2, 5] at random
     rotations and means in [-3, 3]^2.  Some draws give class 2
     the precision of class 1 plus a rank-one term, so one diagonal
-    coordinate of the score has no square: a parabola (or a lone square)."""
+    coordinate of the score has no square: a parabola (or a lone square).
+    Some put both means at the origin, so the diagonal score has no linear
+    term (beta = 0)."""
 
     def rotation():
         a = draw(st.floats(0.0, np.pi))
@@ -281,9 +283,10 @@ def spd_problems(draw):
         sigma2 = np.linalg.inv(np.linalg.inv(sigma1) + s / (v @ sigma1 @ v) * np.outer(v, v))
     else:
         sigma2 = covariance()
+    mu1, mu2 = ([0.0, 0.0], [0.0, 0.0]) if draw(st.booleans()) else (mean(), mean())
     return TwoClassProblem(
-        class1=GaussianParams(mean(), 0.5 * (sigma1 + sigma1.T)),
-        class2=GaussianParams(mean(), 0.5 * (sigma2 + sigma2.T)),
+        class1=GaussianParams(mu1, 0.5 * (sigma1 + sigma1.T)),
+        class2=GaussianParams(mu2, 0.5 * (sigma2 + sigma2.T)),
     )
 
 
@@ -356,6 +359,39 @@ class TestMarginalDensity:
                 grid = marginal_density(h, label, problem)
                 ref = ncx2.pdf((h - vertex) / scale, 1, noncentrality) / scale
                 np.testing.assert_allclose(grid.density, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "sigma1, sigma2",
+        [(np.eye(2), np.diag([0.5, 0.4])), (np.diag([2.0, 0.5]), np.diag([0.5, 2.0]))],
+        ids=["ellipse", "hyperbola"],
+    )
+    def test_centred_classes_match_closed_forms(self, sigma1, sigma2):
+        # With both means 0, h - gamma under one class is a z0^2 + b z1^2 for
+        # independent standard normal z, with a, b = alpha_i var_i, whose
+        # density is exp(-(a + b) x / 4ab) / (2 sqrt|ab|) times I0(z) for an
+        # ellipse (a, b > 0) and K0(|z|) / pi for a hyperbola (ab < 0), at
+        # z = (b - a) x / 4|ab|.  The hyperbola's points come within 1e-12
+        # of the saddle.  At the fold end of an ellipse arc cos t is
+        # rounding noise, which a root solved from the discriminant divides.
+        problem = TwoClassProblem(class1=GaussianParams([0.0, 0.0], sigma1), class2=GaussianParams([0.0, 0.0], sigma2))
+        diag_problem, alpha, beta, gamma = _diagonal_score(problem)
+        assert not beta.any()
+        near = gamma + np.outer([-1.0, 1.0], [1e-12, 1e-9, 1e-6]).ravel()
+        h = np.union1d(default_h_grid(problem, 801), near if alpha[0] * alpha[1] < 0.0 else [])
+        x = h - gamma
+        for label, params in ((1, diag_problem.class1), (2, diag_problem.class2)):
+            a, b = alpha * np.diag(params.sigma)
+            z = (b - a) * x / (4.0 * abs(a * b))
+            scale = np.exp(-(a + b) * x / (4.0 * a * b)) / (2.0 * np.sqrt(abs(a * b)))
+            if a * b > 0.0:
+                ref = np.where(x > 0.0, scale * np.exp(np.abs(z)) * i0e(z), 0.0)
+            else:
+                ref = scale * np.exp(-np.abs(z)) * k0e(np.abs(z)) / np.pi
+            got = marginal_density(h, label, problem).density
+            fin = np.isfinite(ref)
+            big = fin & (ref > 1e-8 * ref[fin].max())
+            assert big.sum() > 400
+            assert np.abs(got[big] / ref[big] - 1.0).max() <= 1e-12
 
     # sigma2[1, 1] = 1 + eps keeps the precision difference rank one: each
     # of these came back all zero with error 0 when d2 rounded below zero
@@ -652,9 +688,9 @@ class TestDensityBytes:
     )
 
     MARGINAL_DIGESTS = {
-        "ellipse": "5f2ec8e63249c84562547851737a3a96deb52125cf0517c21d6140fdac4262ae",
-        "hyperbola": "957489c7e90bbbc22bf5dfb452571a4408c6f30ac40579a43b03180fea68c00a",
-        "parabola": "df9bd4581e98f03590c756f7b3ee4d2a86df84d0c1027b9f48c8168e705ce041",
+        "ellipse": "d63e2bbcb27c979bfa63e360b216bc1b8a4e4b62813a91064df5045a573ec88b",
+        "hyperbola": "0b611270fb8a4e3ce5d1e4cc65de7879a1f4bdd89fcc5f0263a22f756da7ab09",
+        "parabola": "a2be42456f338dce9899176bec58234dd52d0182b82bc74d6d5e79ec85a122e9",
         "lone square": "dec02e7e8b966b0e95235fd220f38c34785356e6591b22b3c74b1212a1046b06",
         "linear": "3b1702f0a11397ce3421e620e7587d22f8cc0fb565eb4c391705682f90f28263",
     }
@@ -726,9 +762,11 @@ class TestHistogramVsAnalytic:
 
 class TestAdaptiveGk:
     def test_simple_integral(self):
-        val, err, ok = adaptive_gk(np.sin, 0.0, np.pi)
+        # exp(cos t) is even about both ends of [0, pi], so the trapezoid
+        # rule converges geometrically
+        val, err, ok = adaptive_gk(lambda t: np.exp(np.cos(t)), 0.0, np.pi)
         assert ok
-        assert val == pytest.approx(2.0, abs=1e-12)
+        assert val == pytest.approx(np.pi * i0(1.0), rel=1e-14)
         assert err < 1e-9
 
     def test_budget_exhaustion_is_flagged(self):
@@ -738,10 +776,27 @@ class TestAdaptiveGk:
             evals.append(x.size)
             return np.abs(x) ** -0.95
 
-        val, err, ok = adaptive_gk(spike, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            val, err, ok = adaptive_gk(spike, 0.0, 1.0)
         assert not ok
         assert err > 1e-9
         assert sum(evals) <= _MAX_EVALS
+
+    def test_unequal_end_slopes_run_out_of_budget(self):
+        # sin on [0, pi] has end slopes 1 and -1: the error falls only as the
+        # squared step, so the finest level within the budget is still
+        # 3/4 h^2 / 6 ~ 2e-8 from the one before
+        evals = []
+
+        def sine(x):
+            evals.append(x.size)
+            return np.sin(x)
+
+        val, err, ok = adaptive_gk(sine, 0.0, np.pi)
+        assert not ok
+        assert 1e-9 < err < 1e-7
+        assert val == pytest.approx(2.0, abs=1e-7)
+        assert sum(evals) <= _MAX_EVALS < sum(evals) + 2 * evals[-1]
 
     def test_peak_needs_more_than_one_level(self):
         calls = []
@@ -759,29 +814,40 @@ class TestAdaptiveGk:
         assert adaptive_gk(np.exp, 1.0, 1.0) == (0.0, 0.0, True)
 
     def test_rows_match_their_one_row_runs(self):
-        # Centred peaks of three widths and the budget-exhausting spike in one
-        # batch: each row leaves at its own level, and no row sees another.
-        sds = (1.0, 0.1, 0.003)
+        # Centred peaks of three widths, each negligible at the ends of
+        # [-1, 1], a spike that is infinite at an end node and the sine that
+        # exhausts the budget, in one batch: each row leaves at its own
+        # level, and no row sees another.
+        sds = (0.1, 0.03, 0.003)
 
         def peak(sd):
             return lambda x: np.exp(-0.5 * (x / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
 
-        funcs = [peak(sd) for sd in sds] + [lambda x: np.abs(x) ** -0.95]
-        a, b = np.array([-1.0, -1.0, -1.0, 0.0]), np.ones(4)
-        calls = []
+        funcs = [peak(sd) for sd in sds] + [lambda x: np.abs(x) ** -0.95, np.sin]
+        a, b = np.array([-1.0, -1.0, -1.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0, np.pi])
+        calls, seen = [], [[] for _ in funcs]
 
         def batch(rows, x):
             calls.append(list(rows))
+            for r, xr in zip(rows, x):
+                seen[r].append(xr)
             return np.stack([funcs[r](xr) for r, xr in zip(rows, x)])
 
-        values, errors, converged = adaptive_gk_rows(batch, a, b)
-        for i, f in enumerate(funcs):
-            assert (values[i], errors[i], converged[i]) == adaptive_gk(f, a[i], b[i])
-        assert list(converged) == [True, True, True, False]
+        with np.errstate(divide="ignore"):
+            values, errors, converged = adaptive_gk_rows(batch, a, b)
+            for i, f in enumerate(funcs):
+                assert (values[i], errors[i], converged[i]) == adaptive_gk(f, a[i], b[i])
+        assert list(converged) == [True, True, True, False, False]
+        assert errors[3] == np.inf and np.isfinite(errors[4])
         for sd, value in zip(sds, values):
             assert value == pytest.approx(ndtr(1.0 / sd) - ndtr(-1.0 / sd), rel=1e-9)
-        # converged rows leave, and the last levels refine the spike alone
-        assert calls[0] == [0, 1, 2, 3] and calls[-1] == [3]
+        # each level evaluates new midpoints only: no abscissa comes twice
+        for xs in seen:
+            x = np.concatenate(xs)
+            assert np.unique(x).size == x.size
+        # the spike leaves after the first level, converged rows leave, and
+        # the last levels refine the sine alone
+        assert calls[0] == [0, 1, 2, 3, 4] and 3 not in calls[1] and calls[-1] == [4]
         assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
 
 
@@ -812,9 +878,12 @@ class TestDensityGridAndRoc:
         for h in ([0.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, 1.0, np.nan]):
             with pytest.raises(ContractError, match="increasing"):
                 DensityGrid(np.array(h), np.ones(3), np.zeros(3), 1)
+        for bad in (np.nan, -1e-300):
+            with pytest.raises(ContractError, match="error estimates"):
+                DensityGrid(np.array([0.0, 1.0, 2.0]), np.ones(3), np.array([0.0, bad, 0.0]), 1)
         # a saddle or vertex score has an infinite density and est_error
         grid = DensityGrid(np.array([0.0, 1.0, 2.0]), np.array([0.5, np.inf, 0.5]), np.array([0.0, np.inf, 0.0]), 2)
-        assert grid.density[1] == np.inf
+        assert grid.density[1] == np.inf and grid.est_error[1] == np.inf
 
     def test_density_roc_matches_binormal_model(self, equal_cov_problem):
         from llrlab import binormal_auc, normal_deviate_fit, trapezoid_auc
