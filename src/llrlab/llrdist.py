@@ -320,8 +320,8 @@ def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``f(rows, x)`` maps the indices of the rows still refining and their
     abscissae, an array of shape (len(rows), m), to values of that shape.
-    The first level is one call on its 9 nodes, each later level one call on
-    the new midpoints only.  Row i returns (integral, error_estimate,
+    The first two levels are one call on their 17 nodes, each later level one
+    call on the new midpoints only.  Row i returns (integral, error_estimate,
     converged) of the first level T_2n with |T_2n - T_n| <= max(_ABS_TOL,
     _REL_TOL |T_2n|), the estimate being |T_2n - T_n|, and leaves later
     calls; or, flagged unconverged, of the last level before the
@@ -339,11 +339,18 @@ def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if rows.size == 0:
         return value, error, converged
     lo, width = a[rows], b[rows] - a[rows]
-    steps = _FIRST_STEPS
+    # one call on the nodes of the first two levels: j/n is 2j/2n exactly, so
+    # T_n sums the even nodes and T_2n adds the odd ones, as two calls would
+    steps = 2 * _FIRST_STEPS
     fx = f(rows, lo[:, None] + width[:, None] * (np.arange(steps + 1) / steps))
     # every node value so far, the two ends at half weight
-    sums = 0.5 * (fx[:, 0] + fx[:, -1]) + fx[:, 1:-1].sum(axis=1)
-    new, err = sums * width / steps, np.full(rows.size, np.inf)
+    sums = 0.5 * (fx[:, 0] + fx[:, -1]) + fx[:, 2:-1:2].sum(axis=1)
+    first = sums * width / _FIRST_STEPS
+    sums = sums + fx[:, 1::2].sum(axis=1)
+    # a row whose first level is not finite leaves with it
+    finite = np.isfinite(first)
+    new = np.where(finite, sums * width / steps, first)
+    err = np.abs(np.subtract(new, first, out=np.full(rows.size, np.inf), where=finite))
     while True:
         finite = np.isfinite(new)
         value[rows], error[rows] = new, np.where(finite, err, np.inf)
