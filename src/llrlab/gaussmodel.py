@@ -66,8 +66,11 @@ class SeededRng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1), one 53-bit word each."""
+        n = int(n)
+        if n < 0:
+            raise ContractError(f"sample count must be >= 0, got {n}")
         gen = self.generator()
-        k = gen.integers(0, _U53, size=int(n), dtype=np.uint64)
+        k = gen.integers(0, _U53, size=n, dtype=np.uint64)
         return (k.astype(float) + 0.5) * _U53_INV
 
     def normals(self, n: int) -> np.ndarray:

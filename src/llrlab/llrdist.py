@@ -13,12 +13,15 @@ lone square term, a parabola, an ellipse or a hyperbola, each integrated
 along its level curve with a smooth integrand.
 
 Every quadratic is solved by one cancellation-free root helper
-(``_quadratic_roots``), every class-density sum over points by one evaluator
-(``_pdf_sum``), which scores the coordinate arrays it holds with
-``gaussmodel.mvn_logpdf_coords``, and every level-curve integral by one
-nested trapezoid engine (``adaptive_gk_rows``) that refines the curves of
-all grid points together.  A conic level curve is parametrized in both
-coordinates, so no root is solved along it.
+(``_quadratic_roots``), and every class-density sum over its roots by one
+evaluator (``_branch_sum``), which scores the coordinate arrays it holds
+with ``gaussmodel.mvn_logpdf_coords``.  In the diagonal coordinates the class
+density is a product of one normal per coordinate, so a level-curve point
+and its mirror images sum to a product of per-coordinate pairs
+(``_pair_sum``).  Every level-curve integral runs on one nested trapezoid
+engine (``adaptive_gk_rows``) that refines the curves of all grid points
+together.  A conic level curve is parametrized in both coordinates, so no
+root is solved along it.
 """
 
 from __future__ import annotations
@@ -142,13 +145,27 @@ def _quadratic_roots(a, b, c, sq):
     return q / a, c / q
 
 
-def _pdf_sum(points, params: GaussianParams) -> np.ndarray:
-    """Sum of the class density over points given coordinate by coordinate,
-    added in the order given.  Each point's density comes from the
-    coordinate arrays themselves (``mvn_logpdf_coords``), with no point array
-    built."""
-    dens = [np.exp(mvn_logpdf_coords(p, params)) for p in points]
-    return sum(dens[1:], start=dens[0])
+def _bell(x) -> np.ndarray:
+    """exp(-x^2 / 2), in place in the fresh array x."""
+    x *= x
+    x *= -0.5
+    return np.exp(x, out=x)
+
+
+def _pair_sum(x, axis) -> np.ndarray:
+    """exp(-x^2 / 2) + exp(-(2 axis - x)^2 / 2), in place in the fresh array
+    x: sigma sqrt(2 pi) times the density of one class coordinate at a point
+    x and at its mirror image in the axis, all in that coordinate's standard
+    units.
+
+    x is the point the caller holds exactly: the mirror image is then the
+    rounded one, and it carries no density when the axis is far from the
+    class.
+    """
+    mirror = _bell(2.0 * axis - x)
+    out = _bell(x)
+    out += mirror
+    return out
 
 
 def _branch_sum(x1, a, b, c, sq, params: GaussianParams) -> np.ndarray:
@@ -157,12 +174,16 @@ def _branch_sum(x1, a, b, c, sq, params: GaussianParams) -> np.ndarray:
     The roots are x2 values paired with ``x1``, or, with ``x1=None`` and 1-D
     ``params``, points of their own; ``x1``, the roots and the sum share one
     shape.  ``sq`` is the square root of the discriminant; the lone-square
-    and parabola densities know it in factored form and pass that, which
-    keeps them exact right up to the support boundary, where the direct
-    evaluation of B^2 - 4A(C - h) is pure cancellation noise.  The
-    densities add in root order.
+    density knows it in factored form and passes that, which keeps it
+    exact right up to the support boundary, where the direct
+    evaluation of B^2 - 4A(C - h) is pure cancellation noise.  Each root's
+    density comes from the coordinate arrays themselves
+    (``mvn_logpdf_coords``), with no point array built, and the densities
+    add in root order.
     """
-    return _pdf_sum(((r,) if x1 is None else (x1, r) for r in _quadratic_roots(a, b, c, sq)), params)
+    roots = _quadratic_roots(a, b, c, sq)
+    dens = [np.exp(mvn_logpdf_coords((r,) if x1 is None else (x1, r), params)) for r in roots]
+    return sum(dens[1:], start=dens[0])
 
 
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
@@ -470,16 +491,14 @@ def _diagonal_score(problem: TwoClassProblem):
 
 @lru_cache(maxsize=128)
 def _class_frames(problem: TwoClassProblem, label: int):
-    """The model of class ``label`` in the diagonal coordinates of
-    :func:`_diagonal_score`, in the frames :func:`marginal_density` sums it
-    in, built once per (problem, label): ``ordered[f]`` has coordinate f
-    first, and ``marginals[i]`` is the 1-D model of y_i alone.
+    """(params, marginals): the model of class ``label`` in the diagonal
+    coordinates of :func:`_diagonal_score`, and ``marginals[i]``, the 1-D
+    model of y_i alone, built once per (problem, label).
     """
     params = _class_params(_diagonal_score(problem)[0], label)
     mean, var = params.mu, np.diag(params.sigma)
-    ordered = (params, GaussianParams(mean[::-1], np.diag(var[::-1])))
     marginals = tuple(GaussianParams(mean[[i]], np.diag(var[[i]])) for i in range(mean.size))
-    return ordered, marginals
+    return params, marginals
 
 
 def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityGrid:
@@ -491,8 +510,10 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     coordinate y_u, with its linear partner as the one root.  An ellipse
     (hyperbola) takes both coordinates from its parametrization,
     y_f = c_f +- r_f sin t (sinh t) and y_s = c_s +- r_s cos t (cosh t),
-    and sums the four curve points; the coarea Jacobian is then the
-    constant 1 / (2 sqrt|alpha_f alpha_s|).
+    with the constant coarea Jacobian 1 / (2 sqrt|alpha_f alpha_s|).  The
+    class coordinates are independent, so the class density summed over
+    the four curve points, or over a parabola point and its mirror image,
+    is a product of per-coordinate pair sums (:func:`_pair_sum`).
 
     Each integral runs over the arc of the level curve inside both class
     windows, folded at the curve's axis, so each integrand is analytic on
@@ -512,8 +533,7 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     if h_arr.ndim != 1:
         raise ContractError(f"h_values must be a 1-D array of scores, got shape {h_arr.shape}")
     _, alpha, beta, gamma = _diagonal_score(problem)
-    ordered, marginals = _class_frames(problem, _require_class(label))
-    params = ordered[0]
+    params, marginals = _class_frames(problem, _require_class(label))
     mean, var = params.mu, np.diag(params.sigma)
     squares = np.flatnonzero(alpha)
 
@@ -537,9 +557,11 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
         dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginals[u]) / sq
         return DensityGrid(h_arr, dens, err, label)
 
-    lo_w = mean - _N_SIGMAS * np.sqrt(var)
-    hi_w = mean + _N_SIGMAS * np.sqrt(var)
+    sd = np.sqrt(var)
+    lo_w, hi_w = mean - _N_SIGMAS * sd, mean + _N_SIGMAS * sd
     center = -0.5 * beta / np.where(alpha == 0.0, 1.0, alpha)
+    # each axis in class standard units
+    z_axis = (center - mean) / sd
     # nearest and farthest distance from each axis to the class window
     near = np.maximum(0.0, np.maximum(lo_w - center, center - hi_w))
     far = np.maximum(center - lo_w, hi_w - center)
@@ -562,14 +584,16 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
         else:
             lo, hi = center[u] + r_lo, center[u] + r_hi
 
-        def parabola(i, y):
-            # the curve points over y_u and their mirror images in the axis,
-            # each with its linear partner y_v as the one root
-            def side(y_u):
-                c = y_u * (a * y_u + beta[u]) + gamma - h_arr[i, None]
-                return _branch_sum(y_u, alpha[v], b_v, c, abs(b_v), ordered[u])
+        scale = 1.0 / (2.0 * np.pi * sd[u] * sd[v] * abs(b_v))
 
-            return (side(y) + side(2.0 * center[u] - y)) / abs(b_v)
+        def parabola(i, y):
+            # the curve point over y_u and its mirror image in the axis share
+            # their linear partner y_v, the one root, solved at y_u = y
+            (y_v,) = _quadratic_roots(0.0, b_v, y * (a * y + beta[u]) + gamma - h_arr[i, None], abs(b_v))
+            out = _pair_sum((y - mean[u]) / sd[u], z_axis[u])
+            out *= _bell((y_v - mean[v]) / sd[v])
+            out *= scale
+            return out
 
         arcs = [(np.arange(h_arr.size), lo, hi, parabola)]
     else:
@@ -604,17 +628,22 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
             density[at_vertex] = np.pi * axis_pdf / np.sqrt(abs(alpha[0] * alpha[1]))
             groups = [(f, on_curve)]
 
+        scale = jacobian / (2.0 * np.pi * sd[0] * sd[1])
+
         def conic_arc(f, rows):
             s = 1 - f
             r_f, r_s = np.sqrt(np.abs(k[rows] / alpha[f])), np.sqrt(np.abs(k[rows] / alpha[s]))
             t_near, t_far = inv_even(near[s] / r_s), inv_even(far[s] / r_s)
+            # the radii in class standard units
+            w_f, w_s = r_f / sd[f], r_s / sd[s]
 
             def g(i, t):
-                # the curve points (c_f +- r_f odd(t), c_s +- r_s even(t))
-                d_f, d_s = r_f[i, None] * odd(t), r_s[i, None] * even(t)
-                y_s = (center[s] + d_s, center[s] - d_s)
-                points = ((y_f, y) for y_f in (center[f] + d_f, center[f] - d_f) for y in y_s)
-                return jacobian * _pdf_sum(points, ordered[f])
+                # the curve points (c_f +- r_f odd(t), c_s +- r_s even(t)):
+                # the product of each coordinate's mirror pair
+                out = _pair_sum(z_axis[f] + w_f[i, None] * odd(t), z_axis[f])
+                out *= _pair_sum(z_axis[s] + w_s[i, None] * even(t), z_axis[s])
+                out *= scale
+                return out
 
             lo = np.maximum(inv_odd(near[f] / r_f), np.minimum(t_near, t_far))
             hi = np.minimum(inv_odd(far[f] / r_f), np.maximum(t_near, t_far))
@@ -659,8 +688,12 @@ def default_h_grid(problem: TwoClassProblem, n_points: int = 801) -> np.ndarray:
 
     Points are packed toward a finite support edge, where the marginal
     density jumps, as t**_GRID_STRETCH for evenly spaced t in [0, 1]; the far
-    end is set _GRID_SIGMAS score deviations beyond both class means.
+    end is set _GRID_SIGMAS score deviations beyond both class means.  A
+    grid has at least 2 points, as :class:`DensityGrid` requires.
     """
+    n_points = int(n_points)
+    if n_points < 2:
+        raise ContractError(f"a score grid needs at least 2 points, got {n_points}")
     lo_sup, hi_sup = support_h_range(problem)
     bounds = []
     for label in (CLASS1, CLASS2):
@@ -670,7 +703,7 @@ def default_h_grid(problem: TwoClassProblem, n_points: int = 801) -> np.ndarray:
     lo = max(min(b[0] for b in bounds), lo_sup)
     hi = min(max(b[1] for b in bounds), hi_sup)
     span = hi - lo
-    t = np.linspace(0.0, 1.0, int(n_points))
+    t = np.linspace(0.0, 1.0, n_points)
     if np.isfinite(lo_sup) and not np.isfinite(hi_sup):
         grid = lo + span * t**_GRID_STRETCH
         grid[0] = lo + 1e-7 * span

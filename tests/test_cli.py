@@ -407,8 +407,8 @@ class TestMain:
             (
                 "density",
                 {
-                    "density_w1.csv": "1f7014b0dd30c707993dccae24f3fc486505e3a770cbc42057ed4e9d892e6c34",
-                    "density_w2.csv": "e8083dbe724c1013f994de2250c088ba630f8e7585542c85419d754005c80a6a",
+                    "density_w1.csv": "630d142822947e5689abfa789fc9bcd38456f874fbfac3bb24659a9fae026534",
+                    "density_w2.csv": "109749fbe7254ef2c3d11c98d90e59a95f360bdf9be98eccc55955c164c3cd76",
                     "density.svg": "44044a567e5547e126f7eaf68377067b78b65e154cb11e72534fdb29aaecf568",
                 },
             ),

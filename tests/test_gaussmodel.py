@@ -114,6 +114,13 @@ class TestSeededRng:
             u, [0.3093149111858346, 0.3569562367935076, 0.0369045304683569], rtol=0, atol=1e-16
         )
 
+    def test_negative_counts_are_a_contract_error(self):
+        rng = SeededRng(5)
+        for draw in (rng.uniforms, rng.normals):
+            with pytest.raises(ContractError, match="-1"):
+                draw(-1)
+            assert draw(0).shape == (0,)
+
     def test_normals_moments(self):
         z = SeededRng(123).normals(200_000)
         assert abs(z.mean()) < 0.01

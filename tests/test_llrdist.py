@@ -25,6 +25,7 @@ from llrlab import (
 )
 from llrlab import llrdist
 from llrlab.errors import ContractError, SingularityError
+from llrlab.gaussmodel import mvn_logpdf_array
 from llrlab.llrdist import (
     _MAX_EVALS,
     DensityGrid,
@@ -688,9 +689,9 @@ class TestDensityBytes:
     )
 
     MARGINAL_DIGESTS = {
-        "ellipse": "d63e2bbcb27c979bfa63e360b216bc1b8a4e4b62813a91064df5045a573ec88b",
-        "hyperbola": "0b611270fb8a4e3ce5d1e4cc65de7879a1f4bdd89fcc5f0263a22f756da7ab09",
-        "parabola": "a2be42456f338dce9899176bec58234dd52d0182b82bc74d6d5e79ec85a122e9",
+        "ellipse": "7ece9baf3dd4a3e0cbae0ee77028ad0da4aef899aada822f87ec2bb0a6d3b3cf",
+        "hyperbola": "6dabee49a2e73668adcccdc03c402128d9b734e10b203de12f2de0891a3cd541",
+        "parabola": "58b00d5d1ed7f76d356b8442a43b62ed851d3da5d23bc282b579958cc9103b96",
         "lone square": "dec02e7e8b966b0e95235fd220f38c34785356e6591b22b3c74b1212a1046b06",
         "linear": "3b1702f0a11397ce3421e620e7587d22f8cc0fb565eb4c391705682f90f28263",
     }
@@ -718,6 +719,91 @@ class TestDensityBytes:
         for params in (counterexample_problem.class1, counterexample_problem.class2):
             sha.update(_joint_values(h, x1, params, geom).tobytes())
         assert sha.hexdigest() == "ef44e09f63804cbf85d370c4550834638e8b7082df0707a5747ff88fd6521991"
+
+
+def four_point_density(h, label, problem):
+    """f(h | class) from the class density at level-curve points, scored as
+    rows of an (m, 2) array (``mvn_logpdf_array``) in the diagonal frame and
+    integrated by adaptive_gk_rows on arcs of its own: an ellipse's four
+    points over t in [0, pi/2], a hyperbola's from its vertex t = 0 until
+    every point is 14 class deviations out, and a parabola's one point per
+    y_u, unfolded, on each stretch of the curve inside both class windows.
+    Each arc ends at a fold or where the class density is negligible.  No
+    grid value may be a saddle value."""
+    diag_problem, alpha, beta, gamma = _diagonal_score(problem)
+    params = (diag_problem.class1, diag_problem.class2)[label - 1]
+    mean, sd = params.mu, np.sqrt(np.diag(params.sigma))
+    h = np.asarray(h, dtype=float)
+
+    def pdf_sum(points):
+        # the class density at points (y_0, y_1) of one shape, summed over them
+        shape = points[0][0].shape
+        rows = np.concatenate([np.stack([y0.ravel(), y1.ravel()], axis=1) for y0, y1 in points])
+        return np.exp(mvn_logpdf_array(rows, params)).reshape(len(points), *shape).sum(axis=0)
+
+    if np.count_nonzero(alpha) == 1:
+        u = int(np.flatnonzero(alpha)[0])
+        v = 1 - u
+        # h = a (y_u - c)^2 + b y_v + base puts y_v inside its class window
+        # for rho_lo <= |y_u - c| <= rho_hi: one stretch through the axis
+        # (rho_lo = 0) or one on each side of it, the rows i and n + i
+        a, b, c = alpha[u], beta[v], -0.5 * beta[u] / alpha[u]
+        ends = (h[:, None] - (gamma - a * c * c) - b * (mean[v] + np.array([-14.0, 14.0]) * sd[v])) / a
+        rho_lo, rho_hi = np.sqrt(np.maximum(np.sort(ends, axis=1), 0.0)).T
+        through = rho_lo == 0.0
+        lo = np.concatenate([c - rho_hi, c + rho_lo])
+        hi = np.concatenate([np.where(through, c + rho_hi, c - rho_lo), np.where(through, c, c + rho_hi)])
+        lo = np.maximum(lo, mean[u] - 14.0 * sd[u])
+        hi = np.maximum(lo, np.minimum(hi, mean[u] + 14.0 * sd[u]))
+
+        def parabola(i, y):
+            y_v = (h[i % h.size, None] - gamma - y * (a * y + beta[u])) / b
+            return pdf_sum([(y, y_v) if u == 0 else (y_v, y)]) / abs(b)
+
+        value = adaptive_gk_rows(parabola, lo, hi)[0]
+        return value[: h.size] + value[h.size :]
+
+    center = -0.5 * beta / alpha
+    k = h - (gamma - alpha @ center**2)
+    r = np.sqrt(np.abs(k[:, None] / alpha))
+    if alpha[0] * alpha[1] > 0.0:
+        odd, even = np.sin, np.cos
+        is_odd = np.broadcast_to([True, False], r.shape)
+        end = np.where(k / alpha[0] > 0.0, 0.5 * np.pi, 0.0)
+    else:
+        odd, even = np.sinh, np.cosh
+        # the coordinate whose square term has the sign of -k takes sinh
+        is_odd = (alpha * k[:, None]) < 0.0
+        # one coordinate this far from the axis puts all four points out
+        ratio = (np.abs(center - mean) + 14.0 * sd) / r
+        end = np.where(is_odd, np.arcsinh(ratio), np.arccosh(np.maximum(ratio, 1.0))).min(axis=1)
+
+    def conic(i, t):
+        d0, d1 = (r[i, j, None] * np.where(is_odd[i, j, None], odd(t), even(t)) for j in (0, 1))
+        points = [(center[0] + s0 * d0, center[1] + s1 * d1) for s0 in (1.0, -1.0) for s1 in (1.0, -1.0)]
+        return pdf_sum(points) * (0.5 / np.sqrt(abs(alpha[0] * alpha[1])))
+
+    return adaptive_gk_rows(conic, np.zeros(h.size), end)[0]
+
+
+class TestLevelCurveIntegrand:
+    @pytest.mark.parametrize("name", ["ellipse", "hyperbola", "parabola"])
+    def test_matches_the_curve_points_scored_as_2d_rows(self, name):
+        # marginal_density multiplies per-coordinate mirror pairs in class
+        # standard units; the oracle scores every point as a 2-D row
+        problem = CONICS[name]
+        _, alpha, beta, gamma = _diagonal_score(problem)
+        h = default_h_grid(problem, 401)
+        if name == "hyperbola":
+            saddle = gamma - alpha @ (-0.5 * beta / alpha) ** 2
+            near = saddle + np.outer([-1.0, 1.0], [1e-12, 1e-9, 1e-6]).ravel()
+            h = np.union1d(h[h != saddle], near)
+        for label in (1, 2):
+            got = marginal_density(h, label, problem).density
+            ref = four_point_density(h, label, problem)
+            big = ref > 1e-8 * ref.max()
+            assert big.sum() > 100
+            assert np.abs(got[big] / ref[big] - 1.0).max() <= 1e-13
 
 
 class TestHistogramVsAnalytic:
@@ -763,11 +849,20 @@ class TestHistogramVsAnalytic:
 class TestAdaptiveGk:
     def test_simple_integral(self):
         # exp(cos t) is even about both ends of [0, pi], so the trapezoid
-        # rule converges geometrically
-        val, err, ok = adaptive_gk(lambda t: np.exp(np.cos(t)), 0.0, np.pi)
+        # rule converges geometrically: 16 steps agree with 8, and the one
+        # call on the 17 nodes of both levels is the only one
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return np.exp(np.cos(t))
+
+        val, err, ok = adaptive_gk(f, 0.0, np.pi)
         assert ok
         assert val == pytest.approx(np.pi * i0(1.0), rel=1e-14)
         assert err < 1e-9
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], np.pi * (np.arange(17) / 16))
 
     def test_budget_exhaustion_is_flagged(self):
         evals = []
@@ -815,16 +910,19 @@ class TestAdaptiveGk:
 
     def test_rows_match_their_one_row_runs(self):
         # Centred peaks of three widths, each negligible at the ends of
-        # [-1, 1], a spike that is infinite at an end node and the sine that
-        # exhausts the budget, in one batch: each row leaves at its own
-        # level, and no row sees another.
+        # [-1, 1], a spike that is infinite at an end node, the sine that
+        # exhausts the budget and two rows even about both ends of [0, pi],
+        # exp(cos t), which converges at 16 steps, and exp(8 cos t), in one
+        # batch: each row leaves at its own level, and no row sees another.
         sds = (0.1, 0.03, 0.003)
 
         def peak(sd):
             return lambda x: np.exp(-0.5 * (x / sd) ** 2) / (sd * np.sqrt(2.0 * np.pi))
 
         funcs = [peak(sd) for sd in sds] + [lambda x: np.abs(x) ** -0.95, np.sin]
-        a, b = np.array([-1.0, -1.0, -1.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0, np.pi])
+        funcs += [lambda x: np.exp(np.cos(x)), lambda x: np.exp(8.0 * np.cos(x))]
+        a = np.array([-1.0, -1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+        b = np.array([1.0, 1.0, 1.0, 1.0, np.pi, np.pi, np.pi])
         calls, seen = [], [[] for _ in funcs]
 
         def batch(rows, x):
@@ -837,17 +935,20 @@ class TestAdaptiveGk:
             values, errors, converged = adaptive_gk_rows(batch, a, b)
             for i, f in enumerate(funcs):
                 assert (values[i], errors[i], converged[i]) == adaptive_gk(f, a[i], b[i])
-        assert list(converged) == [True, True, True, False, False]
+        assert list(converged) == [True, True, True, False, False, True, True]
         assert errors[3] == np.inf and np.isfinite(errors[4])
         for sd, value in zip(sds, values):
             assert value == pytest.approx(ndtr(1.0 / sd) - ndtr(-1.0 / sd), rel=1e-9)
+        assert values[5:] == pytest.approx(np.pi * i0([1.0, 8.0]), rel=1e-14)
         # each level evaluates new midpoints only: no abscissa comes twice
         for xs in seen:
             x = np.concatenate(xs)
             assert np.unique(x).size == x.size
-        # the spike leaves after the first level, converged rows leave, and
-        # the last levels refine the sine alone
-        assert calls[0] == [0, 1, 2, 3, 4] and 3 not in calls[1] and calls[-1] == [4]
+        # the first call covers two levels, after which the spike and
+        # exp(cos t) leave; converged rows leave, and the last levels refine
+        # the sine alone
+        assert calls[0] == [0, 1, 2, 3, 4, 5, 6] and [len(xs[0]) for xs in seen] == [17] * 7
+        assert 3 not in calls[1] and 5 not in calls[1] and 6 in calls[1] and calls[-1] == [4]
         assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
 
 
@@ -994,6 +1095,13 @@ def test_score_moments_match_simulation(counterexample_problem):
     mean, var = score_moments(counterexample_problem, 1)
     assert mean == pytest.approx(s.mean(), abs=5 * s.std() / np.sqrt(s.size))
     assert var == pytest.approx(s.var(), rel=0.03)
+
+
+@pytest.mark.parametrize("n_points", [-1, 0, 1])
+def test_default_h_grid_needs_two_points(counterexample_problem, n_points):
+    with pytest.raises(ContractError, match="at least 2"):
+        default_h_grid(counterexample_problem, n_points)
+    assert default_h_grid(counterexample_problem, 2).size == 2
 
 
 def test_default_h_grid_shape(counterexample_problem):
