@@ -69,9 +69,9 @@ class SeededRng:
         n = int(n)
         if n < 0:
             raise ContractError(f"sample count must be >= 0, got {n}")
-        gen = self.generator()
-        k = gen.integers(0, _U53, size=n, dtype=np.uint64)
-        return (k.astype(float) + 0.5) * _U53_INV
+        # random() is k / 2^53 for the top 53 bits k of one word, and adding
+        # 2^-54 rounds exactly as (k + 0.5) / 2^53 does
+        return self.generator().random(n) + 0.5 * _U53_INV
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal variates via the inverse-CDF transform.

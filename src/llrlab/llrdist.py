@@ -327,6 +327,8 @@ def _vertex_score(alpha, beta, gamma) -> float:
 _ABS_TOL, _REL_TOL, _MAX_EVALS = 1e-15, 1e-9, 2**15
 #: Equal steps of the first trapezoid level; each later level halves them.
 _FIRST_STEPS = 8
+#: The nodes of the first two levels on [0, 1]: j/n is 2j/2n exactly.
+_FIRST_NODES = np.arange(2 * _FIRST_STEPS + 1) / (2 * _FIRST_STEPS)
 
 
 def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,10 +362,9 @@ def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if rows.size == 0:
         return value, error, converged
     lo, width = a[rows], b[rows] - a[rows]
-    # one call on the nodes of the first two levels: j/n is 2j/2n exactly, so
-    # T_n sums the even nodes and T_2n adds the odd ones, as two calls would
+    # one call on the first two levels: T_n sums the even nodes, T_2n adds the odd
     steps = 2 * _FIRST_STEPS
-    fx = f(rows, lo[:, None] + width[:, None] * (np.arange(steps + 1) / steps))
+    fx = f(rows, lo[:, None] + width[:, None] * _FIRST_NODES)
     # every node value so far, the two ends at half weight
     sums = 0.5 * (fx[:, 0] + fx[:, -1]) + fx[:, 2:-1:2].sum(axis=1)
     first = sums * width / _FIRST_STEPS
@@ -373,10 +374,12 @@ def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     new = np.where(finite, sums * width / steps, first)
     err = np.abs(np.subtract(new, first, out=np.full(rows.size, np.inf), where=finite))
     while True:
+        keep = ~(err <= np.fmax(_ABS_TOL, _REL_TOL * np.abs(new)))
         finite = np.isfinite(new)
-        value[rows], error[rows] = new, np.where(finite, err, np.inf)
-        converged[rows[~finite]] = False
-        keep = finite & ~(err <= np.fmax(_ABS_TOL, _REL_TOL * np.abs(new)))
+        if not finite.all():
+            err, keep = np.where(finite, err, np.inf), keep & finite
+            converged[rows[~finite]] = False
+        value[rows], error[rows] = new, err
         rows, lo, width, sums = rows[keep], lo[keep], width[keep], sums[keep]
         if rows.size == 0 or 2 * steps + 1 > _MAX_EVALS:
             break
@@ -420,11 +423,11 @@ class DensityGrid:
             raise ContractError("density grid needs matching 1-D arrays of length >= 2")
         # written so that NaN fails; an infinite density or est_error (a
         # saddle or vertex score, a row whose quadrature failed) passes
-        if not np.all(np.diff(h) > 0.0):
+        if not (h[1:] > h[:-1]).all():
             raise ContractError("h_values must be strictly increasing (and not NaN)")
-        if not np.all(d >= 0.0):
+        if not (d >= 0.0).all():
             raise ContractError("densities must be non-negative (and not NaN)")
-        if not np.all(e >= 0.0):
+        if not (e >= 0.0).all():
             raise ContractError("error estimates must be non-negative (and not NaN)")
         object.__setattr__(self, "label", _require_class(self.label))
         for name, arr in (("h_values", h), ("density", d), ("est_error", e)):
@@ -489,18 +492,6 @@ def _diagonal_score(problem: TwoClassProblem):
     return diag.problem, alpha, beta, float(gamma)
 
 
-@lru_cache(maxsize=128)
-def _class_frames(problem: TwoClassProblem, label: int):
-    """(params, marginals): the model of class ``label`` in the diagonal
-    coordinates of :func:`_diagonal_score`, and ``marginals[i]``, the 1-D
-    model of y_i alone, built once per (problem, label).
-    """
-    params = _class_params(_diagonal_score(problem)[0], label)
-    mean, var = params.mu, np.diag(params.sigma)
-    marginals = tuple(GaussianParams(mean[[i]], np.diag(var[[i]])) for i in range(mean.size))
-    return params, marginals
-
-
 def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityGrid:
     """f(h | class) on a grid of score values.
 
@@ -532,30 +523,44 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     h_arr = np.asarray(h_values, dtype=float)
     if h_arr.ndim != 1:
         raise ContractError(f"h_values must be a 1-D array of scores, got shape {h_arr.shape}")
-    _, alpha, beta, gamma = _diagonal_score(problem)
-    params, marginals = _class_frames(problem, _require_class(label))
+    return DensityGrid(h_arr, *_level_plan(problem, _require_class(label))(h_arr), label)
+
+
+@lru_cache(maxsize=128)
+def _level_plan(problem: TwoClassProblem, label: int):
+    """The evaluator h -> (density, est_error) of :func:`marginal_density`,
+    built once per (problem, label) with everything that does not depend on
+    h; each call does the work of its own grid only, into fresh arrays."""
+    diag_problem, alpha, beta, gamma = _diagonal_score(problem)
+    params = _class_params(diag_problem, label)
     mean, var = params.mu, np.diag(params.sigma)
     squares = np.flatnonzero(alpha)
 
     if squares.size == 0:
         mu_h = gamma + beta @ mean
         sd_h = np.sqrt(beta * beta @ var)
-        dens = np.exp(-0.5 * ((h_arr - mu_h) / sd_h) ** 2) / (sd_h * np.sqrt(2.0 * np.pi))
-        return DensityGrid(h_arr, dens, np.zeros_like(h_arr), label)
+        norm = sd_h * np.sqrt(2.0 * np.pi)
+        return lambda h: (np.exp(-0.5 * ((h - mu_h) / sd_h) ** 2) / norm, np.zeros_like(h))
 
     u, v = squares[0], 1 - squares[0]
     if squares.size == 1 and beta[v] == 0.0:
-        # the discriminant in vertex form is exactly 0 at the finite end of
-        # support_h_range, where the density is infinite
-        c = gamma - h_arr
-        disc = 4.0 * alpha[u] * (h_arr - _vertex_score(alpha, beta, gamma))
-        dens, err = np.zeros_like(h_arr), np.zeros_like(h_arr)
-        at_vertex = disc == 0.0
-        dens[at_vertex] = err[at_vertex] = np.inf
-        inside = disc > 0.0
-        sq = np.sqrt(disc[inside])
-        dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginals[u]) / sq
-        return DensityGrid(h_arr, dens, err, label)
+        marginal = GaussianParams(mean[[u]], np.diag(var[[u]]))
+        four_a, vertex = 4.0 * alpha[u], _vertex_score(alpha, beta, gamma)
+
+        def lone_square(h):
+            # the discriminant in vertex form is exactly 0 at the finite end
+            # of support_h_range, where the density is infinite
+            c = gamma - h
+            disc = four_a * (h - vertex)
+            dens, err = np.zeros_like(h), np.zeros_like(h)
+            at_vertex = disc == 0.0
+            dens[at_vertex] = err[at_vertex] = np.inf
+            inside = disc > 0.0
+            sq = np.sqrt(disc[inside])
+            dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginal) / sq
+            return dens, err
+
+        return lone_square
 
     sd = np.sqrt(var)
     lo_w, hi_w = mean - _N_SIGMAS * sd, mean + _N_SIGMAS * sd
@@ -566,97 +571,107 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     near = np.maximum(0.0, np.maximum(lo_w - center, center - hi_w))
     far = np.maximum(center - lo_w, hi_w - center)
 
-    # arcs holds (grid rows, arc start, arc end, integrand) per set of level
-    # curves with one free coordinate
-    density, est_error = np.zeros_like(h_arr), np.zeros_like(h_arr)
+    # arcs(h, density, est_error) sets the closed-form points and returns (grid
+    # rows, arc start, arc end, integrand) per set of curves with one free coordinate
     if squares.size == 1:
         # h = a (y_u - c_u)^2 + b_v y_v + base.  y_u itself is the variable,
         # on the side of the axis that faces the window, so it stays exact
         # when a is tiny and the axis far away.
         a, b_v = alpha[u], beta[v]
         base = gamma - a * center[u] ** 2
-        # |y_u - c_u| on the curve, over the y_v window
-        ends = (h_arr[:, None] - base - b_v * np.array([lo_w[v], hi_w[v]])) / a
-        r_lo = np.maximum(near[u], np.sqrt(np.maximum(ends.min(axis=1), 0.0)))
-        r_hi = np.minimum(far[u], np.sqrt(np.maximum(ends.max(axis=1), 0.0)))
-        if center[u] > hi_w[u]:
-            lo, hi = center[u] - r_hi, center[u] - r_lo
-        else:
-            lo, hi = center[u] + r_lo, center[u] + r_hi
-
+        window_v = b_v * np.array([lo_w[v], hi_w[v]])
+        window_below = center[u] > hi_w[u]
         scale = 1.0 / (2.0 * np.pi * sd[u] * sd[v] * abs(b_v))
 
-        def parabola(i, y):
-            # the curve point over y_u and its mirror image in the axis share
-            # their linear partner y_v, the one root, solved at y_u = y
-            (y_v,) = _quadratic_roots(0.0, b_v, y * (a * y + beta[u]) + gamma - h_arr[i, None], abs(b_v))
-            out = _pair_sum((y - mean[u]) / sd[u], z_axis[u])
-            out *= _bell((y_v - mean[v]) / sd[v])
-            out *= scale
-            return out
+        def arcs(h, density, est_error):
+            # |y_u - c_u| on the curve, over the y_v window
+            ends = (h[:, None] - base - window_v) / a
+            r_lo = np.maximum(near[u], np.sqrt(np.maximum(ends.min(axis=1), 0.0)))
+            r_hi = np.minimum(far[u], np.sqrt(np.maximum(ends.max(axis=1), 0.0)))
+            if window_below:
+                lo, hi = center[u] - r_hi, center[u] - r_lo
+            else:
+                lo, hi = center[u] + r_lo, center[u] + r_hi
 
-        arcs = [(np.arange(h_arr.size), lo, hi, parabola)]
+            def parabola(i, y):
+                # the curve point over y_u and its mirror image in the axis
+                # share their linear partner y_v, the one root, solved at y_u = y
+                (y_v,) = _quadratic_roots(0.0, b_v, y * (a * y + beta[u]) + gamma - h[i, None], abs(b_v))
+                out = _pair_sum((y - mean[u]) / sd[u], z_axis[u])
+                out *= _bell((y_v - mean[v]) / sd[v])
+                out *= scale
+                return out
+
+            return [(np.arange(h.size), lo, hi, parabola)]
     else:
         # the radii are measured from the score at the computed axis point,
         # which can differ in the last bit from _vertex_score, the support
         # edge of an ellipse
-        k = h_arr - (gamma - float(alpha @ center**2))
+        axis_score = gamma - float(alpha @ center**2)
         jacobian = 0.5 / np.sqrt(abs(alpha[0] * alpha[1]))
-        if alpha[0] * alpha[1] < 0.0:
+        hyperbola = alpha[0] * alpha[1] < 0.0
+        if hyperbola:
             odd, even = np.sinh, np.cosh
             inv_odd, inv_even = np.arcsinh, (lambda x: np.arccosh(np.maximum(x, 1.0)))
-            saddle = k == 0.0
-            density[saddle] = est_error[saddle] = np.inf
-            # the free coordinate's square term has the sign of -k
-            free = alpha[0] * k > 0.0
-            groups = [(0, ~saddle & ~free), (1, ~saddle & free)]
         else:
             odd, even = np.sin, np.cos
-            inv_odd, inv_even = (
-                (lambda x: np.arcsin(np.minimum(x, 1.0))),
-                (lambda x: np.arccos(np.minimum(x, 1.0))),
-            )
+            inv_odd, inv_even = ((lambda x: np.arcsin(np.minimum(x, 1.0))),
+                                 (lambda x: np.arccos(np.minimum(x, 1.0))))
             # the free coordinate takes the larger curvature
             f = int(abs(alpha[1]) > abs(alpha[0]))
-            inside = (h_arr - _vertex_score(alpha, beta, gamma)) / alpha[f]
-            on_curve = (inside > 0.0) & (k / alpha[f] > 0.0)
+            vertex = _vertex_score(alpha, beta, gamma)
             # at the vertex, or within rounding of it, the level curve is the
             # axis point: the density is its limit from inside the support,
             # pi pdf(axis point) / sqrt|alpha_0 alpha_1|
-            at_vertex = (inside >= 0.0) & ~on_curve
             axis_pdf = np.exp(mvn_logpdf_array(center[None], params)[0])
-            density[at_vertex] = np.pi * axis_pdf / np.sqrt(abs(alpha[0] * alpha[1]))
-            groups = [(f, on_curve)]
-
+            vertex_density = np.pi * axis_pdf / np.sqrt(abs(alpha[0] * alpha[1]))
         scale = jacobian / (2.0 * np.pi * sd[0] * sd[1])
 
-        def conic_arc(f, rows):
-            s = 1 - f
-            r_f, r_s = np.sqrt(np.abs(k[rows] / alpha[f])), np.sqrt(np.abs(k[rows] / alpha[s]))
-            t_near, t_far = inv_even(near[s] / r_s), inv_even(far[s] / r_s)
-            # the radii in class standard units
-            w_f, w_s = r_f / sd[f], r_s / sd[s]
+        def arcs(h, density, est_error):
+            k = h - axis_score
+            if hyperbola:
+                saddle = k == 0.0
+                density[saddle] = est_error[saddle] = np.inf
+                # the free coordinate's square term has the sign of -k
+                free = alpha[0] * k > 0.0
+                groups = [(0, ~saddle & ~free), (1, ~saddle & free)]
+            else:
+                inside = (h - vertex) / alpha[f]
+                on_curve = (inside > 0.0) & (k / alpha[f] > 0.0)
+                density[(inside >= 0.0) & ~on_curve] = vertex_density
+                groups = [(f, on_curve)]
 
-            def g(i, t):
-                # the curve points (c_f +- r_f odd(t), c_s +- r_s even(t)):
-                # the product of each coordinate's mirror pair
-                out = _pair_sum(z_axis[f] + w_f[i, None] * odd(t), z_axis[f])
-                out *= _pair_sum(z_axis[s] + w_s[i, None] * even(t), z_axis[s])
-                out *= scale
-                return out
+            def conic_arc(f, rows):
+                s = 1 - f
+                r_f, r_s = np.sqrt(np.abs(k[rows] / alpha[f])), np.sqrt(np.abs(k[rows] / alpha[s]))
+                t_near, t_far = inv_even(near[s] / r_s), inv_even(far[s] / r_s)
+                # the radii in class standard units
+                w_f, w_s = r_f / sd[f], r_s / sd[s]
 
-            lo = np.maximum(inv_odd(near[f] / r_f), np.minimum(t_near, t_far))
-            hi = np.minimum(inv_odd(far[f] / r_f), np.maximum(t_near, t_far))
-            return rows, lo, hi, g
+                def g(i, t):
+                    # the curve points (c_f +- r_f odd(t), c_s +- r_s even(t)):
+                    # the product of each coordinate's mirror pair
+                    out = _pair_sum(z_axis[f] + w_f[i, None] * odd(t), z_axis[f])
+                    out *= _pair_sum(z_axis[s] + w_s[i, None] * even(t), z_axis[s])
+                    out *= scale
+                    return out
 
-        arcs = [conic_arc(f, np.flatnonzero(mask)) for f, mask in groups]
+                lo = np.maximum(inv_odd(near[f] / r_f), np.minimum(t_near, t_far))
+                hi = np.minimum(inv_odd(far[f] / r_f), np.maximum(t_near, t_far))
+                return rows, lo, hi, g
 
-    for rows, lo, hi, integrand in arcs:
-        # a curve that misses the class windows has lo >= hi: an empty arc
-        value, err, _ = adaptive_gk_rows(integrand, lo, np.maximum(lo, hi))
-        density[rows] = np.maximum(value, 0.0)
-        est_error[rows] = err
-    return DensityGrid(h_arr, density, est_error, label)
+            return [conic_arc(f, np.flatnonzero(mask)) for f, mask in groups]
+
+    def level_curves(h):
+        density, est_error = np.zeros_like(h), np.zeros_like(h)
+        for rows, lo, hi, integrand in arcs(h, density, est_error):
+            # a curve that misses the class windows has lo >= hi: an empty arc
+            value, err, _ = adaptive_gk_rows(integrand, lo, np.maximum(lo, hi))
+            density[rows] = np.maximum(value, 0.0)
+            est_error[rows] = err
+        return density, est_error
+
+    return level_curves
 
 
 def score_moments(problem: TwoClassProblem, label: int) -> tuple[float, float]:

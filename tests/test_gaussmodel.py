@@ -114,6 +114,17 @@ class TestSeededRng:
             u, [0.3093149111858346, 0.3569562367935076, 0.0369045304683569], rtol=0, atol=1e-16
         )
 
+    def test_uniforms_are_the_integer_midpoint_formula(self):
+        # (k + 0.5) / 2^53 for the top 53 bits k of each word, also for
+        # k >= 2^52, where k + 0.5 is a tie that rounds to even
+        for seed, stream, n in ((0, 0, 1), (1, 2, 3), (5, 0, 1000), (77, 2**63 + 5, 20_000), (3, 9, 4097)):
+            rng = SeededRng(seed, stream)
+            k = rng.generator().integers(0, 2**53, size=n, dtype=np.uint64)
+            expected = (k.astype(float) + 0.5) / 2**53
+            np.testing.assert_array_equal(rng.uniforms(n).view(np.uint64), expected.view(np.uint64))
+        high = k[k >= 2**52]
+        assert (high % 2 == 0).any() and (high % 2 == 1).any()
+
     def test_negative_counts_are_a_contract_error(self):
         rng = SeededRng(5)
         for draw in (rng.uniforms, rng.normals):

@@ -616,7 +616,7 @@ CONICS = {
 
 def _clear_diagonal_caches():
     llrdist._diagonal_score.cache_clear()
-    llrdist._class_frames.cache_clear()
+    llrdist._level_plan.cache_clear()
 
 
 def _tabulate(problem, chunk=37):
@@ -677,6 +677,34 @@ class TestDiagonalFormCache:
             np.testing.assert_array_equal(form[0].class2.mu, diag.problem.class2.mu)
         assert not np.array_equal(forms[0][1], forms[2][1])
 
+    def test_one_level_plan_per_problem_and_class_across_a_chunked_grid(self):
+        for problem in CONICS.values():
+            fresh = TwoClassProblem(class1=problem.class1, class2=problem.class2)
+            before = llrdist._level_plan.cache_info()
+            calls = len(_tabulate(fresh))
+            after = llrdist._level_plan.cache_info()
+            assert after.misses - before.misses == 2
+            assert after.hits - before.hits == calls - 2
+
+    def test_equal_problems_each_get_their_own_plan(self):
+        ellipse = CONICS["ellipse"]
+        problems = [TwoClassProblem(class1=ellipse.class1, class2=ellipse.class2) for _ in range(2)]
+        plans = [llrdist._level_plan(p, 1) for p in problems]
+        assert plans[0] is not plans[1] and plans[0] is not llrdist._level_plan(problems[0], 2)
+        assert plans[0] is llrdist._level_plan(problems[0], 1)
+        h = default_h_grid(ellipse, 101)
+        for first, second in zip(plans[0](h), plans[1](h)):
+            np.testing.assert_array_equal(first, second)
+
+
+def _density_and_error(h, label, problem):
+    """marginal_density's two arrays at h; a single point, which is no
+    DensityGrid, through the level plan that marginal_density calls."""
+    if h.size == 1:
+        return llrdist._level_plan(problem, label)(h)
+    grid = marginal_density(h, label, problem)
+    return grid.density, grid.est_error
+
 
 class TestDensityBytes:
     """sha256 of every density and est_error byte, per branch of
@@ -710,6 +738,31 @@ class TestDensityBytes:
             sha.update(grid.density.tobytes())
             sha.update(grid.est_error.tobytes())
         assert sha.hexdigest() == self.MARGINAL_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(MARGINAL_DIGESTS))
+    def test_chunked_grids_are_bitwise_one_call(self, name):
+        # a point's value is that of its own quadrature, whatever else is on
+        # the grid: the benchmark tabulates its grids 89 points at a time
+        problem = CONICS.get(name, self.LINEAR)
+        ends = [h for h in support_h_range(problem) if np.isfinite(h)]
+        h = np.union1d(default_h_grid(problem, 801), [0.0, *ends])
+        for label in (1, 2):
+            whole = _density_and_error(h, label, problem)
+            for chunk in (1, 37, 89):
+                parts = [_density_and_error(h[c:c + chunk], label, problem) for c in range(0, h.size, chunk)]
+                for i, arr in enumerate(whole):
+                    assert np.concatenate([p[i] for p in parts]).tobytes() == arr.tobytes(), (label, chunk)
+            if name == "hyperbola":
+                assert whole[0][h == 0.0] == np.inf
+            if name == "ellipse":
+                assert 0.0 < whole[0][h == ends[0]] < np.inf
+            # two calls on one grid share no output array, and the second
+            # leaves the first as it was
+            kept = [arr.tobytes() for arr in whole]
+            again = _density_and_error(h, label, problem)
+            assert all(not np.shares_memory(a, b) for a in whole for b in again)
+            assert not np.shares_memory(*again)
+            assert [arr.tobytes() for arr in whole] == kept
 
     def test_joint_density_bytes(self, counterexample_problem):
         # non-diagonal class models, both roots and the support edge
@@ -951,6 +1004,24 @@ class TestAdaptiveGk:
         assert 3 not in calls[1] and 5 not in calls[1] and 6 in calls[1] and calls[-1] == [4]
         assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
 
+    def test_a_nan_row_leaves_flagged_with_infinite_error(self):
+        # NaN passes no tolerance test, so its row must leave on finiteness:
+        # row 0 is NaN from the first call on, row 1 from the second
+        calls = []
+
+        def f(rows, x):
+            calls.append(list(rows))
+            out = np.exp(-0.5 * (x / 0.003) ** 2)
+            out[rows == 0] = np.nan
+            if len(calls) > 1:
+                out[rows == 1] = np.nan
+            return out
+
+        value, error, converged = adaptive_gk_rows(f, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+        assert np.isnan(value[:2]).all() and list(error[:2]) == [np.inf, np.inf]
+        assert list(converged) == [False, False, True]
+        assert 0 not in calls[1] and 1 in calls[1] and 1 not in calls[2]
+
 
 class TestDensityGridAndRoc:
     def test_csv_round_trip(self, counterexample_problem):
@@ -979,6 +1050,8 @@ class TestDensityGridAndRoc:
         for h in ([0.0, np.nan, 2.0], [np.nan, 1.0, 2.0], [0.0, 1.0, np.nan]):
             with pytest.raises(ContractError, match="increasing"):
                 DensityGrid(np.array(h), np.ones(3), np.zeros(3), 1)
+        with pytest.raises(ContractError, match="increasing"):
+            DensityGrid(np.array([0.0, 1.0, 1.0, 2.0]), np.ones(4), np.zeros(4), 1)
         for bad in (np.nan, -1e-300):
             with pytest.raises(ContractError, match="error estimates"):
                 DensityGrid(np.array([0.0, 1.0, 2.0]), np.ones(3), np.array([0.0, bad, 0.0]), 1)
