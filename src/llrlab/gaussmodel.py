@@ -1,5 +1,9 @@
 """Multinormal class models: density evaluation, reproducible sampling,
-moment estimation, and Mahalanobis separation."""
+moment estimation, and Mahalanobis separation.
+
+Every log density of a batch of points goes through one quadratic-form
+kernel, :func:`mahalanobis_sq_rows`, which also scores ``llr_scores``.
+"""
 
 from __future__ import annotations
 
@@ -16,9 +20,12 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # 53-bit uniforms are drawn as (k + 0.5) / 2^53 so that 0 and 1 are
-# unreachable and the inverse-CDF transform stays finite.
+# unreachable and the inverse-CDF transform stays finite.  For the top word
+# k = 2^53 - 1 that quotient rounds to 1, so it is clamped at the largest
+# double below 1.
 _U53 = 1 << 53
 _U53_INV = 1.0 / _U53
+_U_MAX = 1.0 - _U53_INV
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -71,7 +78,8 @@ class SeededRng:
             raise ContractError(f"sample count must be >= 0, got {n}")
         # random() is k / 2^53 for the top 53 bits k of one word, and adding
         # 2^-54 rounds exactly as (k + 0.5) / 2^53 does
-        return self.generator().random(n) + 0.5 * _U53_INV
+        u = self.generator().random(n) + 0.5 * _U53_INV
+        return np.minimum(u, _U_MAX, out=u)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal variates via the inverse-CDF transform.
@@ -150,37 +158,6 @@ def mahalanobis_sq_rows(X: np.ndarray, params: GaussianParams) -> np.ndarray:
     """
     dev = np.subtract(X.T, params.mu[:, None], order="C")
     return np.einsum("ji,jk,ki->i", dev, params.sigma_inv, dev)
-
-
-def mvn_logpdf_coords(coords, params: GaussianParams) -> np.ndarray:
-    """Log density at points given coordinate by coordinate.
-
-    ``coords[j]`` holds coordinate j of every point, as arrays of one shape
-    (or scalars), and the result takes that shape.  Each point sums its terms
-    (d_j S_jk) d_k in the order of :func:`mahalanobis_sq_rows`, j outer and k
-    inner, zero terms included, so a non-finite coordinate still gives nan:
-    the values of :func:`mvn_logpdf_array` on a batch of two or more points
-    bit for bit (einsum adds the terms of a lone 2-D row pairwise), without
-    building a point array.
-    """
-    if len(coords) != params.dim:
-        raise ContractError(f"points have dimension {len(coords)}, model has {params.dim}")
-    dev = [np.subtract(x, m) for x, m in zip(coords, params.mu)]
-    # in place: a fresh array per operation costs about a tenth of a
-    # marginal_density pass
-    q = None
-    for dj, s_j in zip(dev, params.sigma_inv.tolist()):
-        for s_jk, dk in zip(s_j, dev):
-            t = dj * s_jk
-            t *= dk
-            if q is None:
-                q = t
-            else:
-                q += t
-    q += params.log_det
-    q += params.dim * _LOG_2PI
-    q *= -0.5
-    return q
 
 
 def mvn_pdf(x, params: GaussianParams) -> float:

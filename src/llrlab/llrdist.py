@@ -13,15 +13,16 @@ lone square term, a parabola, an ellipse or a hyperbola, each integrated
 along its level curve with a smooth integrand.
 
 Every quadratic is solved by one cancellation-free root helper
-(``_quadratic_roots``), and every class-density sum over its roots by one
-evaluator (``_branch_sum``), which scores the coordinate arrays it holds
-with ``gaussmodel.mvn_logpdf_coords``.  In the diagonal coordinates the class
-density is a product of one normal per coordinate, so a level-curve point
-and its mirror images sum to a product of per-coordinate pairs
-(``_pair_sum``).  Every level-curve integral runs on one nested trapezoid
-engine (``adaptive_gk_rows``) that refines the curves of all grid points
-together.  A conic level curve is parametrized in both coordinates, so no
-root is solved along it.
+(``_quadratic_roots``).  In the diagonal coordinates the class density is a
+product of one normal per coordinate, evaluated as bells in class standard
+units (``_bell``), so a level-curve point and its mirror images sum to a
+product of per-coordinate pairs (``_pair_sum``): the lone square term's two
+roots, a parabola point and its mirror image, the four points of a conic.
+Every level-curve integral runs on one nested trapezoid engine
+(``adaptive_gk_rows``) that refines the curves of all grid points together.
+A conic level curve is parametrized in both coordinates, so no root is
+solved along it.  The joint density of (h, x1), in the original
+coordinates, scores its roots as rows of ``gaussmodel.mvn_logpdf_array``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import smallmat
 from .bayesllr import CLASS1, CLASS2, TwoClassProblem
 from .csvio import csv_text
 from .errors import ContractError, SingularityError
-from .gaussmodel import GaussianParams, mvn_logpdf_array, mvn_logpdf_coords
+from .gaussmodel import GaussianParams, mvn_logpdf_array
 from .rocauc import RocCurve
 
 
@@ -168,24 +169,6 @@ def _pair_sum(x, axis) -> np.ndarray:
     return out
 
 
-def _branch_sum(x1, a, b, c, sq, params: GaussianParams) -> np.ndarray:
-    """Sum of the class density over the roots t of a t^2 + b t + c = 0.
-
-    The roots are x2 values paired with ``x1``, or, with ``x1=None`` and 1-D
-    ``params``, points of their own; ``x1``, the roots and the sum share one
-    shape.  ``sq`` is the square root of the discriminant; the lone-square
-    density knows it in factored form and passes that, which keeps it
-    exact right up to the support boundary, where the direct
-    evaluation of B^2 - 4A(C - h) is pure cancellation noise.  Each root's
-    density comes from the coordinate arrays themselves
-    (``mvn_logpdf_coords``), with no point array built, and the densities
-    add in root order.
-    """
-    roots = _quadratic_roots(a, b, c, sq)
-    dens = [np.exp(mvn_logpdf_coords((r,) if x1 is None else (x1, r), params)) for r in roots]
-    return sum(dens[1:], start=dens[0])
-
-
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
     """All x2 with score(x1, x2) = h; length 0, 1, or 2 by discriminant sign."""
     geom = score_geometry(problem)
@@ -204,7 +187,9 @@ def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
 
 
 def _joint_values(h, x1, params: GaussianParams, geom: ScoreGeometry) -> np.ndarray:
-    """Vectorized branch-sum joint density of (h, x1); 0 outside the support.
+    """Vectorized branch-sum joint density of (h, x1); 0 outside the support:
+    the class density summed over the x2 roots, divided by the Jacobian
+    sqrt(D).
 
     Points exactly on the fold (zero Jacobian) come out as +inf.
     """
@@ -218,7 +203,11 @@ def _joint_values(h, x1, params: GaussianParams, geom: ScoreGeometry) -> np.ndar
     inside = disc > 0.0
     if np.any(inside):
         sq = np.sqrt(disc[inside])
-        out[inside] = _branch_sum(x1[inside], geom.a2, b[inside], c[inside], sq, params) / sq
+        roots = _quadratic_roots(geom.a2, b[inside], c[inside], sq)
+        # the points (x1, root) of every root as one batch of rows; their
+        # densities add in root order
+        rows = np.stack([np.tile(x1[inside], len(roots)), np.concatenate(roots)], axis=1)
+        out[inside] = np.exp(mvn_logpdf_array(rows, params)).reshape(len(roots), -1).sum(axis=0) / sq
     return out
 
 
@@ -416,9 +405,10 @@ class DensityGrid:
     label: int
 
     def __post_init__(self):
-        h = np.asarray(self.h_values, dtype=float)
-        d = np.asarray(self.density, dtype=float)
-        e = np.asarray(self.est_error, dtype=float)
+        # the grid keeps read-only copies, so the caller's arrays stay theirs
+        h = np.array(self.h_values, dtype=float)
+        d = np.array(self.density, dtype=float)
+        e = np.array(self.est_error, dtype=float)
         if not (h.shape == d.shape == e.shape) or h.ndim != 1 or h.size < 2:
             raise ContractError("density grid needs matching 1-D arrays of length >= 2")
         # written so that NaN fails; an infinite density or est_error (a
@@ -496,15 +486,16 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     """f(h | class) on a grid of score values.
 
     The square terms of the diagonal form (:func:`_diagonal_score`) decide
-    the method.  With none, h is normal, in closed form; a lone one gives
-    the branch sum over its roots.  A parabola integrates over the square
-    coordinate y_u, with its linear partner as the one root.  An ellipse
-    (hyperbola) takes both coordinates from its parametrization,
-    y_f = c_f +- r_f sin t (sinh t) and y_s = c_s +- r_s cos t (cosh t),
-    with the constant coarea Jacobian 1 / (2 sqrt|alpha_f alpha_s|).  The
-    class coordinates are independent, so the class density summed over
-    the four curve points, or over a parabola point and its mirror image,
-    is a product of per-coordinate pair sums (:func:`_pair_sum`).
+    the method.  With none, h is normal, in closed form; a lone one is the
+    class density at its two roots y_u over the Jacobian |dh/dy_u|.  A
+    parabola integrates over the square coordinate y_u, with its linear
+    partner as the one root.  An ellipse (hyperbola) takes both coordinates
+    from its parametrization, y_f = c_f +- r_f sin t (sinh t) and
+    y_s = c_s +- r_s cos t (cosh t), with the constant coarea Jacobian
+    1 / (2 sqrt|alpha_f alpha_s|).  The class coordinates are independent,
+    so the class density summed over the two roots, over a parabola point
+    and its mirror image, or over the four curve points, is a product of
+    per-coordinate pair sums (:func:`_pair_sum`).
 
     Each integral runs over the arc of the level curve inside both class
     windows, folded at the curve's axis, so each integrand is analytic on
@@ -543,9 +534,17 @@ def _level_plan(problem: TwoClassProblem, label: int):
         return lambda h: (np.exp(-0.5 * ((h - mu_h) / sd_h) ** 2) / norm, np.zeros_like(h))
 
     u, v = squares[0], 1 - squares[0]
+    sd = np.sqrt(var)
+    center = -0.5 * beta / np.where(alpha == 0.0, 1.0, alpha)
+    # each axis in class standard units
+    z_axis = (center - mean) / sd
+
     if squares.size == 1 and beta[v] == 0.0:
-        marginal = GaussianParams(mean[[u]], np.diag(var[[u]]))
         four_a, vertex = 4.0 * alpha[u], _vertex_score(alpha, beta, gamma)
+        norm = sd[u] * np.sqrt(2.0 * np.pi)
+        # the root on the class's side of the axis is held exactly, and the
+        # other root is its mirror image
+        class_side = np.maximum if mean[u] > center[u] else np.minimum
 
         def lone_square(h):
             # the discriminant in vertex form is exactly 0 at the finite end
@@ -557,16 +556,13 @@ def _level_plan(problem: TwoClassProblem, label: int):
             dens[at_vertex] = err[at_vertex] = np.inf
             inside = disc > 0.0
             sq = np.sqrt(disc[inside])
-            dens[inside] = _branch_sum(None, alpha[u], beta[u], c[inside], sq, marginal) / sq
+            y = class_side(*_quadratic_roots(alpha[u], beta[u], c[inside], sq))
+            dens[inside] = _pair_sum((y - mean[u]) / sd[u], z_axis[u]) / (norm * sq)
             return dens, err
 
         return lone_square
 
-    sd = np.sqrt(var)
     lo_w, hi_w = mean - _N_SIGMAS * sd, mean + _N_SIGMAS * sd
-    center = -0.5 * beta / np.where(alpha == 0.0, 1.0, alpha)
-    # each axis in class standard units
-    z_axis = (center - mean) / sd
     # nearest and farthest distance from each axis to the class window
     near = np.maximum(0.0, np.maximum(lo_w - center, center - hi_w))
     far = np.maximum(center - lo_w, hi_w - center)
@@ -623,7 +619,7 @@ def _level_plan(problem: TwoClassProblem, label: int):
             # at the vertex, or within rounding of it, the level curve is the
             # axis point: the density is its limit from inside the support,
             # pi pdf(axis point) / sqrt|alpha_0 alpha_1|
-            axis_pdf = np.exp(mvn_logpdf_array(center[None], params)[0])
+            axis_pdf = np.prod(_bell(z_axis.copy())) / (2.0 * np.pi * sd[0] * sd[1])
             vertex_density = np.pi * axis_pdf / np.sqrt(abs(alpha[0] * alpha[1]))
         scale = jacobian / (2.0 * np.pi * sd[0] * sd[1])
 

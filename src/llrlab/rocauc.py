@@ -166,15 +166,20 @@ def empirical_roc(scores: ScoreSet) -> RocCurve:
 def trapezoid_auc(curve: RocCurve) -> float:
     """Area under the curve by the trapezoid rule.
 
-    Curves carrying integer sweep counts are accumulated in exact integer
+    Curves carrying integer sweep counts are accumulated in exact int64
     arithmetic, so the result coincides bit-for-bit with the pairwise AUC
-    estimate of the generating scores.
+    estimate of the generating scores; beyond 2^62 score pairs that sum could
+    overflow, which is a :class:`ContractError`.
     """
     if curve.has_counts:
-        tp = curve.tp_counts.astype(object)
-        dfp = np.diff(curve.fp_counts.astype(object))
+        n1, n2 = int(curve.n1), int(curve.n2)
+        # every partial sum of the doubled area is at most 2 n1 n2
+        if 2 * n1 * n2 >= 2**63:
+            raise ContractError(f"{n1} x {n2} score pairs overflow the exact int64 area sum")
+        tp = np.asarray(curve.tp_counts, dtype=np.int64)
+        dfp = np.diff(np.asarray(curve.fp_counts, dtype=np.int64))
         area2 = int(np.sum((tp[:-1] + tp[1:]) * dfp))
-        return area2 / (2 * int(curve.n1) * int(curve.n2))
+        return area2 / (2 * n1 * n2)
     x, y = curve.fpf, curve.tpf
     return float(np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(x)))
 

@@ -17,7 +17,7 @@ from llrlab.errors import (
     DecompositionError,
     InsufficientDataError,
 )
-from llrlab.gaussmodel import mahalanobis_sq_rows, mvn_logpdf_array, mvn_logpdf_coords
+from llrlab.gaussmodel import mahalanobis_sq_rows
 from tests.conftest import MU1, MU2, SIGMA1, SIGMA2
 
 
@@ -124,6 +124,24 @@ class TestSeededRng:
             np.testing.assert_array_equal(rng.uniforms(n).view(np.uint64), expected.view(np.uint64))
         high = k[k >= 2**52]
         assert (high % 2 == 0).any() and (high % 2 == 1).any()
+
+    def test_the_top_word_stays_below_one(self, monkeypatch):
+        # (k + 0.5) / 2^53 rounds to 1 for k = 2^53 - 1, whose normal deviate
+        # is infinite; it is clamped at the largest double below 1, and the
+        # words under it keep their values
+        k = np.array([0, 2**52, 2**53 - 3, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+
+        class TopWords:
+            def random(self, n):
+                return k[:n] * 2.0**-53
+
+        monkeypatch.setattr(SeededRng, "generator", lambda self: TopWords())
+        u = SeededRng(0).uniforms(k.size)
+        assert u[-1] == np.nextafter(1.0, 0.0)
+        midpoints = (k[:-1].astype(float) + 0.5) / 2**53
+        np.testing.assert_array_equal(u[:-1].view(np.uint64), midpoints.view(np.uint64))
+        z = SeededRng(0).normals(k.size)
+        assert np.isfinite(z).all() and z[-1] > 8.0
 
     def test_negative_counts_are_a_contract_error(self):
         rng = SeededRng(5)
@@ -253,53 +271,3 @@ class TestMahalanobisRows:
             # the same row inside a batch of two takes the j-outer, k-inner sum
             differs += got != mahalanobis_sq_rows(np.vstack([X, X]), params)[0]
         assert differs > 0
-
-
-class TestLogpdfCoords:
-    # The level-curve densities of llrdist are pinned to the bytes the point
-    # array path gave, so the coordinate kernel must match it bit for bit.
-    # At a single 2-D point einsum adds the terms pairwise,
-    # (t00 + t01) + (t10 + t11), so batches here hold at least two points.
-    @staticmethod
-    def _params(p, diagonal, seed):
-        gen = np.random.default_rng(seed)
-        if diagonal:
-            return GaussianParams(gen.normal(size=p), np.diag(gen.uniform(0.2, 3.0, size=p)))
-        a = gen.normal(size=(p, p))
-        return GaussianParams(gen.normal(size=p), a @ a.T + 0.3 * np.eye(p))
-
-    @pytest.mark.parametrize(
-        "p, diagonal",
-        [(1, True), (2, True), (2, False), (3, True), (3, False)],
-    )
-    @pytest.mark.parametrize("shape", [(2,), (3,), (257,), (7, 45)])
-    def test_bit_identical_to_point_array_path(self, p, diagonal, shape):
-        for seed in range(10):
-            params = self._params(p, diagonal, seed)
-            X = 3.0 * np.random.default_rng(100 + seed).normal(size=(*shape, p))
-            coords = tuple(np.moveaxis(X, -1, 0))
-            got = mvn_logpdf_coords(coords, params)
-            assert got.shape == shape
-            want = mvn_logpdf_array(X.reshape(-1, p), params).reshape(shape)
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("p, diagonal", [(1, True), (2, True), (2, False), (3, True)])
-    def test_infinite_coordinate_gives_nan_as_before(self, p, diagonal):
-        # inf * 0 in a cross term of a diagonal model is what makes it nan;
-        # dropping the zero terms would give -inf instead
-        params = self._params(p, diagonal, 7)
-        X = np.random.default_rng(8).normal(size=(6, p))
-        X[1, -1] = np.inf
-        X[4, 0] = -np.inf
-        with np.errstate(invalid="ignore"):
-            got = mvn_logpdf_coords(tuple(X.T), params)
-            want = mvn_logpdf_array(X, params)
-        if p > 1:
-            assert np.isnan(got[[1, 4]]).all()
-        assert np.array_equal(got, want, equal_nan=True)
-
-    def test_scalars_and_dimension_mismatch(self):
-        params = GaussianParams([0.3, -0.7], np.eye(2))
-        assert mvn_logpdf_coords((0.3, -0.7), params) == pytest.approx(-np.log(2.0 * np.pi), rel=1e-15)
-        with pytest.raises(ContractError):
-            mvn_logpdf_coords((np.zeros(3),), params)

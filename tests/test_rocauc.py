@@ -136,6 +136,19 @@ class TestTrapezoidAuc:
         curve = RocCurve([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [np.inf, 0.0, -np.inf])
         assert trapezoid_auc(curve) == 1.0
 
+    def test_count_sums_are_exact_up_to_the_int64_limit(self):
+        # the doubled area of n1 x n2 pairs is at most 2 n1 n2, which must
+        # stay below 2^63
+        n1, n2 = 2**31, 2**31 - 1
+        for tp, fp, auc in (([0, n1], [0, n2], 0.5), ([0, n1, n1], [0, 0, n2], 1.0)):
+            curve = RocCurve(np.array(fp) / n2, np.array(tp) / n1, [np.inf, *[0.0] * (len(tp) - 2), -np.inf],
+                             tp_counts=np.array(tp), fp_counts=np.array(fp), n1=n1, n2=n2)
+            assert trapezoid_auc(curve) == auc
+        too_many = RocCurve([0.0, 1.0], [0.0, 1.0], [np.inf, -np.inf], tp_counts=np.array([0, 2**31]),
+                            fp_counts=np.array([0, 2**31]), n1=2**31, n2=2**31)
+        with pytest.raises(ContractError, match="int64"):
+            trapezoid_auc(too_many)
+
     def test_non_monotone_curve_rejected(self):
         with pytest.raises(ContractError):
             RocCurve([0.0, 0.6, 0.4, 1.0], [0.0, 0.5, 0.6, 1.0], [np.inf, 1.0, 0.0, -np.inf])
