@@ -50,6 +50,24 @@ class ScoreSet:
         return ScoreSet(self.class2_scores, self.class1_scores)
 
 
+def _count_arrays(counts, n, frac: np.ndarray, counts_name: str, n_name: str) -> tuple[int, np.ndarray]:
+    """Validated (class size, read-only count copy) for one class of a ROC curve."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ContractError(f"{n_name} must be an integer >= 1, got {n!r}")
+    n = int(n)
+    counts = np.array(counts)
+    if counts.dtype.kind not in "iu":
+        raise ContractError(f"{counts_name} must be an integer array, got dtype {counts.dtype}")
+    if counts.shape != frac.shape:
+        raise ContractError(f"{counts_name} has shape {counts.shape}, the curve {frac.shape}")
+    if counts[0] != 0 or counts[-1] != n or np.any(counts[1:] < counts[:-1]):
+        raise ContractError(f"{counts_name} must run non-decreasing from 0 to {n_name} = {n}")
+    if not np.array_equal(frac, counts / n):
+        raise ContractError(f"{counts_name} / {n_name} does not give the curve's fractions exactly")
+    counts.flags.writeable = False
+    return n, counts
+
+
 @dataclass(frozen=True, eq=False)
 class RocCurve:
     """Ordered (FPF, TPF) points with the generating threshold per point.
@@ -57,6 +75,9 @@ class RocCurve:
     Threshold sentinels +inf / -inf mark the (0,0) and (1,1) anchors.  When
     the curve comes from an empirical sweep, the integer true/false positive
     counts are kept alongside so that areas can be accumulated exactly.
+    The counts come with the class sizes n1, n2 >= 1 or not at all; each
+    runs from 0 to its class size and gives its fraction exactly, with
+    tpf == tp_counts / n1 and fpf == fp_counts / n2.
     """
 
     fpf: np.ndarray
@@ -82,13 +103,22 @@ class RocCurve:
         for name, arr in (("fpf", fpf), ("tpf", tpf), ("thresholds", th)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        given = [v is not None for v in (self.tp_counts, self.fp_counts, self.n1, self.n2)]
+        if any(given) and not all(given):
+            raise ContractError("tp_counts, fp_counts, n1 and n2 must be given together or not at all")
+        if all(given):
+            for counts_name, n_name, frac in (("tp_counts", "n1", tpf), ("fp_counts", "n2", fpf)):
+                n, counts = _count_arrays(getattr(self, counts_name), getattr(self, n_name), frac,
+                                          counts_name, n_name)
+                object.__setattr__(self, counts_name, counts)
+                object.__setattr__(self, n_name, n)
 
     def __len__(self) -> int:
         return self.fpf.size
 
     @property
     def has_counts(self) -> bool:
-        return self.tp_counts is not None and self.fp_counts is not None
+        return self.tp_counts is not None
 
     def to_csv(self) -> str:
         """Schema: fpf,tpf,threshold with inf/-inf at the anchors."""

@@ -1,14 +1,16 @@
 """Deterministic SVG line charts.
 
 Byte-identical output for identical input: fixed canvas, fixed palette,
-fixed number formatting, no timestamps and no randomness.
+fixed number formatting, no timestamps and no randomness.  A series keeps
+its points as read-only float64 arrays; the axis limits and the polyline
+coordinates are computed on those arrays, and each polyline is written by
+one % call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -21,24 +23,25 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62, 16, 34, 46
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Series:
-    """One named polyline."""
+    """One named polyline; x and y are kept as read-only float64 copies."""
 
     name: str
-    x: tuple
-    y: tuple
+    x: np.ndarray
+    y: np.ndarray
     step: bool = False  # render as a staircase (histograms)
 
     def __post_init__(self):
-        xs = np.asarray(self.x, dtype=float)
-        ys = np.asarray(self.y, dtype=float)
+        xs = np.array(self.x, dtype=float)
+        ys = np.array(self.y, dtype=float)
         if xs.ndim != 1 or xs.shape != ys.shape or not xs.size:
             raise ContractError(f"series {self.name!r} needs matching non-empty x and y")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ContractError(f"series {self.name!r} contains non-finite values")
-        object.__setattr__(self, "x", tuple(xs.tolist()))
-        object.__setattr__(self, "y", tuple(ys.tolist()))
+        for name, arr in (("x", xs), ("y", ys)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,10 @@ def _fmt(v: float) -> str:
 
 def render_svg(spec: PlotSpec) -> str:
     """Render a plot description as a complete SVG 1.1 document."""
-    xs = [v for s in spec.series for v in s.x]
-    ys = [v for s in spec.series for v in s.y]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    x_lo = min(float(s.x.min()) for s in spec.series)
+    x_hi = max(float(s.x.max()) for s in spec.series)
+    y_lo = min(float(s.y.min()) for s in spec.series)
+    y_hi = max(float(s.y.max()) for s in spec.series)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -165,11 +168,11 @@ def render_svg(spec: PlotSpec) -> str:
 
     for i, s in enumerate(spec.series):
         color = PALETTE[i % len(PALETTE)]
-        x, y = np.asarray(s.x), np.asarray(s.y)
+        x, y = s.x, s.y
         if s.step:  # staircase: (x0, y0), (x1, y0), (x1, y1), (x2, y1), ...
             x, y = np.repeat(x, 2)[1:], np.repeat(y, 2)[:-1]
-        xy = tuple(chain.from_iterable(zip(px(x).tolist(), py(y).tolist())))
-        coords = ("%.2f,%.2f " * x.size)[:-1] % xy
+        xy = np.column_stack((px(x), py(y))).ravel().tolist()
+        coords = ("%.2f,%.2f " * x.size)[:-1] % tuple(xy)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

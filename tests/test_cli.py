@@ -1,10 +1,13 @@
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from llrlab import cli
+from llrlab import cli, svgplot
 from llrlab.errors import ConfigError, ContractError
 from llrlab.svgplot import PlotSpec, Series, render_svg
 
@@ -131,9 +134,18 @@ class TestRenderSvg:
             Series(name="bad", x=(), y=())
 
     def test_series_accepts_arrays_and_validates_them(self):
-        s = Series(name="a", x=np.array([0.0, 0.5]), y=np.array([1, 2]))
-        assert s.x == (0.0, 0.5) and s.y == (1.0, 2.0)
-        assert all(type(v) is float for v in s.x + s.y)
+        x, y = np.array([0.0, 0.5]), np.array([1, 2])
+        s = Series(name="a", x=x, y=y)
+        np.testing.assert_array_equal(s.x, [0.0, 0.5])
+        np.testing.assert_array_equal(s.y, [1.0, 2.0])
+        for kept in (s.x, s.y):
+            assert kept.dtype == np.float64 and not kept.flags.writeable
+        # The series keeps copies: the caller's arrays stay writeable, and
+        # writing to them leaves the series as it was.
+        assert x.flags.writeable and y.flags.writeable
+        x[0], y[0] = 9.0, 9
+        np.testing.assert_array_equal(s.x, [0.0, 0.5])
+        np.testing.assert_array_equal(s.y, [1.0, 2.0])
         for x, y in (
             (np.array([0.0, np.nan]), np.zeros(2)),
             (np.zeros(2), np.array([np.inf, 0.0])),
@@ -211,6 +223,65 @@ class TestRenderSvg:
         assert "0" in labels and len(labels) >= 2
         if (axis, span) in self._SUBNORMAL_DIGESTS:
             assert hashlib.sha256(svg.encode()).hexdigest() == self._SUBNORMAL_DIGESTS[(axis, span)]
+
+
+# Finite values of mixed magnitudes; the fixed ones add signed zeros,
+# subnormals and the smallest normal.
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-322, 2.2250738585072014e-308]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def _series_tuples(draw):
+    """1-3 (x, y, step) triples of 1-50 finite points each."""
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 50))
+        xs = draw(st.lists(_COORD, min_size=n, max_size=n))
+        ys = draw(st.lists(_COORD, min_size=n, max_size=n))
+        out.append((xs, ys, draw(st.booleans())))
+    return out
+
+
+def _padded_limits(values, pad):
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    return lo - pad * (hi - lo), hi + pad * (hi - lo)
+
+
+class TestPolylinePoints:
+    @settings(max_examples=300, deadline=None)
+    @given(_series_tuples())
+    def test_points_match_per_point_formatting(self, triples):
+        """Each polyline equals the per-point rendering from Python-float axis limits."""
+        spec = PlotSpec(title="t", x_label="x", y_label="y",
+                        series=tuple(Series(name=f"s{i}", x=xs, y=ys, step=step)
+                                     for i, (xs, ys, step) in enumerate(triples)))
+        x_lo, x_hi = _padded_limits([v for xs, _, _ in triples for v in xs], 0.04)
+        y_lo, y_hi = _padded_limits([v for _, ys, _ in triples for v in ys], 0.06)
+        if not all(math.isfinite(hi - lo) and hi != lo for lo, hi in ((x_lo, x_hi), (y_lo, y_hi))):
+            with pytest.raises(ContractError, match="axis"):
+                render_svg(spec)
+            return
+        plot_w = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT
+        plot_h = svgplot.HEIGHT - svgplot.MARGIN_TOP - svgplot.MARGIN_BOTTOM
+        expected = []
+        for xs, ys, step in triples:
+            pts = []
+            for j, (xj, yj) in enumerate(zip(xs, ys)):
+                if step and j:
+                    pts.append((xj, ys[j - 1]))
+                pts.append((xj, yj))
+            expected.append(" ".join(
+                "%.2f,%.2f" % (svgplot.MARGIN_LEFT + (xv - x_lo) / (x_hi - x_lo) * plot_w,
+                               svgplot.MARGIN_TOP + (y_hi - yv) / (y_hi - y_lo) * plot_h)
+                for xv, yv in pts))
+        assert TestRenderSvg._points(render_svg(spec)) == expected
 
 
 class TestMain:

@@ -68,3 +68,7 @@ class TestCsvText:
             csv_text(("a", "b"), (np.zeros(3),))
         with pytest.raises(ContractError):
             csv_text(("a",), (np.zeros((2, 2)),))
+
+    def test_no_columns_rejected(self):
+        with pytest.raises(ContractError):
+            csv_text((), ())

@@ -158,6 +158,62 @@ class TestTrapezoidAuc:
             RocCurve([0.1, 1.0], [0.0, 1.0], [np.inf, -np.inf])
 
 
+class TestRocCurveCounts:
+    """Sweep counts must agree with the curve they are attached to."""
+
+    FPF, TPF, TH = [0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [np.inf, 0.0, -np.inf]
+    GOOD = dict(tp_counts=[0, 1, 4], fp_counts=[0, 1, 2], n1=4, n2=2)
+
+    def curve(self, **changes):
+        return RocCurve(self.FPF, self.TPF, self.TH, **{**self.GOOD, **changes})
+
+    def test_consistent_counts_are_kept_read_only(self):
+        curve = self.curve()
+        assert curve.has_counts and (curve.n1, curve.n2) == (4, 2)
+        np.testing.assert_array_equal(curve.tp_counts, [0, 1, 4])
+        assert not curve.tp_counts.flags.writeable and not curve.fp_counts.flags.writeable
+        assert trapezoid_auc(curve) == 0.375
+
+    def test_contradicting_counts_are_rejected(self):
+        # tp 5 of 2 positives and fp 3 of 2 negatives gave an area of 1.875
+        with pytest.raises(ContractError, match="from 0 to n1"):
+            RocCurve([0, 1], [0, 1], [np.inf, -np.inf], tp_counts=[0, 5], fp_counts=[0, 3], n1=2, n2=2)
+
+    @pytest.mark.parametrize("missing", ["tp_counts", "fp_counts", "n1", "n2"])
+    def test_counts_and_class_sizes_come_together(self, missing):
+        with pytest.raises(ContractError, match="together"):
+            self.curve(**{missing: None})
+
+    def test_no_counts_and_no_sizes_is_a_plain_curve(self):
+        curve = RocCurve(self.FPF, self.TPF, self.TH)
+        assert not curve.has_counts and curve.n1 is None
+
+    @pytest.mark.parametrize("n1", [0, -4, 4.0, True, "4"])
+    def test_class_size_must_be_a_positive_integer(self, n1):
+        with pytest.raises(ContractError, match="n1 must be an integer"):
+            self.curve(n1=n1)
+
+    def test_counts_must_be_integers(self):
+        with pytest.raises(ContractError, match="integer array"):
+            self.curve(tp_counts=np.array([0.0, 1.0, 4.0]))
+
+    @pytest.mark.parametrize("fp", [[0, 2], [0, 1, 1, 2], [[0, 1, 2]]])
+    def test_counts_must_match_the_curve_shape(self, fp):
+        with pytest.raises(ContractError, match="shape"):
+            self.curve(fp_counts=fp)
+
+    @pytest.mark.parametrize("tp", [[1, 1, 4], [0, 1, 3], [0, 5, 4]])
+    def test_counts_must_run_up_from_zero_to_the_class_size(self, tp):
+        with pytest.raises(ContractError, match="non-decreasing from 0 to n1"):
+            self.curve(tp_counts=tp)
+
+    def test_counts_must_give_the_fractions_exactly(self):
+        with pytest.raises(ContractError, match="tp_counts / n1"):
+            self.curve(tp_counts=[0, 2, 4])
+        with pytest.raises(ContractError, match="fp_counts / n2"):
+            RocCurve(self.FPF, self.TPF, self.TH, tp_counts=[0, 1, 4], fp_counts=[0, 2, 6], n1=4, n2=6)
+
+
 def binormal_point_by_quadrature(t, mu1, sigma1, mu2, sigma2):
     """(fpf, tpf) at threshold t from tail integrals of two normal densities."""
 
