@@ -12,7 +12,7 @@ Config files are line based: `key = value`, `#` comments, optional
 nested bracketed rows `[[1,.2],[.2,1]]`, lists comma separated.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (also a density
-grid that fails its own unit-mass or KS check), 4 I/O error.
+grid that fails its own unit-mass, KS or ratio-law check), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -234,8 +234,10 @@ def _simulated_scores(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
 #: density fails when a class's grid mass is off by more than _MASS_TOL, or
 #: when its KS distance to the command's own simulated scores exceeds the DKW
 #: bound sqrt(ln(2 / _KS_ALPHA) / (2 sim_size)), which a correct density
-#: passes with probability at least 1 - _KS_ALPHA.
-_MASS_TOL, _KS_ALPHA = 1e-3, 1e-6
+#: passes with probability at least 1 - _KS_ALPHA; or when the exact law
+#: f1 = e^h f2 fails by more than _RATIO_TOL relative where both densities
+#: are finite and above _RATIO_FLOOR, an error too small for mass and KS.
+_MASS_TOL, _KS_ALPHA, _RATIO_TOL, _RATIO_FLOOR = 1e-3, 1e-6, 1e-6, 1e-8
 
 
 def _cmd_density(config: RunConfig) -> dict:
@@ -263,6 +265,14 @@ def _cmd_density(config: RunConfig) -> dict:
                 f"exceeds the DKW bound {ks_bound:.4g}"
             )
         hists.append(hist)
+    f1, f2 = g1.density, g2.density
+    both = np.isfinite(f1) & np.isfinite(f2) & (f1 > _RATIO_FLOOR) & (f2 > _RATIO_FLOOR)
+    ratio_error = float(np.abs(f1[both] / (np.exp(grid_h[both]) * f2[both]) - 1.0).max(initial=0.0))
+    if ratio_error > _RATIO_TOL:
+        raise InsufficientDataError(
+            f"h_points={config.h_points}: the densities break f1 = e^h f2 by {ratio_error:.3g} relative, "
+            f"more than {_RATIO_TOL:g}"
+        )
     out = {}
     if config.emit_csv:
         out["density_w1.csv"] = g1.to_csv()

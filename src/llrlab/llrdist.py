@@ -1,16 +1,17 @@
-"""Exact distribution of the log-likelihood-ratio score for 2-D problems.
+"""Exact distribution of the log-likelihood-ratio score: its moments and range
+for any number of features, its densities for 2-D problems.
 
 For a two-feature problem the score is a quadratic in x2 at fixed x1,
 h(x1, x2) = A x2^2 + B(x1) x2 + C(x1), so the joint density of (h, x1) is
 the branch sum  sum pdf(x1, x2_root) / sqrt(D)  over the x2 roots, with
 D(h, x1) = B(x1)^2 - 4 A (C(x1) - h), on the conic region D >= 0.
 
-Marginal densities f(h|class) and the score's range work in the
-simultaneously diagonalized coordinates y instead, where the class
+Marginal densities f(h|class), the score's range and its moments work in
+the simultaneously diagonalized coordinates y instead, where the class
 coordinates are independent normals and h = sum alpha_i y_i^2 + beta_i y_i
-+ gamma.  Its level sets are conics in standard position: a normal score, a
-lone square term, a parabola, an ellipse or a hyperbola, each integrated
-along its level curve with a smooth integrand.
++ gamma.  In 2-D its level sets are conics in standard position: a normal
+score, a lone square term, a parabola, an ellipse or a hyperbola, each
+integrated along its level curve with a smooth integrand.
 
 Every quadratic is solved by one cancellation-free root helper
 (``_quadratic_roots``).  In the diagonal coordinates the class density is a
@@ -428,10 +429,13 @@ class DensityGrid:
         """Trapezoid integral of the density over the grid."""
         return float(np.trapezoid(self.density, self.h_values))
 
+    def _segment_masses(self) -> np.ndarray:
+        """Trapezoid mass of each interval between neighbouring grid points."""
+        return 0.5 * (self.density[:-1] + self.density[1:]) * np.diff(self.h_values)
+
     def cdf_values(self) -> np.ndarray:
         """Cumulative trapezoid integral at each grid point (not renormalized)."""
-        seg = 0.5 * (self.density[:-1] + self.density[1:]) * np.diff(self.h_values)
-        return np.concatenate([[0.0], np.cumsum(seg)])
+        return np.concatenate([[0.0], np.cumsum(self._segment_masses())])
 
     def survival_values(self) -> np.ndarray:
         """Upper-tail trapezoid integral at each grid point.
@@ -439,8 +443,7 @@ class DensityGrid:
         Accumulated from the right end, so small survival values keep full
         relative accuracy instead of being differences of order-one CDFs.
         """
-        seg = 0.5 * (self.density[:-1] + self.density[1:]) * np.diff(self.h_values)
-        return np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
+        return np.concatenate([np.cumsum(self._segment_masses()[::-1])[::-1], [0.0]])
 
     def to_csv(self) -> str:
         """Schema: h,density,est_error,class."""
@@ -467,8 +470,6 @@ def _diagonal_score(problem: TwoClassProblem):
     Built once per problem and shared by every caller: a problem is frozen
     and compares by identity, and alpha and beta come back read-only.
     """
-    if problem.dim != 2:
-        raise ContractError(f"the analytic path handles 2-D problems only, got dim {problem.dim}")
     diag = transform_problem(problem)
     lam = diag.lam
     m1, m2 = diag.problem.class1.mu, diag.problem.class2.mu
@@ -514,6 +515,8 @@ def marginal_density(h_values, label: int, problem: TwoClassProblem) -> DensityG
     h_arr = np.asarray(h_values, dtype=float)
     if h_arr.ndim != 1:
         raise ContractError(f"h_values must be a 1-D array of scores, got shape {h_arr.shape}")
+    if problem.dim != 2:
+        raise ContractError(f"the marginal density handles 2-D problems only, got dim {problem.dim}")
     return DensityGrid(h_arr, *_level_plan(problem, _require_class(label))(h_arr), label)
 
 
@@ -528,8 +531,8 @@ def _level_plan(problem: TwoClassProblem, label: int):
     squares = np.flatnonzero(alpha)
 
     if squares.size == 0:
-        mu_h = gamma + beta @ mean
-        sd_h = np.sqrt(beta * beta @ var)
+        mu_h, var_h = _moments(alpha, beta, gamma, params)
+        sd_h = np.sqrt(var_h)
         norm = sd_h * np.sqrt(2.0 * np.pi)
         return lambda h: (np.exp(-0.5 * ((h - mu_h) / sd_h) ** 2) / norm, np.zeros_like(h))
 
@@ -670,24 +673,20 @@ def _level_plan(problem: TwoClassProblem, label: int):
     return level_curves
 
 
-def score_moments(problem: TwoClassProblem, label: int) -> tuple[float, float]:
-    """Exact mean and variance of the score under one class model.
+def _moments(alpha, beta, gamma, params: GaussianParams) -> tuple[float, float]:
+    """Mean and variance of h = sum alpha_i y_i^2 + beta_i y_i + gamma for
+    independent normal y_i with the class's means m_i and variances v_i:
+    gamma + sum alpha (v + m^2) + beta m, and sum 2 alpha^2 v^2 + (2 alpha m + beta)^2 v."""
+    m, v = params.mu, np.diag(params.sigma)
+    slope = 2.0 * alpha * m + beta
+    return gamma + alpha @ (v + m * m) + beta @ m, 2.0 * (alpha * alpha) @ (v * v) + slope * slope @ v
 
-    With x = mu + L z the score is a quadratic form in standard normal z,
-    whose first two moments are available in closed form.
-    """
-    params = _class_params(problem, label)
-    p1, p2 = problem.class1, problem.class2
-    L = params.chol
-    M = L.T @ (p2.sigma_inv - p1.sigma_inv) @ L
-    d1 = params.mu - p1.mu
-    d2 = params.mu - p2.mu
-    b = L.T @ (p2.sigma_inv @ d2 - p1.sigma_inv @ d1)
-    c = -0.5 * (d1 @ p1.sigma_inv @ d1 - d2 @ p2.sigma_inv @ d2) - 0.5 * (
-        p1.log_det - p2.log_det
-    )
-    mean = 0.5 * np.trace(M) + c
-    var = 0.5 * np.sum(M * M) + b @ b
+
+def score_moments(problem: TwoClassProblem, label: int) -> tuple[float, float]:
+    """Exact mean and variance of the score under one class model, from its
+    diagonal form (:func:`_diagonal_score`), for any number of features."""
+    diag_problem, alpha, beta, gamma = _diagonal_score(problem)
+    mean, var = _moments(alpha, beta, gamma, _class_params(diag_problem, label))
     return float(mean), float(var)
 
 

@@ -406,6 +406,35 @@ class TestMain:
         assert "class 1" in err and "grid mass 1.04" in err and "h_points=801" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("eps", [1e-10, 1e-11])
+    def test_density_that_breaks_the_ratio_law_exits_3(self, tmp_path, capsys, eps):
+        # Nearly equal class-2 variances: the hyperbola's densities lose
+        # digits, about 1e-15 / eps relative, far below what the mass and KS
+        # checks see, but f1 = e^h f2 fails by more than 1e-6.
+        code = cli.main(
+            [
+                "density",
+                "--out",
+                str(tmp_path),
+                "--mu1",
+                "0,0",
+                "--sigma1",
+                "[[1,0],[0,1]]",
+                "--mu2",
+                "1,0.5",
+                "--sigma2",
+                f"[[{1.0 + eps!r},0],[0,{1.0 - eps / 3.0!r}]]",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "f1 = e^h f2" in err and "h_points=801" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_counterexample_density_passes_every_check(self, tmp_path, seed):
+        assert cli.main(["density", "--out", str(tmp_path), "--no-svg", "--seed", str(seed)]) == 0
+
     def test_density_that_fails_its_own_ks_check_exits_3(self, tmp_path, capsys, monkeypatch):
         # each class's grid checked against the other class's scores
         simulated = cli._simulated_scores
@@ -478,8 +507,8 @@ class TestMain:
             (
                 "density",
                 {
-                    "density_w1.csv": "630d142822947e5689abfa789fc9bcd38456f874fbfac3bb24659a9fae026534",
-                    "density_w2.csv": "109749fbe7254ef2c3d11c98d90e59a95f360bdf9be98eccc55955c164c3cd76",
+                    "density_w1.csv": "af0c456f8b39a4c485c0943e7dbba3126e662d5dbfdc06a3608b4f89888e190d",
+                    "density_w2.csv": "fc0b315dffb2732bf4e0b3c844f7ff50f6e9009230dd293a493333ccd3a07379",
                     "density.svg": "44044a567e5547e126f7eaf68377067b78b65e154cb11e72534fdb29aaecf568",
                 },
             ),

@@ -480,8 +480,16 @@ class TestMarginalDensity:
             class1=GaussianParams(np.zeros(3), np.eye(3)),
             class2=GaussianParams(np.ones(3), 2.0 * np.eye(3)),
         )
-        with pytest.raises(ContractError):
-            marginal_density([0.0, 1.0], 1, problem)
+        # only the density is 2-D; class 2 is wider in every coordinate, so
+        # the score is bounded above
+        lo, hi = support_h_range(problem)
+        assert lo == -np.inf and np.isfinite(hi)
+        rng = np.random.default_rng(3)
+        assert all(_numpy_scores(problem, label, 100_000, rng).max() <= hi for label in (1, 2))
+        grid = default_h_grid(problem, 301)
+        assert grid.size == 301 and np.all(np.diff(grid) > 0) and grid[-1] < hi
+        with pytest.raises(ContractError, match="2-D"):
+            marginal_density(grid, 1, problem)
 
     def test_scores_that_are_not_1d_are_a_contract_error(self, counterexample_problem, monkeypatch):
         def must_not_run(problem):
@@ -748,9 +756,9 @@ class TestDensityBytes:
     )
 
     MARGINAL_DIGESTS = {
-        "ellipse": "605094edd498a9a4250612dd32a020f39d1170aa631b5bcb052bfd1b3acfdff0",
-        "hyperbola": "6dabee49a2e73668adcccdc03c402128d9b734e10b203de12f2de0891a3cd541",
-        "parabola": "58b00d5d1ed7f76d356b8442a43b62ed851d3da5d23bc282b579958cc9103b96",
+        "ellipse": "6b0fdabd638c9edbf0046a875035eb115a0c40a90151c96b9727e6e19ac71f94",
+        "hyperbola": "1f1a12b786675cd1e60508adec27d42f9a4357e301dc10377a12a69b8ca281f8",
+        "parabola": "40d7d0ad11a346afb791b62b54d6981006a5c68f366fa2c0b79768a9990af2c6",
         "lone square": "354efc5af5e2ec1c8622091afd795f2b0b665f87812c03aa73e6e36950adc201",
         "linear": "3b1702f0a11397ce3421e620e7587d22f8cc0fb565eb4c391705682f90f28263",
     }
@@ -1223,3 +1231,85 @@ def test_default_h_grid_shape(counterexample_problem):
     assert np.all(np.diff(grid) > 0)
     assert grid[0] > lo
     assert grid[0] - lo < 0.01
+
+
+def _random_covariance(rng, p):
+    """A p x p covariance with eigenvalues in 10^[-1, 1] at a random rotation."""
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (q * 10.0 ** rng.uniform(-1.0, 1.0, p)) @ q.T
+
+
+@st.composite
+def any_p_problems(draw):
+    """A problem with p = 2 ... 11 features, covariance eigenvalues in
+    10^[-1, 1] and standard normal means.  Class 2's covariance is drawn
+    independently, or is near class 1's: (1 + eps) sigma1, or sigma1 with
+    eps added to one diagonal entry, eps in 10^[-11, -6]."""
+    p = draw(st.integers(2, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma1 = _random_covariance(rng, p)
+    eps = 10.0 ** rng.uniform(-11.0, -6.0)
+    sigma2 = draw(st.sampled_from([
+        _random_covariance(rng, p), (1.0 + eps) * sigma1, sigma1 + eps * np.diag(np.eye(p)[rng.integers(p)]),
+    ]))
+    return TwoClassProblem(
+        class1=GaussianParams(rng.standard_normal(p), sigma1),
+        class2=GaussianParams(rng.standard_normal(p), sigma2),
+    )
+
+
+def _numpy_scores(problem, label, n, rng):
+    """Scores of n draws from one class, from numpy's own sampler and
+    log-density formula: no llrlab numerics."""
+    params = (problem.class1, problem.class2)[label - 1]
+    x = params.mu + rng.standard_normal((n, problem.dim)) @ np.linalg.cholesky(params.sigma).T
+
+    def logpdf(c):
+        d = x - c.mu
+        return -0.5 * (np.sum((d @ np.linalg.inv(c.sigma)) * d, axis=1) + np.linalg.slogdet(c.sigma)[1])
+
+    return logpdf(problem.class1) - logpdf(problem.class2)
+
+
+class TestScoreMoments:
+    @settings(max_examples=100, deadline=None)
+    @given(any_p_problems())
+    def test_match_an_original_coordinate_oracle(self, problem):
+        # h = x'Qx + q'x + c with Q = (P2 - P1)/2: mean tr(Q S) + m'Qm + q'm + c
+        # and variance 2 tr((Q S)^2) + g'S g, g = 2Qm + q, under x ~ N(m, S)
+        p1, p2 = (np.linalg.inv(c.sigma) for c in (problem.class1, problem.class2))
+        mu1, mu2 = problem.class1.mu, problem.class2.mu
+        Q, q = 0.5 * (p2 - p1), p1 @ mu1 - p2 @ mu2
+        c = 0.5 * (mu2 @ p2 @ mu2 - mu1 @ p1 @ mu1
+                   - np.linalg.slogdet(problem.class1.sigma)[1] + np.linalg.slogdet(problem.class2.sigma)[1])
+        for label, params in ((1, problem.class1), (2, problem.class2)):
+            m, S = params.mu, params.sigma
+            QS, g = Q @ S, 2.0 * Q @ m + q
+            mean = np.trace(QS) + m @ Q @ m + q @ m + c
+            var = 2.0 * np.trace(QS @ QS) + g @ S @ g
+            got_mean, got_var = score_moments(problem, label)
+            assert abs(got_mean - mean) <= 1e-10 * (abs(mean) + np.sqrt(var))
+            assert got_var == pytest.approx(var, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [3, 7, 11])
+    def test_match_simulated_scores_at_the_papers_dimensions(self, p):
+        rng = np.random.default_rng(p)
+        problem = TwoClassProblem(
+            class1=GaussianParams(rng.standard_normal(p), _random_covariance(rng, p)),
+            class2=GaussianParams(rng.standard_normal(p), _random_covariance(rng, p)),
+        )
+        for label in (1, 2):
+            s = _numpy_scores(problem, label, 200_000, rng)
+            mean, var = score_moments(problem, label)
+            # standard errors of the sample mean and variance
+            dev = s - s.mean()
+            se_mean = np.sqrt(s.var() / s.size)
+            se_var = np.sqrt((np.mean(dev**4) - s.var() ** 2) / s.size)
+            assert abs(mean - s.mean()) <= 5.0 * se_mean
+            assert abs(var - s.var()) <= 5.0 * se_var
+
+    def test_equal_classes_are_a_contract_error(self, counterexample_problem):
+        same = TwoClassProblem(class1=counterexample_problem.class1, class2=counterexample_problem.class1)
+        for label in (1, 2):
+            with pytest.raises(ContractError, match="constant"):
+                score_moments(same, label)
