@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import betainc
 
 from . import smallmat
 from .bayesllr import CLASS1, CLASS2, TwoClassProblem
@@ -690,38 +691,109 @@ def score_moments(problem: TwoClassProblem, label: int) -> tuple[float, float]:
     return float(mean), float(var)
 
 
-_GRID_SIGMAS, _GRID_STRETCH = 16.0, 1.5
+#: Score deviations from each class mean to its end of the grid; panel ends
+#: closer than _GRID_MERGE of the span are one; a finite support end with a
+#: finite density gets a point _GRID_EDGE of the span inside it.
+_GRID_SIGMAS, _GRID_MERGE, _GRID_EDGE = 16.0, 1e-9, 1e-7
+#: Class deviations by which the axis point moves along each coordinate.
+_GRID_STEPS = (1.0, -1.0, 0.1, -0.1)
+
+
+def _grid_marks(alpha, beta, gamma, params: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, orders) of the panel ends that one class gives
+    :func:`default_h_grid`: none without a square term.
+
+    At the score of the axis point (the vertex or saddle of the conic; a
+    coordinate with no square term sits at the class mean) the density is
+    infinite (a saddle, a lone square term's vertex), jumps (an ellipse's
+    vertex) or peaks narrowly (a parabola's vertex).  Its nodes crowd
+    quadratically (order 2).  Near it the density changes on the scale of each term of the
+    score, which the axis point moved by _GRID_STEPS class deviations along
+    each coordinate marks; with two or more square terms, so do the
+    near-vertices, the axis point with one square coordinate at the class
+    mean (the vertex of a nearly parabolic conic).  The density is smooth
+    at these, and their nodes crowd cubically (order 3), which resolves the
+    change without the trapezoid error that a quadratic crowding makes
+    where the density is not singular.  A point outside the class window
+    carries no density and gives no end.
+    """
+    squares = alpha != 0.0
+    if not squares.any():
+        return np.empty(0), np.empty(0, dtype=int)
+    sd = np.sqrt(np.diag(params.sigma))
+    axis = np.where(squares, -0.5 * beta / np.where(squares, alpha, 1.0), params.mu)
+    points = [axis[None], (axis + np.multiply.outer(_GRID_STEPS, np.diag(sd))).reshape(-1, axis.size)]
+    if squares.sum() > 1:
+        points.append(np.where(np.eye(axis.size, dtype=bool), params.mu, axis)[squares])
+    points = np.vstack(points)
+    orders = np.full(len(points), 3)
+    orders[0] = 2
+    seen = np.all(np.abs(points - params.mu) <= _N_SIGMAS * sd, axis=1)
+    return (points**2 @ alpha + points @ beta + gamma)[seen], orders[seen]
 
 
 def default_h_grid(problem: TwoClassProblem, n_points: int = 801) -> np.ndarray:
-    """A score grid covering both class distributions and the exact support.
+    """A score grid of exactly ``n_points`` points (at least 2, as
+    :class:`DensityGrid` requires) covering both class distributions and the
+    exact support.
 
-    Points are packed toward a finite support edge, where the marginal
-    density jumps, as t**_GRID_STRETCH for evenly spaced t in [0, 1]; the far
-    end is set _GRID_SIGMAS score deviations beyond both class means.  A
-    grid has at least 2 points, as :class:`DensityGrid` requires.
+    The grid is a row of panels from the lowest to the highest class mean
+    -+ _GRID_SIGMAS score deviations, cut to the support.  The inner panel
+    ends are both classes' singular scores and the scores that mark how the
+    density changes near them (:func:`_grid_marks`).  Each panel [a, a + w]
+    gets m open nodes a + w I(sin^2(pi tau / 2); o_a / 2, o_b / 2),
+    tau = (i + 1/2) / m, with I the regularized incomplete beta function:
+    the nodes crowd toward an end of order o as the o-th power of their
+    distance in tau, so no node sits on an end; order 1 is even spacing, and
+    order 2 toward both ends is the cosine grading a + w sin^2(pi tau / 2),
+    whose trapezoid rule cancels the leading error of a 1/sqrt singularity
+    at an end.  A support bound is an end of order 2, and a grid end that is
+    not one lies in both classes' tails: order 1.  The trapezoid error of a
+    panel goes as c w / m^2, with c largest on the narrow panels around a
+    singular score, so the points are shared out in proportion to w^(1/4),
+    more evenly than the w^(1/3) that minimizes the sum for equal c.  A
+    finite support end where the density is finite (two or more square
+    terms: an ellipse's vertex) also gets a point _GRID_EDGE of the span
+    inside it, so scores simulated there fall on the grid.
     """
     n_points = int(n_points)
     if n_points < 2:
         raise ContractError(f"a score grid needs at least 2 points, got {n_points}")
     lo_sup, hi_sup = support_h_range(problem)
-    bounds = []
-    for label in (CLASS1, CLASS2):
-        mean, var = score_moments(problem, label)
-        sd = np.sqrt(var)
-        bounds.append((mean - _GRID_SIGMAS * sd, mean + _GRID_SIGMAS * sd))
-    lo = max(min(b[0] for b in bounds), lo_sup)
-    hi = min(max(b[1] for b in bounds), hi_sup)
+    diag_problem, alpha, beta, gamma = _diagonal_score(problem)
+    squares = alpha != 0.0
+    classes = [_class_params(diag_problem, label) for label in (CLASS1, CLASS2)]
+    ranges = []
+    for params in classes:
+        mean, var = _moments(alpha, beta, gamma, params)
+        ranges += [mean - _GRID_SIGMAS * np.sqrt(var), mean + _GRID_SIGMAS * np.sqrt(var)]
+    lo, hi = max(min(ranges), lo_sup), min(max(ranges), hi_sup)
     span = hi - lo
-    t = np.linspace(0.0, 1.0, n_points)
-    if np.isfinite(lo_sup) and not np.isfinite(hi_sup):
-        grid = lo + span * t**_GRID_STRETCH
-        grid[0] = lo + 1e-7 * span
-    elif np.isfinite(hi_sup) and not np.isfinite(lo_sup):
-        grid = hi - span * (1.0 - t) ** _GRID_STRETCH
-        grid[-1] = hi - 1e-7 * span
-    else:
-        grid = lo + span * t
+    # the marks inside the grid by score, the more singular first
+    h, order = (np.concatenate(part) for part in zip(*(_grid_marks(alpha, beta, gamma, c) for c in classes)))
+    inside = (h > lo + _GRID_MERGE * span) & (h < hi - _GRID_MERGE * span)
+    h, order = h[inside], order[inside]
+    by = np.lexsort((order, h))
+    h, order = h[by], order[by]
+    # a mark within _GRID_MERGE of the span of the one before joins its end,
+    # which crowds as the most singular of them
+    first = np.flatnonzero(np.diff(h, prepend=lo) > _GRID_MERGE * span)
+    ends = np.concatenate([[lo], h[first], [hi]])
+    orders = np.concatenate([[2 if lo == lo_sup else 1], np.minimum.reduceat(order, first), [2 if hi == hi_sup else 1]])
+    edge = int(squares.sum() > 1 and (np.isfinite(lo_sup) or np.isfinite(hi_sup)))
+    # the largest-remainder share of w^(1/4) among the panels
+    width = np.diff(ends)
+    quota = (n_points - edge) * width**0.25 / np.sum(width**0.25)
+    counts = np.floor(quota).astype(int)
+    counts[np.argsort(counts - quota, kind="stable")[: n_points - edge - counts.sum()]] += 1
+    # every node's panel k and its tau within the panel
+    k = np.repeat(np.arange(width.size), counts)
+    tau = (np.arange(k.size) - np.repeat(np.cumsum(counts) - counts, counts) + 0.5) / counts[k]
+    grid = ends[k] + width[k] * betainc(0.5 * orders[k], 0.5 * orders[k + 1], np.sin(0.5 * np.pi * tau) ** 2)
+    if edge and np.isfinite(lo_sup):
+        grid = np.concatenate([[lo + min(_GRID_EDGE * span, 0.5 * (grid[0] - lo))], grid])
+    elif edge:
+        grid = np.append(grid, hi - min(_GRID_EDGE * span, 0.5 * (hi - grid[-1])))
     return grid
 
 

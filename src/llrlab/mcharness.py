@@ -70,13 +70,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """AUC pair from one Monte-Carlo trial."""
+    """AUC pair from one Monte-Carlo trial, with the index of the attempt
+    whose fit succeeded (0 unless rank-deficient scatters were retried)."""
 
     auc_true: float
     auc_apparent: float
     n: int
     p: int
-    trial_index: int
+    attempt: int
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ def run_trial(p: int, n: int, c: float, test_size: int, rng: SeededRng) -> Trial
             auc_apparent=empirical_auc(apparent),
             n=n,
             p=p,
-            trial_index=0,
+            attempt=attempt,
         )
     raise ConditioningError(
         f"parameter estimation failed after {_MAX_RETRIES + 1} attempts at p={p}, n={n}"

@@ -1,11 +1,12 @@
-"""The exact-density benchmark's own checks must pass on every problem that
-is not tagged with a known defect.
+"""The exact-density benchmark's own checks must pass on every problem.
 
 bench/problems.py checks the default-grid densities with numpy alone: unit
 mass, KS against simulated scores, the ratio law f1 = e^h f2 and the density
 ROC's area.  This test runs those checks on the problem sets of seeds 0-3,
-so a change that breaks an untagged problem fails here, not only in a
-benchmark run.
+so a change that breaks a problem fails here, not only in a benchmark run.
+Every problem must pass, whatever defect tag the benchmark still gives it,
+and a grid point on a saddle score, whose densities inf / inf make the ratio
+check warn, fails the test.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_every_failing_default_grid_has_a_known_defect(monkeypatch, seed):
+def test_every_default_grid_passes_the_benchmark_checks(monkeypatch, seed):
     monkeypatch.syspath_prepend(str(BENCH))
     import problems
 
     # the simulated scores of the exact-density workload
     rng = np.random.default_rng([seed, 0x5C])
-    untagged = {}
+    failing = {}
     for prob in problems.problem_set(seed):
         two = TwoClassProblem(
             GaussianParams(np.array(prob.mu1), np.array(prob.sigma1)),
@@ -37,10 +38,7 @@ def test_every_failing_default_grid_has_a_known_defect(monkeypatch, seed):
         h = llrdist.default_h_grid(two, problems.H_POINTS)
         g1, g2 = (llrdist.marginal_density(h, label, two) for label in (1, 2))
         roc = llrdist.density_roc(g1, g2)
-        # at a grid point on a hyperbola's saddle both densities are inf, and
-        # check_pair's ratio inf / inf is nan
-        with np.errstate(invalid="ignore"):
-            failed = problems.check_pair(h, g1.density, g2.density, roc.fpf, roc.tpf, sims)
-        if prob.known_defect is None and (failed[1] or failed[2]):
-            untagged[prob.name] = failed
-    assert untagged == {}
+        failed = problems.check_pair(h, g1.density, g2.density, roc.fpf, roc.tpf, sims)
+        if failed[1] or failed[2]:
+            failing[prob.name] = failed
+    assert failing == {}

@@ -383,14 +383,16 @@ class TestMain:
         assert list(tmp_path.iterdir()) == []
 
     def test_density_that_fails_its_own_mass_check_exits_3(self, tmp_path, capsys):
-        # A parabolic score whose class-2 peak is too narrow for the default
-        # 801-point grid: the densities are right (20 001 points give mass
-        # 1.0000), but this grid integrates to 1.042 and 1.147.
+        # A parabolic score whose class-2 peak is narrow: the densities are
+        # right (20 001 points give mass 1.0000, the default 801 pass), but a
+        # 101-point grid integrates class 1 to 1.010.
         code = cli.main(
             [
                 "density",
                 "--out",
                 str(tmp_path),
+                "--h_points",
+                "101",
                 "--mu1",
                 "-1.0806560260576248,-2.7496676481277817",
                 "--sigma1",
@@ -403,8 +405,18 @@ class TestMain:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "class 1" in err and "grid mass 1.04" in err and "h_points=801" in err
+        assert "class 1" in err and "grid mass 1.01" in err and "h_points=101" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_symmetric_hyperbola_density_passes_every_check(self, tmp_path):
+        # the saddle score is exactly 0, where both densities are infinite:
+        # the default grid must neither hit it nor under-resolve its log
+        # singularity
+        code = cli.main(
+            ["density", "--out", str(tmp_path), "--no-svg", "--mu1", "0,0", "--sigma1", "[[2,0],[0,0.5]]",
+             "--mu2", "1,1", "--sigma2", "[[0.5,0],[0,2]]"]
+        )
+        assert code == 0
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-11])
     def test_density_that_breaks_the_ratio_law_exits_3(self, tmp_path, capsys, eps):
@@ -507,9 +519,9 @@ class TestMain:
             (
                 "density",
                 {
-                    "density_w1.csv": "af0c456f8b39a4c485c0943e7dbba3126e662d5dbfdc06a3608b4f89888e190d",
-                    "density_w2.csv": "fc0b315dffb2732bf4e0b3c844f7ff50f6e9009230dd293a493333ccd3a07379",
-                    "density.svg": "44044a567e5547e126f7eaf68377067b78b65e154cb11e72534fdb29aaecf568",
+                    "density_w1.csv": "cfe6b3ec7a44eef76f72f6233fb7b000d3a30457a25d07bdf3556b1379d68a3a",
+                    "density_w2.csv": "ae2c07e2fcc65a8d2ff3b2fccf8e7376cbdfcad6cb95f070bf48bdd703f18005",
+                    "density.svg": "b30a089a7ba65b0b09bc38edd5af0b3d44bc93be0fa16d06e614237d24b04ca2",
                 },
             ),
             (

@@ -578,6 +578,43 @@ class TestMarginalDensity:
             assert ks < 0.02
 
 
+def _boundary_cases():
+    """eps = +-1e-2 ... +-1e-14; the bound fails for |eps| of 1e-9 to 1e-11."""
+    for k in range(2, 15):
+        for sign in (1.0, -1.0):
+            marks = []
+            if 9 <= k <= 11:
+                # the nearly flat square term has its axis about 1/eps class
+                # deviations out, and the conic branch loses about 1e-15/eps
+                # relative on its curve points (ROADMAP item 2)
+                marks = [pytest.mark.xfail(strict=True, reason="far conic axis loses digits")]
+            yield pytest.param(sign * 10.0**-k, marks=marks, id=f"{sign * 10.0**-k:.0e}")
+
+
+@pytest.fixture(scope="module")
+def parabola_reference():
+    """NEAR_PARABOLA's default grid and its densities there, per class."""
+    h = default_h_grid(NEAR_PARABOLA, 801)
+    return h, [marginal_density(h, label, NEAR_PARABOLA).density for label in (1, 2)]
+
+
+@pytest.mark.parametrize("eps", _boundary_cases())
+def test_densities_are_continuous_across_the_parabolic_boundary(parabola_reference, eps):
+    # eps on sigma2[0, 0] makes NEAR_PARABOLA's rank-one precision
+    # difference rank two: an ellipse for eps > 0, a hyperbola for eps < 0,
+    # and below |eps| ~ 1e-12 _diagonal_score snaps it back to the parabola.
+    # On one fixed grid the densities move linearly in eps, by up to
+    # 94 |eps| (class 1) and 70 |eps| (class 2) relative, 140 |eps| at 1e-2.
+    h, reference = parabola_reference
+    sigma2 = NEAR_PARABOLA.class2.sigma.copy()
+    sigma2[0, 0] += eps
+    problem = TwoClassProblem(class1=NEAR_PARABOLA.class1, class2=GaussianParams(NEAR_PARABOLA.class2.mu, sigma2))
+    for label, ref in zip((1, 2), reference):
+        got = marginal_density(h, label, problem).density
+        big = ref > 1e-6 * ref.max()
+        assert np.abs(got[big] / ref[big] - 1.0).max() <= 150.0 * abs(eps) + 1e-12, label
+
+
 class TestSimdiag:
     def test_equal_matrices_give_unit_lambda(self):
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -756,11 +793,11 @@ class TestDensityBytes:
     )
 
     MARGINAL_DIGESTS = {
-        "ellipse": "6b0fdabd638c9edbf0046a875035eb115a0c40a90151c96b9727e6e19ac71f94",
-        "hyperbola": "1f1a12b786675cd1e60508adec27d42f9a4357e301dc10377a12a69b8ca281f8",
-        "parabola": "40d7d0ad11a346afb791b62b54d6981006a5c68f366fa2c0b79768a9990af2c6",
-        "lone square": "354efc5af5e2ec1c8622091afd795f2b0b665f87812c03aa73e6e36950adc201",
-        "linear": "3b1702f0a11397ce3421e620e7587d22f8cc0fb565eb4c391705682f90f28263",
+        "ellipse": "53c29b3ff822636240a4c21c355f2ca7bdecb0d916c8f1245f0790143198e77f",
+        "hyperbola": "dbffcafcacbb56b75e3ca613a56f3a56ca1c6cd48623e4055be546dc0987ebf5",
+        "parabola": "24e8356b34b1853620f8a91c48209f648aaf2928a597c8798a2d3079768892e4",
+        "lone square": "00fbd0a096e87105840ca3bed993a314633dfad08a07d67aa317b4afd139dd85",
+        "linear": "6c049a10f2e3ba9a27c060364f3e277c8b4c9d478dc0be4e27a94e6b16391d9f",
     }
 
     @pytest.mark.parametrize("name", list(MARGINAL_DIGESTS))
@@ -1231,6 +1268,37 @@ def test_default_h_grid_shape(counterexample_problem):
     assert np.all(np.diff(grid) > 0)
     assert grid[0] > lo
     assert grid[0] - lo < 0.01
+
+
+class TestDefaultHGrid:
+    """Exactly n_points strictly increasing scores, none on a singular score,
+    on which the 801-point trapezoid mass of each class is 1 to 1e-3."""
+
+    @staticmethod
+    def check(problem):
+        for n in (2, 8, 89, 801):
+            h = default_h_grid(problem, n)
+            assert h.size == n and np.all(np.diff(h) > 0), n
+            for label in (1, 2):
+                grid = marginal_density(h, label, problem)
+                assert np.all(np.isfinite(grid.density)), (n, label)
+                if n == 801:
+                    assert grid.integral() == pytest.approx(1.0, abs=1e-3), label
+
+    @settings(max_examples=100, deadline=None)
+    @given(spd_problems())
+    def test_random_spd_pairs(self, problem):
+        try:
+            _diagonal_score(problem)
+        except ContractError:
+            assume(False)  # equal classes: the score is a constant
+        self.check(problem)
+
+    def test_symmetric_hyperbola_whose_saddle_is_zero(self):
+        # the density is infinite at the saddle score 0 itself, a log
+        # singularity that a grid must neither hit nor under-resolve
+        assert llrdist._level_plan(SADDLE, 1)(np.array([0.0]))[0][0] == np.inf
+        self.check(SADDLE)
 
 
 def _random_covariance(rng, p):

@@ -97,6 +97,21 @@ class TestRunTrial:
         assert result.auc_true >= 0.0
         assert len(calls) >= 4
 
+    def test_result_names_the_attempt_whose_fit_succeeded(self, monkeypatch):
+        real = mcharness.estimate_params
+        failed = []
+
+        def fails_once(samples):
+            if not failed:
+                failed.append(1)
+                raise ConditioningError("forced failure")
+            return real(samples)
+
+        rng = SeededRng(77).derive(1)
+        assert run_trial(3, 20, 0.5, 50, rng).attempt == 0
+        monkeypatch.setattr(mcharness, "estimate_params", fails_once)
+        assert run_trial(3, 20, 0.5, 50, rng).attempt == 1
+
     def test_retry_budget_exhausted_surfaces_error(self, monkeypatch):
         def always_fail(samples):
             raise ConditioningError("forced failure")
