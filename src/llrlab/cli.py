@@ -35,7 +35,9 @@ from .smallmat import std_normal_quantile_array
 
 COMMANDS = ("density", "roc", "normal-deviate", "learning-curve", "variance-study", "simulate")
 
-DEFAULT_SEED = 2
+#: the experiment defaults, which the CLI's own defaults do not restate
+_EXPERIMENT = mcharness.ExperimentConfig()
+DEFAULT_SEED = _EXPERIMENT.base_seed
 SEED_ENV_VAR = "LLR_LAB_SEED"
 
 _SECTIONS = ("problem", "experiment", "output")
@@ -50,17 +52,16 @@ _SCHEMA = {
     "prior1": ("problem", "float", 0.5),
     "prior2": ("problem", "float", 0.5),
     "costs": ("problem", "matrix", ((0.0, 1.0), (1.0, 0.0))),
-    "dims": ("experiment", "int_list", (3, 7, 11)),
-    "train_sizes": ("experiment", "int_list", (20, 50, 100, 500, 2000)),
-    "n_trials": ("experiment", "int", 100),
-    "test_size": ("experiment", "int", 1000),
-    "delta_sq": ("experiment", "float", 0.8),
+    "dims": ("experiment", "int_list", _EXPERIMENT.dims),
+    "train_sizes": ("experiment", "int_list", _EXPERIMENT.train_sizes),
+    "n_trials": ("experiment", "int", _EXPERIMENT.n_trials),
+    "test_size": ("experiment", "int", _EXPERIMENT.test_size),
+    "delta_sq": ("experiment", "float", _EXPERIMENT.target_delta_sq),
     "base_seed": ("experiment", "int", DEFAULT_SEED),
     "sim_size": ("experiment", "int", 10000),
     "h_points": ("experiment", "int", 801),
     "out_dir": ("output", "str", "."),
     "emit_svg": ("output", "bool", True),
-    "emit_csv": ("output", "bool", True),
 }
 
 
@@ -75,7 +76,6 @@ class RunConfig:
     h_points: int
     out_dir: Path
     emit_svg: bool
-    emit_csv: bool
 
 
 def _parse_value(key: str, kind: str, raw: str, line: int | None):
@@ -215,7 +215,6 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         h_points=int(values["h_points"]),
         out_dir=Path(values["out_dir"]),
         emit_svg=bool(values["emit_svg"]),
-        emit_csv=bool(values["emit_csv"]),
     )
 
 
@@ -243,12 +242,23 @@ _MASS_TOL, _KS_ALPHA, _RATIO_TOL, _RATIO_FLOOR = 1e-3, 1e-6, 1e-6, 1e-8
 def _cmd_density(config: RunConfig) -> dict:
     s1, s2 = _simulated_scores(config)
     grid_h = llrdist.default_h_grid(config.problem, n_points=config.h_points)
+    lo_sup, hi_sup = llrdist.support_h_range(config.problem)
     lo_needed = float(min(s1.min(), s2.min()))
     hi_needed = float(max(s1.max(), s2.max()))
+    # one point 1e-9 beyond the extreme score covers it; beside a finite
+    # support end it goes at least one step beyond the end, where every
+    # density is 0, since 1e-9 beyond a score can still fall on the end's
+    # 1/sqrt singularity
     if lo_needed <= grid_h[0]:
-        grid_h = np.concatenate([[lo_needed - 1e-9], grid_h])
+        lo_pad = lo_needed - 1e-9
+        if np.isfinite(lo_sup):
+            lo_pad = min(lo_pad, np.nextafter(lo_sup, -np.inf))
+        grid_h = np.concatenate([[lo_pad], grid_h])
     if hi_needed >= grid_h[-1]:
-        grid_h = np.concatenate([grid_h, [hi_needed + 1e-9]])
+        hi_pad = hi_needed + 1e-9
+        if np.isfinite(hi_sup):
+            hi_pad = max(hi_pad, np.nextafter(hi_sup, np.inf))
+        grid_h = np.concatenate([grid_h, [hi_pad]])
     g1 = llrdist.marginal_density(grid_h, CLASS1, config.problem)
     g2 = llrdist.marginal_density(grid_h, CLASS2, config.problem)
     ks_bound = np.sqrt(np.log(2.0 / _KS_ALPHA) / (2.0 * config.sim_size))
@@ -273,10 +283,7 @@ def _cmd_density(config: RunConfig) -> dict:
             f"h_points={config.h_points}: the densities break f1 = e^h f2 by {ratio_error:.3g} relative, "
             f"more than {_RATIO_TOL:g}"
         )
-    out = {}
-    if config.emit_csv:
-        out["density_w1.csv"] = g1.to_csv()
-        out["density_w2.csv"] = g2.to_csv()
+    out = {"density_w1.csv": g1.to_csv(), "density_w2.csv": g2.to_csv()}
     if config.emit_svg:
         series = []
         for grid, hist, name in zip((g1, g2), hists, ("analytic f(h|1)", "analytic f(h|2)")):
@@ -302,9 +309,7 @@ def _cmd_density(config: RunConfig) -> dict:
 def _cmd_roc(config: RunConfig) -> dict:
     s1, s2 = _simulated_scores(config)
     curve = rocauc.empirical_roc(rocauc.ScoreSet(s1, s2))
-    out = {}
-    if config.emit_csv:
-        out["roc.csv"] = curve.to_csv()
+    out = {"roc.csv": curve.to_csv()}
     if config.emit_svg:
         spec = svgplot.PlotSpec(
             title=f"Empirical ROC (AUC = {rocauc.trapezoid_auc(curve):.4f})",
@@ -326,10 +331,10 @@ def _cmd_normal_deviate(config: RunConfig) -> dict:
     mask = (curve.fpf > 0) & (curve.fpf < 1) & (curve.tpf > 0) & (curve.tpf < 1)
     zx = std_normal_quantile_array(curve.fpf[mask])
     zy = std_normal_quantile_array(curve.tpf[mask])
-    out = {}
-    if config.emit_csv:
-        out["deviate_points.csv"] = csv_text(("z_fpf", "z_tpf"), (zx, zy))
-        out["binormal_fit.csv"] = csv_text(("a", "b", "residual"), ([fit.a], [fit.b], [fit.residual]))
+    out = {
+        "deviate_points.csv": csv_text(("z_fpf", "z_tpf"), (zx, zy)),
+        "binormal_fit.csv": csv_text(("a", "b", "residual"), ([fit.a], [fit.b], [fit.residual])),
+    }
     if config.emit_svg:
         line_y = (fit.a + fit.b * zx[0], fit.a + fit.b * zx[-1])
         spec = svgplot.PlotSpec(
@@ -345,58 +350,46 @@ def _cmd_normal_deviate(config: RunConfig) -> dict:
     return out
 
 
-def _curve_files(summary: mcharness.CurveSummary, config: RunConfig, stem: str, variance: bool) -> dict:
-    out = {}
-    if config.emit_csv:
-        out[f"{stem}.csv"] = summary.to_csv()
-    if config.emit_svg:
-        series = []
-        if variance:
-            p = config.experiment.dims[0]
-            rows = [r for r in summary.rows if r.p == p]
-            series.append(
-                svgplot.Series(
-                    name=f"var true AUC, p={p}",
-                    x=tuple(float(r.n) for r in rows),
-                    y=tuple(r.var_auc_true for r in rows),
-                )
-            )
-            title = "AUC variance vs training size"
-            x_label, y_label = "training size per class", "variance of true AUC"
-        else:
-            for p in config.experiment.dims:
-                rows = [r for r in summary.rows if r.p == p]
-                xs = tuple(1.0 / r.n for r in rows)
-                series.append(
-                    svgplot.Series(
-                        name=f"ts p={p}", x=xs, y=tuple(r.mean_auc_true for r in rows)
-                    )
-                )
-                series.append(
-                    svgplot.Series(
-                        name=f"tr p={p}", x=xs, y=tuple(r.mean_auc_apparent for r in rows)
-                    )
-                )
-            title = "Mean AUC vs 1/n"
-            x_label, y_label = "1 / training size", "mean AUC"
-        spec = svgplot.PlotSpec(
-            title=title,
-            x_label=x_label,
-            y_label=y_label,
-            series=tuple(series),
-        )
-        out[f"{stem}.svg"] = svgplot.render_svg(spec)
-    return out
-
-
 def _cmd_learning_curve(config: RunConfig) -> dict:
     summary = mcharness.learning_curve(config.experiment)
-    return _curve_files(summary, config, "learning_curve", variance=False)
+    out = {"learning_curve.csv": summary.to_csv()}
+    if config.emit_svg:
+        series = []
+        for p in config.experiment.dims:
+            rows = [r for r in summary.rows if r.p == p]
+            xs = tuple(1.0 / r.n for r in rows)
+            series.append(svgplot.Series(name=f"ts p={p}", x=xs, y=tuple(r.mean_auc_true for r in rows)))
+            series.append(svgplot.Series(name=f"tr p={p}", x=xs, y=tuple(r.mean_auc_apparent for r in rows)))
+        spec = svgplot.PlotSpec(
+            title="Mean AUC vs 1/n",
+            x_label="1 / training size",
+            y_label="mean AUC",
+            series=tuple(series),
+        )
+        out["learning_curve.svg"] = svgplot.render_svg(spec)
+    return out
 
 
 def _cmd_variance_study(config: RunConfig) -> dict:
     summary = mcharness.variance_study(config.experiment)
-    return _curve_files(summary, config, "variance_study", variance=True)
+    out = {"variance_study.csv": summary.to_csv()}
+    if config.emit_svg:
+        # every row has the study's one dimensionality
+        (p,) = config.experiment.dims
+        spec = svgplot.PlotSpec(
+            title="AUC variance vs training size",
+            x_label="training size per class",
+            y_label="variance of true AUC",
+            series=(
+                svgplot.Series(
+                    name=f"var true AUC, p={p}",
+                    x=tuple(float(r.n) for r in summary.rows),
+                    y=tuple(r.var_auc_true for r in summary.rows),
+                ),
+            ),
+        )
+        out["variance_study.svg"] = svgplot.render_svg(spec)
+    return out
 
 
 def _cmd_simulate(config: RunConfig) -> dict:

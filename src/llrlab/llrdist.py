@@ -91,11 +91,17 @@ class ScoreGeometry:
         d0 = self.b0 * self.b0 - 4.0 * self.a2 * (self.c0 - h)
         return d2, d1, d0
 
-    def discriminant_at(self, h, x1):
-        h = np.asarray(h, dtype=float)
-        x1 = np.asarray(x1, dtype=float)
+    def x2_quadratic(self, h, x1):
+        """(b, c, D) at (h, x1): the x2 with score(x1, x2) = h are the roots
+        of a2 x2^2 + b x2 + c, whose discriminant is D = b^2 - 4 a2 c."""
+        if self.kind == "x1_only":
+            raise ContractError("degenerate geometry: the score depends on x1 only")
         b = self.b_at(x1)
-        return b * b - 4.0 * self.a2 * (self.c_at(x1) - h)
+        c = self.c_at(x1) - np.asarray(h, dtype=float)
+        return b, c, b * b - 4.0 * self.a2 * c
+
+    def discriminant_at(self, h, x1):
+        return self.x2_quadratic(h, x1)[2]
 
 
 def score_geometry(problem: TwoClassProblem) -> ScoreGeometry:
@@ -174,13 +180,9 @@ def _pair_sum(x, axis) -> np.ndarray:
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
     """All x2 with score(x1, x2) = h; length 0, 1, or 2 by discriminant sign."""
     geom = score_geometry(problem)
-    if geom.kind == "x1_only":
-        raise ContractError("degenerate geometry: the score depends on x1 only")
-    b = float(geom.b_at(x1))
-    c = float(geom.c_at(x1)) - float(h)
+    b, c, disc = (float(v) for v in geom.x2_quadratic(h, x1))
     if geom.a2 == 0.0 and b == 0.0:
         raise ContractError("degenerate geometry: the score does not depend on x2 at this x1")
-    disc = b * b - 4.0 * geom.a2 * c
     if disc < 0.0:
         return []
     roots = _quadratic_roots(geom.a2, b, c, np.sqrt(disc))
@@ -189,23 +191,24 @@ def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
 
 
 def _joint_values(h, x1, params: GaussianParams, geom: ScoreGeometry) -> np.ndarray:
-    """Vectorized branch-sum joint density of (h, x1); 0 outside the support:
-    the class density summed over the x2 roots, divided by the Jacobian
-    sqrt(D).
+    """Vectorized branch-sum joint density of (h, x1); 0 outside the support.
 
     Points exactly on the fold (zero Jacobian) come out as +inf.
     """
-    if geom.kind == "x1_only":
-        raise ContractError("degenerate geometry: the score depends on x1 only")
     h, x1 = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(x1, dtype=float))
-    b = geom.b_at(x1)
-    c = geom.c_at(x1) - h
-    disc = b * b - 4.0 * geom.a2 * c
+    return _branch_sum(x1, geom.x2_quadratic(h, x1), geom.a2, params)
+
+
+def _branch_sum(x1, quadratic, a2: float, params: GaussianParams) -> np.ndarray:
+    """The class density summed over the x2 roots of quadratic = (b, c, D)
+    at each x1, divided by the Jacobian sqrt(D): 0 where D < 0, +inf where
+    D == 0."""
+    b, c, disc = quadratic
     out = np.where(disc == 0.0, np.inf, 0.0)
     inside = disc > 0.0
     if np.any(inside):
         sq = np.sqrt(disc[inside])
-        roots = _quadratic_roots(geom.a2, b[inside], c[inside], sq)
+        roots = _quadratic_roots(a2, b[inside], c[inside], sq)
         # the points (x1, root) of every root as one batch of rows; their
         # densities add in root order
         rows = np.stack([np.tile(x1[inside], len(roots)), np.concatenate(roots)], axis=1)
@@ -220,14 +223,14 @@ def joint_density(h: float, x1: float, label: int, problem: TwoClassProblem) -> 
     below 1e-12) raises :class:`SingularityError`.
     """
     geom = score_geometry(problem)
-    h, x1 = float(h), float(x1)
-    value = float(_joint_values(h, x1, _class_params(problem, label), geom))
-    disc = float(geom.discriminant_at(h, x1))
-    if disc >= 0.0 and np.sqrt(disc) < 1e-12:
+    params = _class_params(problem, label)
+    h, x1 = float(h), np.asarray(float(x1))
+    quadratic = geom.x2_quadratic(h, x1)
+    if quadratic[2] >= 0.0 and np.sqrt(quadratic[2]) < 1e-12:
         raise SingularityError(
-            f"point (h={h:g}, x1={x1:g}) lies on the fold of the score transformation"
+            f"point (h={h:g}, x1={float(x1):g}) lies on the fold of the score transformation"
         )
-    return value
+    return float(_branch_sum(x1, quadratic, geom.a2, params))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +242,11 @@ def joint_density(h: float, x1: float, label: int, problem: TwoClassProblem) -> 
 class SupportSlice:
     """Feasible x1 interval(s) of the support region at a fixed score value.
 
-    ``coeffs`` are (d2, d1, d0) of the x1-quadratic discriminant at this h;
-    intervals are closed and may extend to +-inf for non-parabolic conics.
+    Intervals are closed and may extend to +-inf for non-parabolic conics.
     """
 
     h: float
     intervals: tuple
-    coeffs: tuple
 
     @property
     def is_empty(self) -> bool:
@@ -276,8 +277,7 @@ def support_region(h: float, problem: TwoClassProblem) -> SupportSlice:
     geom = score_geometry(problem)
     h = float(h)
     if geom.kind == "quadratic":
-        d2, d1, d0 = geom.discriminant_coeffs(h)
-        return SupportSlice(h=h, intervals=_quadratic_nonneg_intervals(d2, d1, d0), coeffs=(d2, d1, d0))
+        return SupportSlice(h=h, intervals=_quadratic_nonneg_intervals(*geom.discriminant_coeffs(h)))
     if geom.kind == "linear":
         # Every x1 with a nonzero x2 coefficient carries one branch.
         if geom.b1 == 0.0:
@@ -285,7 +285,7 @@ def support_region(h: float, problem: TwoClassProblem) -> SupportSlice:
         else:
             x_star = -geom.b0 / geom.b1
             intervals = ((-np.inf, x_star), (x_star, np.inf))
-        return SupportSlice(h=h, intervals=intervals, coeffs=(0.0, 0.0, 0.0))
+        return SupportSlice(h=h, intervals=intervals)
     raise ContractError("degenerate geometry: the score depends on x1 only")
 
 
@@ -428,7 +428,7 @@ class DensityGrid:
 
     def integral(self) -> float:
         """Trapezoid integral of the density over the grid."""
-        return float(np.trapezoid(self.density, self.h_values))
+        return float(self._segment_masses().sum())
 
     def _segment_masses(self) -> np.ndarray:
         """Trapezoid mass of each interval between neighbouring grid points."""
@@ -535,7 +535,7 @@ def _level_plan(problem: TwoClassProblem, label: int):
         mu_h, var_h = _moments(alpha, beta, gamma, params)
         sd_h = np.sqrt(var_h)
         norm = sd_h * np.sqrt(2.0 * np.pi)
-        return lambda h: (np.exp(-0.5 * ((h - mu_h) / sd_h) ** 2) / norm, np.zeros_like(h))
+        return lambda h: (_bell((h - mu_h) / sd_h) / norm, np.zeros_like(h))
 
     u, v = squares[0], 1 - squares[0]
     sd = np.sqrt(var)

@@ -234,11 +234,11 @@ def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> 
     return CurveSummary(rows=tuple(rows))
 
 
-def variance_study(config: ExperimentConfig, max_workers: int | None = None) -> CurveSummary:
+def variance_study(config: ExperimentConfig) -> CurveSummary:
     """Learning curve restricted to a single dimensionality.
 
     The interesting column is var_auc_true as a function of n.
     """
     if len(config.dims) != 1:
         raise ContractError(f"variance study needs exactly one dimensionality, got {config.dims}")
-    return learning_curve(config, max_workers=max_workers)
+    return learning_curve(config)

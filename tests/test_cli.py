@@ -418,6 +418,18 @@ class TestMain:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("sigmas", [("[[1,0],[0,1]]", "[[2,0],[0,1]]"), ("[[2,0],[0,1]]", "[[1,0],[0,1]]")])
+    def test_lone_square_density_passes_every_check(self, tmp_path, seed, sigmas):
+        # the score is a lone square term in x1 with its vertex at the class
+        # means, so the most extreme simulated score sits a hair from the
+        # finite support end and its 1/sqrt singularity
+        code = cli.main(
+            ["density", "--out", str(tmp_path), "--no-svg", "--seed", str(seed), "--mu1", "0,0",
+             "--sigma1", sigmas[0], "--mu2", "0,0", "--sigma2", sigmas[1]]
+        )
+        assert code == 0
+
     @pytest.mark.parametrize("eps", [1e-10, 1e-11])
     def test_density_that_breaks_the_ratio_law_exits_3(self, tmp_path, capsys, eps):
         # Nearly equal class-2 variances: the hyperbola's densities lose

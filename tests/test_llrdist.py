@@ -255,6 +255,80 @@ class TestSupportRegion:
         # parabolic level curves reach every score
         assert support_h_range(NEAR_PARABOLA) == (-np.inf, np.inf)
 
+    def assert_support_matches_joint_density(self, problem, h):
+        """joint_density at h is > 0 inside each support interval and 0
+        outside them, a step of 0.1 or more away from every end."""
+        intervals = support_region(h, problem).intervals
+        ends = [end for interval in intervals for end in interval if np.isfinite(end)]
+        for lo, hi in intervals:
+            if np.isfinite(lo) and np.isfinite(hi):
+                inside = lo + (hi - lo) * np.array([0.1, 0.5, 0.9])
+            elif np.isfinite(lo):
+                inside = lo + np.array([0.1, 1.0, 3.0])
+            elif np.isfinite(hi):
+                inside = hi - np.array([0.1, 1.0, 3.0])
+            else:
+                inside = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
+            for x1 in inside:
+                for label in (1, 2):
+                    assert joint_density(h, x1, label, problem) > 0.0, (h, x1, label)
+        outside = [end + step for end in ends for step in (-1.0, -0.1, 0.1, 1.0)]
+        for x1 in outside:
+            if not any(lo <= x1 <= hi for lo, hi in intervals):
+                assert joint_density(h, x1, 1, problem) == 0.0, (h, x1)
+
+    def test_conic_support_matches_joint_density(self, counterexample_problem):
+        for problem, scores in ((counterexample_problem, (-1.0, 0.0, 2.0)), (SADDLE, (-1.0, 1.0))):
+            for h in scores:
+                self.assert_support_matches_joint_density(problem, h)
+
+    def test_linear_score_splits_where_x2_drops_out(self):
+        # equal precision entries [1, 1] but different off-diagonals: a2 = 0
+        # and b1 != 0, so at x* = -b0 / b1 the score does not involve x2
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], np.linalg.inv([[1.0, 0.3], [0.3, 1.0]])),
+            class2=GaussianParams([0.5, -0.5], np.linalg.inv([[1.5, -0.2], [-0.2, 1.0]])),
+        )
+        geom = score_geometry(problem)
+        assert geom.kind == "linear" and geom.b1 != 0.0
+        x_star = -geom.b0 / geom.b1
+        for h in (-1.0, 0.0, 1.0):
+            assert support_region(h, problem).intervals == ((-np.inf, x_star), (x_star, np.inf))
+            self.assert_support_matches_joint_density(problem, h)
+            # the one x1 outside both intervals lies on the fold
+            with pytest.raises(SingularityError):
+                joint_density(h, x_star, 1, problem)
+
+    def test_equal_covariances_support_the_whole_line(self):
+        sigma = [[1.0, 0.3], [0.3, 0.8]]
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], sigma),
+            class2=GaussianParams([0.5, 1.0], sigma),
+        )
+        assert score_geometry(problem).kind == "linear"
+        for h in (-2.0, 0.3, 2.0):
+            assert support_region(h, problem).intervals == ((-np.inf, np.inf),)
+            self.assert_support_matches_joint_density(problem, h)
+
+    @pytest.mark.parametrize(
+        "coeffs, intervals",
+        [
+            ((0.0, 0.0, 1.0), ((-np.inf, np.inf),)),
+            ((0.0, 0.0, 0.0), ((-np.inf, np.inf),)),
+            ((0.0, 0.0, -1.0), ()),
+            ((1.0, 0.0, 1.0), ((-np.inf, np.inf),)),
+            ((-1.0, 0.0, -1.0), ()),
+            ((0.0, 2.0, -1.0), ((0.5, np.inf),)),
+            ((0.0, -2.0, 1.0), ((-np.inf, 0.5),)),
+            ((-1.0, 0.0, 1.0), ((-1.0, 1.0),)),
+            ((1.0, 0.0, -1.0), ((-np.inf, -1.0), (1.0, np.inf))),
+            # roots 0 and -1e-330, which rounds to -0: a double root in floating point
+            ((1e300, 1e-30, 0.0), ((-np.inf, np.inf),)),
+        ],
+    )
+    def test_quadratic_nonneg_intervals_at_exact_coefficients(self, coeffs, intervals):
+        assert llrdist._quadratic_nonneg_intervals(*coeffs) == intervals
+
 
 @st.composite
 def spd_problems(draw):
@@ -670,6 +744,35 @@ class TestTransformProblem:
         np.testing.assert_allclose(diag.lam, [1.0, 1.0], atol=1e-12)
         W = diag.transform
         np.testing.assert_allclose(W @ W.T, np.eye(2), atol=1e-12)
+
+
+@st.composite
+def affine_maps(draw):
+    """(A, t) of a map x -> A x + t, with the entries of A in [-2, 2] and
+    |det A| >= 0.3, so A's condition number stays below about 60."""
+    a = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))).reshape(2, 2)
+    assume(abs(np.linalg.det(a)) >= 0.3)
+    return a, np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+
+
+class TestAffineInvariance:
+    @settings(max_examples=20, deadline=None)
+    @given(affine_maps())
+    def test_score_densities_do_not_move_under_an_affine_map(self, counterexample_problem, equal_cov_problem, amap):
+        # x -> A x + t takes each class to N(A mu + t, A Sigma A') and leaves
+        # the score of every point unchanged, so f(h | class) stays put:
+        # whatever the code does in its own coordinates must cancel
+        a, t = amap
+        for problem in (counterexample_problem, equal_cov_problem, SADDLE, NEAR_PARABOLA):
+            mapped = TwoClassProblem(
+                *(GaussianParams(a @ c.mu + t, a @ c.sigma @ a.T) for c in (problem.class1, problem.class2))
+            )
+            h = default_h_grid(problem, 201)
+            for label in (1, 2):
+                want = marginal_density(h, label, problem).density
+                got = marginal_density(h, label, mapped).density
+                seen = np.isfinite(want) & (want > 1e-6 * want[np.isfinite(want)].max())
+                assert np.abs(got[seen] / want[seen] - 1.0).max() <= 1e-9, (problem, label)
 
 
 # One problem per kind of level curve that marginal_density integrates along.
