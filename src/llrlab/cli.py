@@ -42,26 +42,52 @@ SEED_ENV_VAR = "LLR_LAB_SEED"
 
 _SECTIONS = ("problem", "experiment", "output")
 
+
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _list(item):
+    """Parser of a comma-separated list, optionally bracketed, of ``item``s."""
+
+    def parse(raw: str) -> tuple:
+        return tuple(item(p.strip()) for p in raw.strip("[]").split(",") if p.strip())
+
+    return parse
+
+
+def _matrix(raw: str) -> tuple:
+    arr = np.asarray(ast.literal_eval(raw), dtype=float)
+    if arr.ndim != 2:
+        raise ValueError("expected nested bracketed rows like [[1,.2],[.2,1]]")
+    return tuple(map(tuple, arr.tolist()))
+
+
 #: key -> (section, parser, default)
 _SCHEMA = {
-    "command": ("output", "str", None),
-    "mu1": ("problem", "vector", (2.0, 2.0)),
-    "sigma1": ("problem", "matrix", ((1.0, 0.2), (0.2, 1.0))),
-    "mu2": ("problem", "vector", (1.0, 1.0)),
-    "sigma2": ("problem", "matrix", ((0.3, 0.1), (0.1, 0.3))),
-    "prior1": ("problem", "float", 0.5),
-    "prior2": ("problem", "float", 0.5),
-    "costs": ("problem", "matrix", ((0.0, 1.0), (1.0, 0.0))),
-    "dims": ("experiment", "int_list", _EXPERIMENT.dims),
-    "train_sizes": ("experiment", "int_list", _EXPERIMENT.train_sizes),
-    "n_trials": ("experiment", "int", _EXPERIMENT.n_trials),
-    "test_size": ("experiment", "int", _EXPERIMENT.test_size),
-    "delta_sq": ("experiment", "float", _EXPERIMENT.target_delta_sq),
-    "base_seed": ("experiment", "int", DEFAULT_SEED),
-    "sim_size": ("experiment", "int", 10000),
-    "h_points": ("experiment", "int", 801),
-    "out_dir": ("output", "str", "."),
-    "emit_svg": ("output", "bool", True),
+    "command": ("output", str, None),
+    "mu1": ("problem", _list(float), (2.0, 2.0)),
+    "sigma1": ("problem", _matrix, ((1.0, 0.2), (0.2, 1.0))),
+    "mu2": ("problem", _list(float), (1.0, 1.0)),
+    "sigma2": ("problem", _matrix, ((0.3, 0.1), (0.1, 0.3))),
+    "prior1": ("problem", float, 0.5),
+    "prior2": ("problem", float, 0.5),
+    "costs": ("problem", _matrix, ((0.0, 1.0), (1.0, 0.0))),
+    "dims": ("experiment", _list(int), _EXPERIMENT.dims),
+    "train_sizes": ("experiment", _list(int), _EXPERIMENT.train_sizes),
+    "n_trials": ("experiment", int, _EXPERIMENT.n_trials),
+    "test_size": ("experiment", int, _EXPERIMENT.test_size),
+    "delta_sq": ("experiment", float, _EXPERIMENT.target_delta_sq),
+    "base_seed": ("experiment", int, DEFAULT_SEED),
+    "sim_size": ("experiment", int, 10000),
+    "h_points": ("experiment", int, 801),
+    "out_dir": ("output", str, "."),
+    "emit_svg": ("output", _bool, True),
 }
 
 
@@ -78,39 +104,12 @@ class RunConfig:
     emit_svg: bool
 
 
-def _parse_value(key: str, kind: str, raw: str, line: int | None):
+def _parse_value(key: str, parse, raw: str, line: int | None):
     raw = raw.strip()
     try:
-        if kind == "str":
-            return raw
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int_list":
-            parts = raw.strip("[]").split(",")
-            return tuple(int(p.strip()) for p in parts if p.strip())
-        if kind == "vector":
-            parts = raw.strip("[]").split(",")
-            return tuple(float(p.strip()) for p in parts if p.strip())
-        if kind == "matrix":
-            value = ast.literal_eval(raw)
-            arr = np.asarray(value, dtype=float)
-            if arr.ndim != 2:
-                raise ValueError("expected nested bracketed rows like [[1,.2],[.2,1]]")
-            return tuple(map(tuple, arr.tolist()))
-    except ConfigError:
-        raise
+        return parse(raw)
     except (ValueError, SyntaxError, TypeError) as err:
         raise ConfigError(f"could not parse {key} = {raw!r}: {err}", line=line) from err
-    raise ConfigError(f"unhandled value kind {kind!r} for key {key}", line=line)
 
 
 def _canonical_key(key: str, line: int | None) -> str:
@@ -151,8 +150,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, raw_value = line.partition("=")
         key = _canonical_key(key, lineno)
-        kind = _SCHEMA[key][1]
-        values[key] = _parse_value(key, kind, raw_value, lineno)
+        values[key] = _parse_value(key, _SCHEMA[key][1], raw_value, lineno)
         lines_of[key] = lineno
 
     for key, raw_value in overrides:
@@ -204,6 +202,12 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         ("dims", "train_sizes", "n_trials", "test_size", "delta_sq", "base_seed"),
     )
 
+    if command == "variance-study" and experiment.n_trials < 2:
+        raise ConfigError(
+            f"variance-study needs n_trials >= 2 to estimate a variance, got {experiment.n_trials}",
+            line=lines_of.get("n_trials"),
+        )
+
     if int(values["sim_size"]) < 1 or int(values["h_points"]) < 8:
         raise ConfigError("sim_size must be >= 1 and h_points >= 8")
 
@@ -219,7 +223,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations (each returns {filename: text})
+# Command implementations (each returns {filename: CSV text or PlotSpec})
 # ---------------------------------------------------------------------------
 
 
@@ -228,6 +232,10 @@ def _simulated_scores(config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     x1 = mvn_sample(config.problem.class1, config.sim_size, rng.derive(CLASS1))
     x2 = mvn_sample(config.problem.class2, config.sim_size, rng.derive(CLASS2))
     return llr_scores(x1, config.problem), llr_scores(x2, config.problem)
+
+
+def _simulated_roc(config: RunConfig) -> rocauc.RocCurve:
+    return rocauc.empirical_roc(rocauc.ScoreSet(*_simulated_scores(config)))
 
 
 #: density fails when a class's grid mass is off by more than _MASS_TOL, or
@@ -240,25 +248,15 @@ _MASS_TOL, _KS_ALPHA, _RATIO_TOL, _RATIO_FLOOR = 1e-3, 1e-6, 1e-6, 1e-8
 
 
 def _cmd_density(config: RunConfig) -> dict:
+    """Both class densities on ``default_h_grid(problem, h_points)``, checked
+    against the command's own simulated scores.
+
+    The grid is exactly ``h_points`` points whatever was simulated: in the
+    KS check a score below the grid reads CDF 0 and one above it the grid
+    mass (:func:`llrdist.histogram_vs_analytic`).
+    """
     s1, s2 = _simulated_scores(config)
     grid_h = llrdist.default_h_grid(config.problem, n_points=config.h_points)
-    lo_sup, hi_sup = llrdist.support_h_range(config.problem)
-    lo_needed = float(min(s1.min(), s2.min()))
-    hi_needed = float(max(s1.max(), s2.max()))
-    # one point 1e-9 beyond the extreme score covers it; beside a finite
-    # support end it goes at least one step beyond the end, where every
-    # density is 0, since 1e-9 beyond a score can still fall on the end's
-    # 1/sqrt singularity
-    if lo_needed <= grid_h[0]:
-        lo_pad = lo_needed - 1e-9
-        if np.isfinite(lo_sup):
-            lo_pad = min(lo_pad, np.nextafter(lo_sup, -np.inf))
-        grid_h = np.concatenate([[lo_pad], grid_h])
-    if hi_needed >= grid_h[-1]:
-        hi_pad = hi_needed + 1e-9
-        if np.isfinite(hi_sup):
-            hi_pad = max(hi_pad, np.nextafter(hi_sup, np.inf))
-        grid_h = np.concatenate([grid_h, [hi_pad]])
     g1 = llrdist.marginal_density(grid_h, CLASS1, config.problem)
     g2 = llrdist.marginal_density(grid_h, CLASS2, config.problem)
     ks_bound = np.sqrt(np.log(2.0 / _KS_ALPHA) / (2.0 * config.sim_size))
@@ -283,35 +281,31 @@ def _cmd_density(config: RunConfig) -> dict:
             f"h_points={config.h_points}: the densities break f1 = e^h f2 by {ratio_error:.3g} relative, "
             f"more than {_RATIO_TOL:g}"
         )
-    out = {"density_w1.csv": g1.to_csv(), "density_w2.csv": g2.to_csv()}
-    if config.emit_svg:
-        series = []
-        for grid, hist, name in zip((g1, g2), hists, ("analytic f(h|1)", "analytic f(h|2)")):
-            series.append(svgplot.Series(name=name, x=grid.h_values, y=grid.density))
-            series.append(
-                svgplot.Series(
-                    name=name.replace("analytic", "simulated"),
-                    x=hist.bin_edges,
-                    y=np.append(hist.densities, 0.0),
-                    step=True,
-                )
+    series = []
+    for grid, hist in zip((g1, g2), hists):
+        series.append(svgplot.Series(name=f"analytic f(h|{grid.label})", x=grid.h_values, y=grid.density))
+        series.append(
+            svgplot.Series(
+                name=f"simulated f(h|{grid.label})", x=hist.bin_edges, y=np.append(hist.densities, 0.0), step=True
             )
-        spec = svgplot.PlotSpec(
+        )
+    return {
+        "density_w1.csv": g1.to_csv(),
+        "density_w2.csv": g2.to_csv(),
+        "density.svg": svgplot.PlotSpec(
             title="Score densities: analytic vs simulated",
             x_label="score h (nats)",
             y_label="density",
             series=tuple(series),
-        )
-        out["density.svg"] = svgplot.render_svg(spec)
-    return out
+        ),
+    }
 
 
 def _cmd_roc(config: RunConfig) -> dict:
-    s1, s2 = _simulated_scores(config)
-    curve = rocauc.empirical_roc(rocauc.ScoreSet(s1, s2))
-    out = {"roc.csv": curve.to_csv()}
-    if config.emit_svg:
-        spec = svgplot.PlotSpec(
+    curve = _simulated_roc(config)
+    return {
+        "roc.csv": curve.to_csv(),
+        "roc.svg": svgplot.PlotSpec(
             title=f"Empirical ROC (AUC = {rocauc.trapezoid_auc(curve):.4f})",
             x_label="false positive fraction",
             y_label="true positive fraction",
@@ -319,25 +313,21 @@ def _cmd_roc(config: RunConfig) -> dict:
                 svgplot.Series(name="ROC", x=curve.fpf, y=curve.tpf),
                 svgplot.Series(name="chance", x=(0.0, 1.0), y=(0.0, 1.0)),
             ),
-        )
-        out["roc.svg"] = svgplot.render_svg(spec)
-    return out
+        ),
+    }
 
 
 def _cmd_normal_deviate(config: RunConfig) -> dict:
-    s1, s2 = _simulated_scores(config)
-    curve = rocauc.empirical_roc(rocauc.ScoreSet(s1, s2))
+    curve = _simulated_roc(config)
     fit = rocauc.normal_deviate_fit(curve)
     mask = (curve.fpf > 0) & (curve.fpf < 1) & (curve.tpf > 0) & (curve.tpf < 1)
     zx = std_normal_quantile_array(curve.fpf[mask])
     zy = std_normal_quantile_array(curve.tpf[mask])
-    out = {
+    line_y = (fit.a + fit.b * zx[0], fit.a + fit.b * zx[-1])
+    return {
         "deviate_points.csv": csv_text(("z_fpf", "z_tpf"), (zx, zy)),
         "binormal_fit.csv": csv_text(("a", "b", "residual"), ([fit.a], [fit.b], [fit.residual])),
-    }
-    if config.emit_svg:
-        line_y = (fit.a + fit.b * zx[0], fit.a + fit.b * zx[-1])
-        spec = svgplot.PlotSpec(
+        "deviate.svg": svgplot.PlotSpec(
             title=f"Normal-deviate plot (a={fit.a:.3f}, b={fit.b:.3f}, rms={fit.residual:.4f})",
             x_label="normal deviate of FPF",
             y_label="normal deviate of TPF",
@@ -345,38 +335,36 @@ def _cmd_normal_deviate(config: RunConfig) -> dict:
                 svgplot.Series(name="deviate points", x=zx, y=zy),
                 svgplot.Series(name="least-squares line", x=(zx[0], zx[-1]), y=line_y),
             ),
-        )
-        out["deviate.svg"] = svgplot.render_svg(spec)
-    return out
+        ),
+    }
 
 
 def _cmd_learning_curve(config: RunConfig) -> dict:
     summary = mcharness.learning_curve(config.experiment)
-    out = {"learning_curve.csv": summary.to_csv()}
-    if config.emit_svg:
-        series = []
-        for p in config.experiment.dims:
-            rows = [r for r in summary.rows if r.p == p]
-            xs = tuple(1.0 / r.n for r in rows)
-            series.append(svgplot.Series(name=f"ts p={p}", x=xs, y=tuple(r.mean_auc_true for r in rows)))
-            series.append(svgplot.Series(name=f"tr p={p}", x=xs, y=tuple(r.mean_auc_apparent for r in rows)))
-        spec = svgplot.PlotSpec(
+    series = []
+    for p in config.experiment.dims:
+        rows = [r for r in summary.rows if r.p == p]
+        xs = tuple(1.0 / r.n for r in rows)
+        series.append(svgplot.Series(name=f"ts p={p}", x=xs, y=tuple(r.mean_auc_true for r in rows)))
+        series.append(svgplot.Series(name=f"tr p={p}", x=xs, y=tuple(r.mean_auc_apparent for r in rows)))
+    return {
+        "learning_curve.csv": summary.to_csv(),
+        "learning_curve.svg": svgplot.PlotSpec(
             title="Mean AUC vs 1/n",
             x_label="1 / training size",
             y_label="mean AUC",
             series=tuple(series),
-        )
-        out["learning_curve.svg"] = svgplot.render_svg(spec)
-    return out
+        ),
+    }
 
 
 def _cmd_variance_study(config: RunConfig) -> dict:
     summary = mcharness.variance_study(config.experiment)
-    out = {"variance_study.csv": summary.to_csv()}
-    if config.emit_svg:
-        # every row has the study's one dimensionality
-        (p,) = config.experiment.dims
-        spec = svgplot.PlotSpec(
+    # every row has the study's one dimensionality
+    (p,) = config.experiment.dims
+    return {
+        "variance_study.csv": summary.to_csv(),
+        "variance_study.svg": svgplot.PlotSpec(
             title="AUC variance vs training size",
             x_label="training size per class",
             y_label="variance of true AUC",
@@ -387,9 +375,8 @@ def _cmd_variance_study(config: RunConfig) -> dict:
                     y=tuple(r.var_auc_true for r in summary.rows),
                 ),
             ),
-        )
-        out["variance_study.svg"] = svgplot.render_svg(spec)
-    return out
+        ),
+    }
 
 
 def _cmd_simulate(config: RunConfig) -> dict:
@@ -411,10 +398,17 @@ _RUNNERS = {
 def run_command(config: RunConfig) -> list[Path]:
     """Execute the configured command and write its output files.
 
-    Files are materialized only after the command finishes; if any write
+    The plots are dropped when ``emit_svg`` is false, else rendered; files
+    are materialized only after every one is rendered, and if any write
     fails, already-written files from this run are removed.
     """
-    files = _RUNNERS[config.command](config)
+    files = {}
+    for name, body in _RUNNERS[config.command](config).items():
+        if isinstance(body, svgplot.PlotSpec):
+            if not config.emit_svg:
+                continue
+            body = svgplot.render_svg(body)
+        files[name] = body
     config.out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     try:

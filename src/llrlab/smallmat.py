@@ -14,6 +14,8 @@ from .errors import ConditioningError, ContractError, DecompositionError, Domain
 
 #: Condition-number estimate above which a matrix is treated as singular.
 CONDITION_LIMIT = 1e12
+#: Relative asymmetry max|S - S^T| / max|S| above which a matrix is rejected.
+SYMMETRY_RTOL = 1e-12
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -38,14 +40,14 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_symmetric(S, name: str = "matrix", rtol: float = 1e-12) -> np.ndarray:
-    """Validate that S is square and symmetric within a relative tolerance."""
+def require_symmetric(S, name: str = "matrix") -> np.ndarray:
+    """Validate that S is square and symmetric within SYMMETRY_RTOL."""
     arr = as_matrix(S, name)
     if arr.shape[0] != arr.shape[1]:
         raise ContractError(f"{name} must be square, got shape {arr.shape}")
     scale = np.abs(arr).max()
-    if scale > 0 and np.abs(arr - arr.T).max() > rtol * scale:
-        raise ContractError(f"{name} is not symmetric within relative tolerance {rtol:g}")
+    if scale > 0 and np.abs(arr - arr.T).max() > SYMMETRY_RTOL * scale:
+        raise ContractError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     return arr
 
 

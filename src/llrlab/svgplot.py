@@ -20,6 +20,8 @@ from .errors import ContractError
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 62, 16, 34, 46
 
+TICK_TARGET = 6  # about this many ticks per axis
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 
@@ -58,11 +60,11 @@ class PlotSpec:
             raise ContractError("a plot needs at least one series")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions via the 1-2-5 ladder over lo < hi."""
     # On an axis a few subnormals wide, the raw step or its power of ten
     # underflows to 0; the smallest positive float is then the only step left.
-    raw = max((hi - lo) / target, math.ulp(0.0))
+    raw = max((hi - lo) / TICK_TARGET, math.ulp(0.0))
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

@@ -79,6 +79,26 @@ class TestParseConfig:
         cfg = cli.parse_config("dims = 5\n", [("command", "variance-study")])
         assert cfg.experiment.dims == (5,)
 
+    def test_variance_study_needs_two_trials(self):
+        with pytest.raises(ConfigError, match=r"line 2: variance-study needs n_trials >= 2"):
+            cli.parse_config("[experiment]\nn_trials = 1\n", [("command", "variance-study")])
+        # one trial is a valid learning curve: its variances are nan
+        assert cli.parse_config("n_trials = 1\n", [("command", "learning-curve")]).experiment.n_trials == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        ["n_trials = 3.5", "prior1 = half", "emit_svg = maybe", "dims = 3, x", "mu1 = 1, two",
+         "sigma1 = [[1, 0.2], [0.2]"],
+        ids=["int", "float", "bool", "int list", "float list", "matrix"],
+    )
+    def test_malformed_value_exits_2_citing_key_and_line(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# one malformed value\n{line}\n")
+        assert cli.main(["variance-study", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        key = line.partition(" = ")[0]
+        assert f"config error: line 2: could not parse {key} = " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bool_values(self):
         cfg = cli.parse_config("emit_svg = false\n", [("command", "roc")])
         assert cfg.emit_svg is False
@@ -423,12 +443,17 @@ class TestMain:
     def test_lone_square_density_passes_every_check(self, tmp_path, seed, sigmas):
         # the score is a lone square term in x1 with its vertex at the class
         # means, so the most extreme simulated score sits a hair from the
-        # finite support end and its 1/sqrt singularity
+        # finite support end and its 1/sqrt singularity; the written grid is
+        # the default grid alone, whose mass is off by about 2e-5
         code = cli.main(
             ["density", "--out", str(tmp_path), "--no-svg", "--seed", str(seed), "--mu1", "0,0",
              "--sigma1", sigmas[0], "--mu2", "0,0", "--sigma2", sigmas[1]]
         )
         assert code == 0
+        for name in ("density_w1.csv", "density_w2.csv"):
+            data = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+            assert data.shape[0] == 801
+            assert np.trapezoid(data[:, 1], data[:, 0]) == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-11])
     def test_density_that_breaks_the_ratio_law_exits_3(self, tmp_path, capsys, eps):
@@ -503,6 +528,15 @@ class TestMain:
     def test_override_without_value_is_config_error(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--sim_size"]) == 2
 
+    def test_variance_study_with_one_trial_exits_2(self, tmp_path, capsys):
+        # a one-trial variance is nan, which the CSV could write but no plot can draw
+        for flags in ([], ["--no-svg"]):
+            argv = ["variance-study", "--out", str(tmp_path), "--n_trials", "1", "--train_sizes", "20,50",
+                    "--test_size", "100"]
+            assert cli.main(argv + flags) == 2
+            assert "n_trials >= 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_svg_flag(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--no-svg", "--sim_size", "500"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["roc.csv"]
@@ -563,12 +597,13 @@ class TestMain:
     def test_output_bytes_match_golden_digests(self, tmp_path, command, digests):
         # Scores and densities are written at 17 digits, so any change to the
         # scoring or density quadrature arithmetic shows here; every CSV and
-        # SVG emitter is pinned.
-        assert cli.main(command.split() + ["--seed", "2", "--sim_size", "200", "--out", str(tmp_path)]) == 0
-        written = {
-            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()
-        }
-        assert written == digests
+        # SVG emitter is pinned.  --no-svg writes the same CSVs and no SVG.
+        csv_only = {name: digest for name, digest in digests.items() if not name.endswith(".svg")}
+        for flags, expected in (([], digests), (["--no-svg"], csv_only)):
+            out = tmp_path / "-".join(["run", *flags])
+            assert cli.main(command.split() + ["--seed", "2", "--sim_size", "200", "--out", str(out)] + flags) == 0
+            written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+            assert written == expected
 
     def test_simulate_schema(self, tmp_path):
         assert cli.main(["simulate", "--out", str(tmp_path), "--sim_size", "20"]) == 0

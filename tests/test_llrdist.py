@@ -1066,11 +1066,14 @@ class TestHistogramVsAnalytic:
             with pytest.raises(ContractError, match="finite"):
                 histogram_vs_analytic(np.array([0.5, bad, 1.0]), grid)
 
-    def test_coverage_error(self, counterexample_problem):
-        grid_h = np.linspace(0.0, 1.0, 64)
-        grid = marginal_density(grid_h, 2, counterexample_problem)
-        with pytest.raises(ContractError):
-            histogram_vs_analytic(np.array([-1.0, 0.5, 2.0]), grid)
+    def test_scores_beyond_the_grid_read_cdf_0_below_and_the_grid_mass_above(self, counterexample_problem):
+        grid = marginal_density(np.linspace(0.0, 1.0, 64), 2, counterexample_problem)
+        s = np.array([-1.0, 0.5, 2.0])
+        cdf = np.interp(s, grid.h_values, grid.cdf_values(), left=0.0)
+        assert cdf[0] == 0.0 and cdf[2] == pytest.approx(grid.integral(), rel=1e-15) and cdf[2] < 0.9
+        ks, _ = histogram_vs_analytic(s, grid)
+        ecdf = np.arange(4) / 3
+        assert ks == np.max(np.maximum(np.abs(cdf - ecdf[1:]), np.abs(cdf - ecdf[:-1])))
 
     def test_freedman_diaconis_clamp(self):
         rng = np.random.default_rng(1)
