@@ -82,7 +82,11 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class CurveRow:
-    """Across-trial summary at one (dimensionality, training size) cell."""
+    """Across-trial summary at one (dimensionality, training size) cell.
+
+    retries is the sum of the trials' TrialResult.attempt: the fits retried
+    on a fresh sub-stream over the whole cell.  It is not written to CSV.
+    """
 
     p: int
     n: int
@@ -91,6 +95,7 @@ class CurveRow:
     var_auc_true: float
     var_auc_apparent: float
     n_trials: int
+    retries: int = 0
 
 
 @dataclass(frozen=True)
@@ -207,6 +212,7 @@ def _summarize(p: int, n: int, results: list[TrialResult]) -> CurveRow:
         var_auc_true=var_true,
         var_auc_apparent=var_app,
         n_trials=len(results),
+        retries=sum(r.attempt for r in results),
     )
 
 

@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llrlab import csvio
 from llrlab.csvio import csv_text
 from llrlab.errors import ContractError
 
@@ -72,3 +74,103 @@ class TestCsvText:
     def test_no_columns_rejected(self):
         with pytest.raises(ContractError):
             csv_text((), ())
+
+
+def fields(column):
+    """Each value of a column formatted on its own, as csv_text must write it."""
+    column = np.asarray(column)
+    fmt = "%d" if column.dtype.kind in "iu" else "%.17g"
+    return [fmt % v for v in column.tolist()]
+
+
+def assert_each_value_formatted_alone(*columns):
+    header = tuple(f"c{j}" for j in range(len(columns)))
+    got = csv_text(header, columns).split("\n")
+    want = per_value_oracle(header, zip(*(fields(c) for c in columns))).split("\n")
+    # Line by line, so a failure names the first wrong lines instead of diffing megabytes.
+    assert [(g, w) for g, w in zip(got, want) if g != w][:5] == [] and len(got) == len(want)
+
+
+def around(x, ulps=2):
+    """x and its neighbours up to `ulps` representable steps away, both signs."""
+    near = [x]
+    for direction in (np.inf, -np.inf):
+        v = x
+        for _ in range(ulps):
+            v = np.nextafter(v, direction)
+            near.append(v)
+    return np.array(near + [-v for v in near])
+
+
+class TestByteIdentityCorpus:
+    """csv_text against a per-value %.17g / %d on the inputs where a fast
+    formatter would go wrong."""
+
+    @pytest.mark.parametrize("n", [7, 10000, 10001])
+    def test_every_roc_fraction(self, n):
+        k = np.arange(n + 1)
+        assert_each_value_formatted_alone(k / n, (n - k) / n)
+
+    def test_neighbours_of_powers_of_ten_and_window_edges(self):
+        values = np.concatenate([around(float(f"1e{k}")) for k in range(-6, 18)])
+        assert_each_value_formatted_alone(values)
+        assert_each_value_formatted_alone(np.concatenate([around(1e-4, 40), around(1e15, 40)]))
+
+    def test_exact_ties_at_the_seventeenth_digit_round_half_even(self):
+        assert csv_text(("t",), ([12345678901234.5625, -12345678901234.5625],)) == (
+            "t\n12345678901234.562\n-12345678901234.562\n")
+        rng = np.random.default_rng(20)
+        ties = []
+        # A d-digit integer plus odd/2^(18-d) has 18 significant digits, the last a 5.
+        for digits in range(10, 15):
+            base = rng.integers(10 ** (digits - 1), 10**digits, 40)
+            odd = np.arange(1, 2 ** (19 - digits), 2)[: base.size]
+            ties.append(base[: odd.size] + odd / 2.0 ** (18 - digits))
+        ties = np.concatenate(ties)
+        assert_each_value_formatted_alone(np.concatenate([ties, -ties, ties / 1e3, ties / 1e9]))
+
+    def test_random_mantissas_at_every_binary_exponent(self):
+        rng = np.random.default_rng(21)
+        biased = np.repeat(np.arange(2047, dtype=np.uint64), 6)  # 0 is the subnormals
+        mantissa = rng.integers(0, 2**52, biased.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, biased.size, dtype=np.uint64)
+        values = ((sign << np.uint64(63)) | (biased << np.uint64(52)) | mantissa).view(np.float64)
+        assert_each_value_formatted_alone(values, values[::-1])
+
+    def test_signed_zeros_infinities_and_nan(self):
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0])
+        assert_each_value_formatted_alone(specials)
+        assert csv_text(("v",), (specials,)) == "v\n0\n-0\ninf\n-inf\nnan\n1\n-1\n"
+
+    def test_integer_extremes_bool_and_object_columns(self):
+        info = np.iinfo(np.int64)
+        powers = 10 ** np.arange(19, dtype=np.int64)
+        extremes = [info.min, info.min + 1, info.max, 0, 1, -1]
+        assert_each_value_formatted_alone(np.concatenate([extremes, powers, powers - 1, -powers, 1 - powers]))
+        unsigned = np.array([2**63, 2**63 + 1, 10**19, 2**64 - 1, 0, 9], dtype=np.uint64)
+        assert_each_value_formatted_alone(unsigned)
+        assert csv_text(("b", "u"), (np.array([True, False]), np.array([2**64 - 1, 7], dtype=np.uint64))) == (
+            "b,u\n1,18446744073709551615\n0,7\n")
+        objects = np.array([1.5, 3, 10**20, -0.0, 2.5e-7, float("nan")], dtype=object)
+        assert_each_value_formatted_alone(objects, np.arange(6), objects[::-1])
+
+    def test_narrow_float_columns_are_written_as_their_doubles(self):
+        for dtype in (np.float16, np.float32):
+            column = np.array([0.1, -2.5, 1e-5, 3e4, 0.0], dtype=dtype)
+            assert csv_text(("v",), (column,)) == "v\n" + "".join("%.17g\n" % float(v) for v in column)
+
+    def test_zero_rows_and_a_table_of_several_row_blocks(self):
+        assert csv_text(("a", "b"), (np.array([], dtype=np.int64), np.array([]))) == "a,b\n"
+        rng = np.random.default_rng(22)
+        n = 3 * csvio._BLOCK + 17
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 18, n)
+        x[rng.integers(0, n, 50)] = np.nan
+        y = rng.random(n)
+        y[::1000] = 0.0
+        labels = rng.integers(-5, 5, n)
+        assert_each_value_formatted_alone(x, labels, y, np.array(y, dtype=object))
+
+    def test_powers_of_ten_table_is_exact(self):
+        # Each entry must be the smallest double >= its power of ten.
+        for k, value in zip(range(-5, 17), csvio._POW10):
+            assert Fraction(float(value)) >= Fraction(10) ** k > Fraction(float(np.nextafter(value, 0)))

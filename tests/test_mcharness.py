@@ -138,6 +138,22 @@ class TestLearningCurve:
         trial = run_trial(2, 10, calibrate_c(2, 0.8), 30, cfg.rng().derive(2, 10, 0))
         assert row.mean_auc_true == trial.auc_true
 
+    def test_cell_counts_its_retried_fits(self, monkeypatch):
+        real = mcharness.estimate_params
+        calls = []
+
+        def fails_first_fit(samples):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ConditioningError("forced failure")
+            return real(samples)
+
+        monkeypatch.setattr(mcharness, "estimate_params", fails_first_fit)
+        summary = learning_curve(ExperimentConfig(**SMALL))
+        assert [r.retries for r in summary.rows] == [1, 0, 0, 0]
+        # Positional construction without the count still works.
+        assert mcharness.CurveRow(2, 8, 0.5, 0.5, 0.0, 0.0, 1).retries == 0
+
     def test_csv_bytes_match_golden_digest(self):
         # Pinned from the row-major scoring kernel's output: a faster trial must
         # not move a single output bit.
