@@ -8,11 +8,15 @@ both the training sample itself (apparent AUC) and a fresh pseudo-infinite
 test sample (true AUC).
 
 Every trial draws from its own stream derived from (base_seed, p, n, trial),
-so a cell's rows do not depend on which other cells run in the same call.
+so a cell's rows do not depend on which other cells run in the same call,
+nor on which process runs each trial.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -216,27 +220,108 @@ def _summarize(p: int, n: int, results: list[TrialResult]) -> CurveRow:
     )
 
 
+def _run_slice(config: ExperimentConfig, tasks: list) -> list[TrialResult]:
+    """Run (p, n, c, trial) tasks in order; an error names its trial."""
+    base = config.rng()
+    results = []
+    for p, n, c, t in tasks:
+        try:
+            results.append(run_trial(p, n, c, config.test_size, base.derive(p, n, t)))
+        except LlrLabError as err:
+            raise type(err)(f"trial (p={p}, n={n}, trial={t}) failed: {err}") from err
+    return results
+
+
+def _report_slice(config: ExperimentConfig, tasks: list, pipe_fd: int):
+    """Body of a forked worker: run the slice, pickle its results or its
+    error down the pipe, and end the process without returning."""
+    code = 1
+    try:
+        try:
+            outcome = (True, _run_slice(config, tasks))
+        except Exception as err:  # every failure is reported to the caller
+            outcome = (False, err)
+        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_tasks(config: ExperimentConfig, tasks: list, workers: int) -> list[TrialResult]:
+    """Results of every task, in task order.
+
+    Process k runs tasks[k::workers]: the caller is process 0, and the
+    others are forked from it and send their results back over a pipe.  On
+    any error or interrupt the children are killed; every child is reaped
+    before this returns or raises.
+    """
+    results = [None] * len(tasks)
+    children = []  # (pid, read end of its pipe)
+    finished = False
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _report_slice(config, tasks[k::workers], write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results[0::workers] = _run_slice(config, tasks[0::workers])
+        for k, (pid, read_fd) in enumerate(children, 1):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise LlrLabError(f"trial worker process {pid} ended without reporting")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            results[k::workers] = payload
+        finished = True
+    finally:
+        for pid, read_fd in children:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    return results
+
+
 def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> CurveSummary:
     """Mean and variance of true and apparent AUC over the whole grid.
 
-    Trials run one after another in (p, n, trial) order.  max_workers is
-    still accepted and must be at least 1, but it does not change how the
-    trials run.
+    The grid's trials are dealt round-robin, in (p, n, trial) order, over
+    min(max_workers, usable cores, trials) processes: the caller and
+    children forked from it, so call it from a single-threaded process or
+    pass max_workers=1.  max_workers=None uses every usable core; 1, or a
+    platform without os.fork, runs every trial in the caller.  Each trial
+    draws from its own stream, so the result does not depend on
+    max_workers, bit for bit.
     """
     if max_workers is not None and max_workers < 1:
         raise ContractError(f"max_workers must be at least 1, got {max_workers}")
-    base = config.rng()
-    rows = []
-    for p in sorted(config.dims):
-        c = calibrate_c(p, config.target_delta_sq)
-        for n in sorted(config.train_sizes):
-            results = []
-            for t in range(config.n_trials):
-                try:
-                    results.append(run_trial(p, n, c, config.test_size, base.derive(p, n, t)))
-                except LlrLabError as err:
-                    raise type(err)(f"trial (p={p}, n={n}, trial={t}) failed: {err}") from err
-            rows.append(_summarize(p, n, results))
+    cells = [(p, n) for p in sorted(config.dims) for n in sorted(config.train_sizes)]
+    offsets = {p: calibrate_c(p, config.target_delta_sq) for p in config.dims}
+    tasks = [(p, n, offsets[p], t) for p, n in cells for t in range(config.n_trials)]
+    if not hasattr(os, "fork"):
+        cores = 1
+    elif hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    results = _run_tasks(config, tasks, min(max_workers or cores, cores, len(tasks)))
+    per_cell = config.n_trials
+    rows = [
+        _summarize(p, n, results[i * per_cell : (i + 1) * per_cell])
+        for i, (p, n) in enumerate(cells)
+    ]
     return CurveSummary(rows=tuple(rows))
 
 

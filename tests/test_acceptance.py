@@ -206,11 +206,10 @@ def test_criterion_7_learning_curves(curve_config, curve_run):
 
 def test_criterion_8_determinism_including_parallel(curve_config, curve_run):
     with report("8 (bitwise determinism, serial and parallel)"):
-        baseline = curve_run.to_csv()
-        repeat = L.learning_curve(curve_config).to_csv()
-        parallel = L.learning_curve(curve_config, max_workers=4).to_csv()
-        assert repeat.encode() == baseline.encode()
-        assert parallel.encode() == baseline.encode()
+        serial = L.learning_curve(curve_config, max_workers=1).to_csv()
+        two = L.learning_curve(curve_config, max_workers=2).to_csv()
+        assert two.encode() == serial.encode()
+        assert curve_run.to_csv().encode() == serial.encode()
 
 
 def test_criterion_9_diagonalization_invariance(problem, marginal_grids):

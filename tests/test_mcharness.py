@@ -1,4 +1,5 @@
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -122,6 +123,7 @@ class TestRunTrial:
 
 
 SMALL = dict(dims=(2, 3), train_sizes=(8, 25), n_trials=6, test_size=40, base_seed=77)
+CORES = len(os.sched_getaffinity(0))
 
 
 class TestLearningCurve:
@@ -139,18 +141,23 @@ class TestLearningCurve:
         assert row.mean_auc_true == trial.auc_true
 
     def test_cell_counts_its_retried_fits(self, monkeypatch):
+        # Fail the fit of trial 0's first training sample in cell (2, 8),
+        # whichever process runs it; its retry draws a different sample.
+        cfg = ExperimentConfig(**SMALL)
+        population = mcharness.population(2, calibrate_c(2, cfg.target_delta_sq))
+        stream = cfg.rng().derive(2, 8, 0).derive(mcharness._ROLE_TRAIN1, 0)
+        doomed = mcharness.mvn_sample(population.class1, 8, stream)
         real = mcharness.estimate_params
-        calls = []
 
-        def fails_first_fit(samples):
-            calls.append(1)
-            if len(calls) == 1:
+        def fails_one_fit(samples):
+            if samples.shape == doomed.shape and np.array_equal(samples, doomed):
                 raise ConditioningError("forced failure")
             return real(samples)
 
-        monkeypatch.setattr(mcharness, "estimate_params", fails_first_fit)
-        summary = learning_curve(ExperimentConfig(**SMALL))
-        assert [r.retries for r in summary.rows] == [1, 0, 0, 0]
+        monkeypatch.setattr(mcharness, "estimate_params", fails_one_fit)
+        for workers in (1, 2, None):
+            summary = learning_curve(cfg, max_workers=workers)
+            assert [r.retries for r in summary.rows] == [1, 0, 0, 0], workers
         # Positional construction without the count still works.
         assert mcharness.CurveRow(2, 8, 0.5, 0.5, 0.0, 0.0, 1).retries == 0
 
@@ -165,9 +172,79 @@ class TestLearningCurve:
 
     def test_parallel_schedule_is_bitwise_identical(self):
         cfg = ExperimentConfig(**SMALL)
-        serial = learning_curve(cfg)
-        parallel = learning_curve(cfg, max_workers=4)
-        assert serial.to_csv() == parallel.to_csv()
+        serial = learning_curve(cfg, max_workers=1).to_csv()
+        assert learning_curve(cfg, max_workers=2).to_csv() == serial
+        assert learning_curve(cfg).to_csv() == serial
+
+    @pytest.mark.skipif(CORES < 2, reason="needs two usable cores to fork")
+    @pytest.mark.parametrize(
+        "failing_trial, error",
+        [(None, None), (0, ConditioningError), (1, ConditioningError), (0, KeyboardInterrupt)],
+    )
+    def test_errors_surface_and_children_are_reaped(self, failing_trial, error, monkeypatch):
+        # At two workers the caller runs trials 0, 2, 4 and the child 1, 3, 5.
+        cfg = ExperimentConfig(dims=(2,), train_sizes=(8,), n_trials=6, test_size=40, base_seed=77)
+        doomed = None if failing_trial is None else cfg.rng().derive(2, 8, failing_trial)
+        real_trial = mcharness.run_trial
+
+        def fails_one_trial(p, n, c, test_size, rng):
+            if rng == doomed:
+                raise error("forced failure")
+            return real_trial(p, n, c, test_size, rng)
+
+        forks = []
+        real_fork = os.fork
+
+        def recorded_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(mcharness, "run_trial", fails_one_trial)
+        monkeypatch.setattr(mcharness.os, "fork", recorded_fork)
+        if error is None:
+            assert learning_curve(cfg, max_workers=2).rows[0].n_trials == 6
+        else:
+            match = "forced failure"
+            if error is ConditioningError:
+                match = rf"trial \(p=2, n=8, trial={failing_trial}\) failed: " + match
+            with pytest.raises(error, match=match):
+                learning_curve(cfg, max_workers=2)
+        assert len(forks) == 1
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_without_fork_every_trial_runs_in_the_caller(self, monkeypatch):
+        cfg = ExperimentConfig(**SMALL)
+        serial = learning_curve(cfg, max_workers=1).to_csv()
+        monkeypatch.delattr(mcharness.os, "fork")
+        assert learning_curve(cfg).to_csv() == serial
+
+    @pytest.mark.parametrize(
+        "config, workers, allowed",
+        [
+            # SMALL has 24 trials: at most one process each
+            (SMALL, 64, min(CORES, 24) - 1),
+            (dict(SMALL, dims=(2,), train_sizes=(8,), n_trials=1), None, 0),
+            (SMALL, 1, 0),
+        ],
+    )
+    def test_process_cap(self, config, workers, allowed, monkeypatch):
+        forks = []
+        real_fork = os.fork
+
+        def capped_fork():
+            forks.append(1)
+            if len(forks) > allowed:
+                raise AssertionError(f"fork {len(forks)} exceeds the cap of {allowed}")
+            return real_fork()
+
+        monkeypatch.setattr(mcharness.os, "fork", capped_fork)
+        summary = learning_curve(ExperimentConfig(**config), max_workers=workers)
+        assert all(r.n_trials == config["n_trials"] for r in summary.rows)
+        assert len(forks) == allowed
 
     def test_bias_and_dimensionality_direction_moderate_scale(self):
         cfg = ExperimentConfig(
