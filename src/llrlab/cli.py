@@ -31,7 +31,7 @@ from .bayesllr import CLASS1, CLASS2, TwoClassProblem, llr_scores
 from .csvio import csv_text
 from .errors import ConfigError, InsufficientDataError, LlrLabError
 from .gaussmodel import GaussianParams, SeededRng, mvn_sample
-from .smallmat import std_normal_quantile_array
+from .smallmat import std_normal_quantile_array  # noqa: F401  (bench/tracing.py hooks this name here)
 
 COMMANDS = ("density", "roc", "normal-deviate", "learning-curve", "variance-study", "simulate")
 
@@ -320,9 +320,7 @@ def _cmd_roc(config: RunConfig) -> dict:
 def _cmd_normal_deviate(config: RunConfig) -> dict:
     curve = _simulated_roc(config)
     fit = rocauc.normal_deviate_fit(curve)
-    mask = (curve.fpf > 0) & (curve.fpf < 1) & (curve.tpf > 0) & (curve.tpf < 1)
-    zx = std_normal_quantile_array(curve.fpf[mask])
-    zy = std_normal_quantile_array(curve.tpf[mask])
+    zx, zy = fit.z_fpf, fit.z_tpf
     line_y = (fit.a + fit.b * zx[0], fit.a + fit.b * zx[-1])
     return {
         "deviate_points.csv": csv_text(("z_fpf", "z_tpf"), (zx, zy)),

@@ -11,7 +11,7 @@ Tie conventions, fixed throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,12 +131,15 @@ class BinormalFit:
 
     ``a`` is the intercept, ``b`` the slope; ``residual`` is the RMS
     deviation of the deviate points from the line (0 for an exact fit).
-    A proper fit has b > 0.
+    A proper fit has b > 0.  ``z_fpf`` and ``z_tpf`` are the deviate
+    points the line was fitted to, read-only.
     """
 
     a: float
     b: float
     residual: float
+    z_fpf: np.ndarray = field(repr=False, compare=False)
+    z_tpf: np.ndarray = field(repr=False, compare=False)
 
 
 def _win_tie_counts(s1: np.ndarray, s2: np.ndarray) -> tuple[int, int]:
@@ -240,7 +243,8 @@ def normal_deviate_fit(curve: RocCurve) -> BinormalFit:
     """Least-squares line through the curve's interior points in deviate space.
 
     Points with FPF or TPF at exactly 0 or 1 have no finite deviate and are
-    excluded; at least three usable points are required.
+    excluded; at least three usable points are required, at two or more
+    distinct FPFs (a vertical line has no least-squares slope).
     """
     mask = (curve.fpf > 0.0) & (curve.fpf < 1.0) & (curve.tpf > 0.0) & (curve.tpf < 1.0)
     if np.count_nonzero(mask) < 3:
@@ -249,9 +253,14 @@ def normal_deviate_fit(curve: RocCurve) -> BinormalFit:
         )
     x = smallmat.std_normal_quantile_array(curve.fpf[mask])
     y = smallmat.std_normal_quantile_array(curve.tpf[mask])
+    if x.min() == x.max():
+        raise InsufficientDataError(
+            f"normal-deviate fit needs >= 2 distinct interior FPFs, all are {curve.fpf[mask][0]!r}"
+        )
     b, a = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (a + b * x)) ** 2)))
-    return BinormalFit(a=float(a), b=float(b), residual=residual)
+    x.flags.writeable = y.flags.writeable = False
+    return BinormalFit(a=float(a), b=float(b), residual=residual, z_fpf=x, z_tpf=y)
 
 
 def auc_probability_identity_check(scores: ScoreSet) -> tuple[float, float]:

@@ -3,8 +3,18 @@
 Byte-identical output for identical input: fixed canvas, fixed palette,
 fixed number formatting, no timestamps and no randomness.  A series keeps
 its points as read-only float64 arrays; the axis limits and the polyline
-coordinates are computed on those arrays, and each polyline is written by
-one % call.
+coordinates are computed on those arrays.
+
+Each polyline's coordinates are written as ``%.2f`` writes them, by an
+integer kernel over the whole array.  Every pixel coordinate lies in
+[34, 624]: the axis limits enclose every series, and IEEE subtraction and
+division are monotone, so each (v - lo) / (hi - lo) lies in [0, 1].  The
+kernel takes the window 1 <= v < 1000: with v = m 2^(e-53) from frexp,
+100 v = 25 m / 2^(51-e) and 25 m < 2^58, so one int64 product and shift
+give the hundredths, rounded half-even as %.2f rounds them.  Each
+coordinate fills one little-endian word of ASCII bytes: csvio's digits of
+the whole part with its leading zeros cleared to NUL, the point, two
+digits and a separator.  One ``bytes.translate`` drops the NULs.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .csvio import _QUAD, _QUAD_LEAD, _U64
 from .errors import ContractError
 
 WIDTH, HEIGHT = 640, 440
@@ -85,6 +96,28 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 
 def _fmt(v: float) -> str:
     return format(v, ".6g")
+
+
+#: The byte after an x coordinate and after a y coordinate, in the top byte.
+_SEP = np.array([ord(","), ord(" ")], dtype=_U64) << np.uint64(56)
+_POINT = np.uint64(ord(".")) << np.uint64(32)
+
+
+def _points(xy) -> str:
+    """'x,y x,y ...' of the (n, 2) coordinates xy, each as %.2f writes it.
+    Every coordinate must lie in [1, 1000)."""
+    assert 1.0 <= xy.min() and xy.max() < 1000.0
+    mant, e = np.frexp(xy)
+    k = (51 - e).astype(np.int64)
+    n = (mant * 2.0**53).astype(np.int64) * 25
+    q = n >> k
+    rem = n - (q << k)
+    half = 1 << (k - 1)
+    q += (rem > half) | ((rem == half) & (q & 1 == 1))
+    whole, cents = np.divmod(q.astype(np.int32), 100)
+    lead = (_QUAD_LEAD.take(whole) * 8).astype(_U64)
+    words = _QUAD.take(whole) >> lead << lead | _POINT | _QUAD.take(cents) >> 16 << 40 | _SEP
+    return words.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def render_svg(spec: PlotSpec) -> str:
@@ -173,8 +206,7 @@ def render_svg(spec: PlotSpec) -> str:
         x, y = s.x, s.y
         if s.step:  # staircase: (x0, y0), (x1, y0), (x1, y1), (x2, y1), ...
             x, y = np.repeat(x, 2)[1:], np.repeat(y, 2)[:-1]
-        xy = np.column_stack((px(x), py(y))).ravel().tolist()
-        coords = ("%.2f,%.2f " * x.size)[:-1] % tuple(xy)
+        coords = _points(np.column_stack((px(x), py(y))))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

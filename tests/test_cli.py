@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llrlab import cli, svgplot
@@ -274,9 +274,18 @@ def _padded_limits(values, pad):
     return lo - pad * (hi - lo), hi + pad * (hi - lo)
 
 
+_SUBNORMALS = (0.0, 5e-324, 1e-323, 1.5e-323)
+
+
 class TestPolylinePoints:
     @settings(max_examples=300, deadline=None)
     @given(_series_tuples())
+    # Subnormal spans on either axis, +-1e300, a constant and a step series.
+    @example([(list(_SUBNORMALS), [0.0, 1.0, 0.5, 0.25], False)])
+    @example([([0.0, 1.0, 0.5, 0.25], [-v for v in _SUBNORMALS], True)])
+    @example([([-1e300, 1e300, 0.0], [1e300, -1e300, -1e300], False), ([0.0], [1e300], True)])
+    @example([([2.5] * 5, [-7.0] * 5, False)])
+    @example([([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 0.5], True), ([0.5, 1.5], [3.0, 3.0], True)])
     def test_points_match_per_point_formatting(self, triples):
         """Each polyline equals the per-point rendering from Python-float axis limits."""
         spec = PlotSpec(title="t", x_label="x", y_label="y",
@@ -297,11 +306,36 @@ class TestPolylinePoints:
                 if step and j:
                     pts.append((xj, ys[j - 1]))
                 pts.append((xj, yj))
-            expected.append(" ".join(
-                "%.2f,%.2f" % (svgplot.MARGIN_LEFT + (xv - x_lo) / (x_hi - x_lo) * plot_w,
-                               svgplot.MARGIN_TOP + (y_hi - yv) / (y_hi - y_lo) * plot_h)
-                for xv, yv in pts))
+            coords = [(svgplot.MARGIN_LEFT + (xv - x_lo) / (x_hi - x_lo) * plot_w,
+                       svgplot.MARGIN_TOP + (y_hi - yv) / (y_hi - y_lo) * plot_h) for xv, yv in pts]
+            # The polyline kernel's window holds every pixel coordinate.
+            assert all(1.0 <= v < 1000.0 for pt in coords for v in pt)
+            expected.append(" ".join("%.2f,%.2f" % pt for pt in coords))
         assert TestRenderSvg._points(render_svg(spec)) == expected
+
+
+def _octave_samples(rng, n):
+    """n doubles with uniformly random mantissa bits in each binary octave
+    [2^e, 2^(e+1)) for e = 0..9, cut to [1, 1000)."""
+    bits = (np.arange(1023, 1033, dtype=np.uint64)[:, None] << np.uint64(52)
+            | rng.integers(0, 2**52, (10, n), dtype=np.uint64))
+    v = bits.view(np.float64).ravel()
+    return v[v < 1000.0]
+
+
+_MIDPOINTS = np.arange(201, 200000) / 200  # n/200: the hundredths' rounding midpoints
+
+
+@pytest.mark.parametrize("values", [
+    _octave_samples(np.random.default_rng(22), 20000),
+    np.arange(8, 8000) / 8,  # exact binary ties at every odd k/8
+    np.concatenate((_MIDPOINTS, np.nextafter(_MIDPOINTS, 0.0), np.nextafter(_MIDPOINTS, 2000.0))),
+    np.array([1.0, np.nextafter(1.0, 2.0), 9.995, 99.995, 999.995, np.nextafter(1000.0, 0.0)]),
+], ids=["octaves", "ties", "midpoint-neighbours", "window-ends"])
+def test_points_kernel_matches_percent_2f_over_its_window(values):
+    """svgplot._points against '%.2f' on values in its window, 1 <= v < 1000."""
+    xy = np.resize(values, (values.size + 1) // 2 * 2).reshape(-1, 2)
+    assert svgplot._points(xy) == " ".join("%.2f,%.2f" % (x, y) for x, y in xy.tolist())
 
 
 class TestMain:

@@ -16,6 +16,7 @@ from llrlab import (
 )
 from llrlab.errors import ContractError, DomainError, InsufficientDataError
 from llrlab.rocauc import binormal_tpf_array
+from llrlab.smallmat import std_normal_quantile_array
 
 
 def random_score_sets(n_sets, seed, max_size=60, tie_fraction=0.5):
@@ -304,6 +305,21 @@ class TestNormalDeviateFit:
         curve = RocCurve([0.0, 0.5, 1.0], [0.0, 0.7, 1.0], [np.inf, 0.0, -np.inf])
         with pytest.raises(InsufficientDataError):
             normal_deviate_fit(curve)
+
+    def test_interior_points_at_one_fpf_have_no_line(self):
+        # Every interior point sits at FPF 0.25: a vertical line, no slope.
+        curve = empirical_roc(ScoreSet([0, 1, 2, 3, 4, 5], [2.5, 2.5, 2.5, 7.0]))
+        with pytest.raises(InsufficientDataError, match="distinct"):
+            normal_deviate_fit(curve)
+
+    def test_fit_keeps_the_deviates_of_the_interior_points(self):
+        fpf = np.array([0.0, 0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        tpf = np.array([0.0, 0.3, 0.5, 0.7, 0.9, 1.0, 1.0])
+        curve = RocCurve(fpf, tpf, np.array([np.inf, 6.0, 5.0, 4.0, 3.0, 2.0, -np.inf]))
+        fit = normal_deviate_fit(curve)
+        np.testing.assert_array_equal(fit.z_fpf, std_normal_quantile_array(fpf[2:5]))
+        np.testing.assert_array_equal(fit.z_tpf, std_normal_quantile_array(tpf[2:5]))
+        assert not (fit.z_fpf.flags.writeable or fit.z_tpf.flags.writeable)
 
 
 class TestAucProbabilityIdentity:
