@@ -398,7 +398,7 @@ def run_command(config: RunConfig) -> list[Path]:
 
     The plots are dropped when ``emit_svg`` is false, else rendered; files
     are materialized only after every one is rendered, and if any write
-    fails, already-written files from this run are removed.
+    fails, every file this run wrote or began to write is removed.
     """
     files = {}
     for name, body in _RUNNERS[config.command](config).items():
@@ -412,8 +412,8 @@ def run_command(config: RunConfig) -> list[Path]:
     try:
         for name, text in files.items():
             path = config.out_dir / name
+            written.append(path)  # before the write, so a partial file is removed too
             path.write_text(text, encoding="utf-8")
-            written.append(path)
     except OSError:
         for path in written:
             try:

@@ -20,6 +20,12 @@ Each field is laid out as little-endian words of ASCII bytes in fixed
 slots padded with NUL: sign, the ``0.``/``0.000`` prefix, the digits and
 the decimal point, with trailing zeros stripped as %g strips them.  One
 ``bytes.translate`` per row block drops the pads.
+
+A row block's floats, taken column after column, are formatted once per
+run of equal 64-bit patterns (so -0.0 stays apart from 0.0), and each run
+takes its first value's words.  An integer block whose every |value| is
+below 10^4 is written from one 4-digit quad, its leading zeros cleared
+(three at most, so 0 stays "0"), after a sign byte.
 """
 
 from __future__ import annotations
@@ -148,8 +154,14 @@ def _float_words(x):
 
 
 def _int_words(c):
-    """The three words of each integer of c as %d writes it."""
+    """The words of each integer of c as %d writes it: one word when every
+    |value| is below 10^4, else three."""
     neg = c < 0
+    if c.min() > -10000 and c.max() < 10000:
+        # The sign byte, then the quad with at most three leading zeros cleared.
+        u = np.abs(c.astype(np.int32))  # in int32, as |-128| overflows an int8
+        lead = (np.minimum(_QUAD_LEAD.take(u), 3) * 8).astype(_U64)
+        return [_QUAD.take(u) >> lead << (lead + np.uint64(8)) | neg * np.uint64(ord("-"))]
     u = c.astype(_U64)
     u[neg] = 0 - u[neg]
     words, quads = _digit_words(u)
@@ -169,7 +181,14 @@ def _block(cols):
     floats = [j for j, (kind, _) in enumerate(cols) if kind == "f"]
     if floats:
         x = np.concatenate([cols[j][1] for j in floats])
-        words, win = _float_words(x)
+        bits = x.view(_U64)
+        new = np.concatenate(([True], bits[1:] != bits[:-1]))
+        if new.all():
+            words, win = _float_words(x)
+        else:  # format each run of equal bits once
+            run = np.cumsum(new) - 1
+            words, win = _float_words(x[new])
+            words, win = [w.take(run) for w in words], win.take(run)
         starts = ends[floats] - _FLOAT_WORDS
         for i, w in enumerate(words):
             out[:, starts + i] = w.reshape(len(floats), rows).T
@@ -178,7 +197,8 @@ def _block(cols):
         rest.extend(x[at].tolist())
     for (kind, c), end in zip(cols, ends):
         if kind == "i":
-            out[:, end - _INT_WORDS:end] = np.stack(_int_words(c), axis=1)
+            for j, w in enumerate(_int_words(c)):
+                out[:, end - _INT_WORDS + j] = w
         elif kind == "o":
             rest_at.append(np.arange(rows) * ends[-1] + end - _FLOAT_WORDS)
             rest.extend(c.tolist())

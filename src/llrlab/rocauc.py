@@ -174,14 +174,25 @@ def empirical_roc(scores: ScoreSet) -> RocCurve:
 
     At threshold t the operating point is (#{s2 > t}/n2, #{s1 > t}/n1);
     the integer counts are retained on the returned curve.
+
+    Both counts come from one stable merge of the sorted classes: at the
+    last merged position i of each run of equal scores t, the running count
+    of class-1 positions is #{s1 <= t}, and the other i + 1 - #{s1 <= t} are
+    #{s2 <= t}.  The thresholds themselves come from ``np.unique``, whose
+    sort decides which signed zero a tie of -0.0 and 0.0 keeps.
     """
     scores.require_nonempty()
     s1 = np.sort(scores.class1_scores)
     s2 = np.sort(scores.class2_scores)
     n1, n2 = s1.size, s2.size
-    pooled = np.unique(np.concatenate([s1, s2]))[::-1]
-    tp = n1 - np.searchsorted(s1, pooled, side="right")
-    fp = n2 - np.searchsorted(s2, pooled, side="right")
+    both = np.concatenate([s1, s2])
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    last = np.append(np.flatnonzero(merged[1:] != merged[:-1]), merged.size - 1)[::-1]
+    le1 = np.cumsum(order < n1)[last]
+    tp = n1 - le1
+    fp = n2 - (last + 1 - le1)
+    pooled = np.unique(both)[::-1]
     tp_counts = np.concatenate([[0], tp, [n1]])
     fp_counts = np.concatenate([[0], fp, [n2]])
     thresholds = np.concatenate([[np.inf], pooled, [-np.inf]])

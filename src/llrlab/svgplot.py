@@ -19,9 +19,9 @@ digits and a separator.  One ``bytes.translate`` drops the NULs.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -94,6 +94,11 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    """text with &, < and > escaped for SVG character data; quotes stay."""
+    return html.escape(text, quote=False)
+
+
 def _fmt(v: float) -> str:
     return format(v, ".6g")
 
@@ -157,7 +162,7 @@ def render_svg(spec: PlotSpec) -> str:
         f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2:.1f}" y="20" font-family="sans-serif" font-size="14" '
-        f'text-anchor="middle">{escape(spec.title)}</text>',
+        f'text-anchor="middle">{_escape(spec.title)}</text>',
     ]
 
     # frame
@@ -176,7 +181,7 @@ def render_svg(spec: PlotSpec) -> str:
         )
         parts.append(
             f'<text x="{x:.2f}" y="{MARGIN_TOP + plot_h + 18}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle">{escape(_fmt(t))}</text>'
+            f'font-size="11" text-anchor="middle">{_escape(_fmt(t))}</text>'
         )
     for t in _nice_ticks(y_lo, y_hi):
         if not y_lo <= t <= y_hi:
@@ -188,17 +193,17 @@ def render_svg(spec: PlotSpec) -> str:
         )
         parts.append(
             f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{escape(_fmt(t))}</text>'
+            f'font-size="11" text-anchor="end">{_escape(_fmt(t))}</text>'
         )
 
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 10}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle">{escape(spec.x_label)}</text>'
+        f'font-size="12" text-anchor="middle">{_escape(spec.x_label)}</text>'
     )
     parts.append(
         f'<text x="16" y="{MARGIN_TOP + plot_h / 2:.1f}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">{escape(spec.y_label)}</text>'
+        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">{_escape(spec.y_label)}</text>'
     )
 
     for i, s in enumerate(spec.series):
@@ -223,7 +228,7 @@ def render_svg(spec: PlotSpec) -> str:
         )
         parts.append(
             f'<text x="{legend_x + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(s.name)}</text>'
+            f'font-size="11">{_escape(s.name)}</text>'
         )
 
     parts.append("</svg>")

@@ -559,6 +559,24 @@ class TestMain:
         assert code == 4
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_that_fails_midway_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        import errno
+        import pathlib
+
+        argv = ["roc", "--out", str(tmp_path), "--sim_size", "500"]
+        assert cli.main(argv) == 0
+        real_write = pathlib.Path.write_text
+
+        def disk_fills_during_svg(self, text, **kwargs):
+            if self.name == "roc.svg":
+                real_write(self, text[:100], **kwargs)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(self, text, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", disk_fills_during_svg)
+        assert cli.main(argv) == 4
+        assert list(tmp_path.iterdir()) == []
+
     def test_override_without_value_is_config_error(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--sim_size"]) == 2
 
@@ -626,16 +644,35 @@ class TestMain:
                     "variance_study.svg": "10911b4ef82c7427486e19e32702005fa29ef3a9224cad98daae0577d0f5e820",
                 },
             ),
+            # The default size: roc.csv has 20,002 rows in 8 row blocks.
+            (
+                "roc --sim_size 10000",
+                {
+                    "roc.csv": "45e2f0fd9e7fe9b850ad5aa67aa2ce7be9b74bb26e877dabfb0d5b7180713d25",
+                    "roc.svg": "6f29aea6273c290aa7f853215f7ad8c6819fc8b292d378ab9df8f5f1a682abe1",
+                },
+            ),
+            (
+                "normal-deviate --sim_size 10000",
+                {
+                    "deviate_points.csv": "14239efca6d32608f812c12246b19850768248d42dc6f4ec33524f4bca7c9cc1",
+                    "binormal_fit.csv": "d145d7a558a37af6c0002d4edf12be91267e618ae8c4654cd964f09c4c9b9fec",
+                    "deviate.svg": "83c203638c356bf68e7092f9c26a3a60f90d7d03da193d7392246ba4072c716a",
+                },
+            ),
+            ("simulate --sim_size 10000", {"scores.csv": "ebf0e7d7a4087241f74b7c0b7b811fa116ea7be0c825b39d14ea0f681bffafd8"}),
         ],
     )
     def test_output_bytes_match_golden_digests(self, tmp_path, command, digests):
         # Scores and densities are written at 17 digits, so any change to the
         # scoring or density quadrature arithmetic shows here; every CSV and
         # SVG emitter is pinned.  --no-svg writes the same CSVs and no SVG.
+        # The command's own overrides come last, so they win over sim_size 200.
         csv_only = {name: digest for name, digest in digests.items() if not name.endswith(".svg")}
+        name, *overrides = command.split()
         for flags, expected in (([], digests), (["--no-svg"], csv_only)):
             out = tmp_path / "-".join(["run", *flags])
-            assert cli.main(command.split() + ["--seed", "2", "--sim_size", "200", "--out", str(out)] + flags) == 0
+            assert cli.main([name, "--seed", "2", "--sim_size", "200", "--out", str(out)] + overrides + flags) == 0
             written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
             assert written == expected
 

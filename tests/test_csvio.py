@@ -111,6 +111,25 @@ class TestByteIdentityCorpus:
         k = np.arange(n + 1)
         assert_each_value_formatted_alone(k / n, (n - k) / n)
 
+    def test_runs_of_repeated_values(self):
+        # Equal values are formatted once per run: runs must be keyed on bits,
+        # span row blocks and columns, and leave the out-of-window values whole.
+        rng = np.random.default_rng(23)
+        values = np.array([0.5, 1e-5, 1e300, np.nan, -np.nan, 123.456, -0.0, 0.0, np.inf])
+        long_runs = np.repeat(values[rng.integers(0, values.size, 400)], rng.integers(1, 60, 400))
+        assert_each_value_formatted_alone(long_runs)
+        assert_each_value_formatted_alone(np.tile([-0.0, 0.0], 500), np.tile([0.0, -0.0], 500))
+        assert csv_text(("z",), (np.array([-0.0, 0.0, -0.0]),)) == "z\n-0\n0\n-0\n"
+        assert_each_value_formatted_alone(np.full(300, np.nan), np.full(300, 1e-5), np.full(300, 1e300))
+        across_blocks = rng.random(csvio._BLOCK + 500)
+        across_blocks[csvio._BLOCK - 200:csvio._BLOCK + 200] = 0.25
+        assert_each_value_formatted_alone(across_blocks)
+        tail, head = rng.random(1000), rng.random(1000)
+        tail[-100:] = head[:100] = 1e-5
+        assert_each_value_formatted_alone(tail, head)
+        tail[-100:] = head[:100] = 7.5
+        assert_each_value_formatted_alone(tail, head)
+
     def test_neighbours_of_powers_of_ten_and_window_edges(self):
         values = np.concatenate([around(float(f"1e{k}")) for k in range(-6, 18)])
         assert_each_value_formatted_alone(values)
@@ -147,6 +166,11 @@ class TestByteIdentityCorpus:
         powers = 10 ** np.arange(19, dtype=np.int64)
         extremes = [info.min, info.min + 1, info.max, 0, 1, -1]
         assert_each_value_formatted_alone(np.concatenate([extremes, powers, powers - 1, -powers, 1 - powers]))
+        # Blocks below 10^4 in magnitude take one digit quad, the rest five.
+        for short in ([0], [0, 9, -9, 9999, -9999], [10000], [-10000], [9999, 10000, -9999, -10000]):
+            assert_each_value_formatted_alone(np.array(short))
+        assert_each_value_formatted_alone(np.array([-128, 127, 0, -1], dtype=np.int8),
+                                          np.array([0, 7, 9999, 255], dtype=np.uint16))
         unsigned = np.array([2**63, 2**63 + 1, 10**19, 2**64 - 1, 0, 9], dtype=np.uint64)
         assert_each_value_formatted_alone(unsigned)
         assert csv_text(("b", "u"), (np.array([True, False]), np.array([2**64 - 1, 7], dtype=np.uint64))) == (

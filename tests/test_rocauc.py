@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from llrlab import (
@@ -126,6 +128,22 @@ class TestEmpiricalRoc:
     def test_estimator_equivalence_is_bitwise(self):
         for s in random_score_sets(300, seed=25):
             assert trapezoid_auc(empirical_roc(s)) == empirical_auc(s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.sampled_from([np.arange(-4.0, 5.0), np.array([-0.0, 0.0, -1.0, 1.0]), np.array([-0.0, 0.0])]),
+           n1=st.integers(1, 300), n2=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_sweep_matches_a_binary_search_per_threshold(self, pool, n1, n2, seed):
+        # Heavily tied integer scores, and ties of -0.0 with 0.0, against
+        # np.unique's thresholds and one binary search into each class.  The
+        # thresholds must agree bit for bit, the sign of a zero included.
+        rng = np.random.default_rng(seed)
+        raw1, raw2 = rng.choice(pool, n1), rng.choice(pool, n2)
+        curve = empirical_roc(ScoreSet(raw1, raw2))
+        s1, s2 = np.sort(raw1), np.sort(raw2)
+        pooled = np.unique(np.concatenate([s1, s2]))[::-1]
+        assert np.array_equal(curve.tp_counts, np.concatenate([[0], n1 - np.searchsorted(s1, pooled, "right"), [n1]]))
+        assert np.array_equal(curve.fp_counts, np.concatenate([[0], n2 - np.searchsorted(s2, pooled, "right"), [n2]]))
+        assert np.array_equal(curve.thresholds[1:-1].view(np.uint64), pooled.view(np.uint64))
 
 
 class TestTrapezoidAuc:
