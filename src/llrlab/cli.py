@@ -207,6 +207,11 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             f"variance-study needs n_trials >= 2 to estimate a variance, got {experiment.n_trials}",
             line=lines_of.get("n_trials"),
         )
+    if command == "variance-study" and len(experiment.dims) != 1:
+        raise ConfigError(
+            f"variance-study needs exactly one dimensionality, got {experiment.dims}",
+            line=lines_of.get("dims"),
+        )
 
     if int(values["sim_size"]) < 1 or int(values["h_points"]) < 8:
         raise ConfigError("sim_size must be >= 1 and h_points >= 8")

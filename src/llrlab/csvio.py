@@ -1,6 +1,7 @@
 """CSV emission: every number written exactly as ``%.17g`` writes it
-(integer columns as ``%d``), so it re-parses to the identical float.
+(integer columns as ``%d``), so it re-parses to the identical value.
 
+Each column is formatted through its float64 copy by one digit writer.
 Floats x with 1e-4 <= |x| < 1e15, and +-0, are printed in integer
 arithmetic, where %g always picks fixed notation.  X = floor(log10|x|) is
 read against exact powers of ten; with s = 16 - X the 17 digits are
@@ -9,23 +10,23 @@ N = round-half-even(|x| 10^s) = round-half-even(m 5^s / 2^k) for
 so the product m 5^s fits 128 bits built from 32-bit limbs in uint64.
 Seventeen digits are more than a double holds: |x| 10^s stays at least 8
 below 10^17, so N never rounds up into the next decade and no row needs
-its X fixed.
+its X fixed.  A double holds every integer of the window exactly, and
+%.17g writes an integral double as %d writes the integer.
 
-Every other float (tails below 1e-4, values of 1e15 or more, inf, nan)
-and every column that is neither integer nor float goes through one
-``%.17g`` call per row block, and its fields are scattered back into their
-rows.  That call is also the reference the kernel is tested against.
+Every other value (tails below 1e-4, 1e15 and up, inf, nan, and each
+field of a column that is neither integer, bool nor float, whose copy is
+all NaN) goes through one ``%`` call per row block, formatted from its
+own column, never from the copy: ``%d`` for integers, ``%.17g`` for the
+rest.  Its fields are scattered back into their rows.  That call is also
+the reference the kernel is tested against.
 
-Each field is laid out as little-endian words of ASCII bytes in fixed
-slots padded with NUL: sign, the ``0.``/``0.000`` prefix, the digits and
-the decimal point, with trailing zeros stripped as %g strips them.  One
-``bytes.translate`` per row block drops the pads.
-
-A row block's floats, taken column after column, are formatted once per
-run of equal 64-bit patterns (so -0.0 stays apart from 0.0), and each run
-takes its first value's words.  An integer block whose every |value| is
-below 10^4 is written from one 4-digit quad, its leading zeros cleared
-(three at most, so 0 stays "0"), after a sign byte.
+Each field is laid out as four little-endian words of ASCII bytes in
+fixed slots padded with NUL: sign, the ``0.``/``0.000`` prefix, the
+digits and the decimal point, with trailing zeros stripped as %g strips
+them, and the separator in the last byte.  One ``bytes.translate`` per
+row block drops the pads.  A row block's copies, taken column after
+column, are formatted once per run of equal 64-bit patterns (so -0.0
+stays apart from 0.0), and each run takes its first value's words.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ContractError
 
-#: Float values formatted per row block: enough to amortise numpy's
+#: Values formatted per row block: enough to amortise numpy's
 #: per-call cost, few enough that a temporary array stays in L1 cache.
 _BLOCK = 8192
 
@@ -81,9 +82,6 @@ def _digit_masks():
 
 
 _DIGIT_MASKS = _digit_masks()
-#: Masks clearing the first `lead` bytes of three words, one row per lead = 0..19.
-_LEAD_MASKS = _words(np.arange(24) >= np.arange(20)[:, None])
-_FLOAT_WORDS, _INT_WORDS = 4, 3
 _M32 = np.uint64(0xFFFFFFFF)
 _E8, _E16, _E17 = 10**8, 10**16, 10**17
 
@@ -102,13 +100,12 @@ def _digit_words(u):
     return [t[0] | t[1] << 32, t[2] | t[3] << 32, t[4]], quads
 
 
-def _zero_run(quads, counts):
-    """Zero digits in the run that starts at the first of quads, counted
-    with counts (_QUAD_LEAD or _QUAD_TRAIL)."""
-    total = counts.take(quads[0])
+def _zero_run(quads):
+    """Trailing zero digits of the 4-digit quads, given least significant first."""
+    total = _QUAD_TRAIL.take(quads[0])
     run = quads[0] == 0
     for q in quads[1:]:
-        total += run * counts.take(q)
+        total += run * _QUAD_TRAIL.take(q)
         run &= q == 0
     return total
 
@@ -142,7 +139,7 @@ def _float_words(x):
     n = _round_shift((mant * 2.0**53).astype(_U64), _POW5.take(s), k)
     assert n.max() < _E17
     words, quads = _digit_words(n)
-    trail = _zero_run(quads[:0:-1], _QUAD_TRAIL)
+    trail = _zero_run(quads[:0:-1])
     end = (20 - np.minimum(trail, s)) * win
     point = np.where(win & (decade >= 0) & (trail < s), 3 + decade, 24)
     masks = _DIGIT_MASKS.take(21 * point + end, axis=0)
@@ -153,64 +150,35 @@ def _float_words(x):
     return [_PREFIX.take(20 * (np.signbit(x) & win) + decade + 4)] + words, win
 
 
-def _int_words(c):
-    """The words of each integer of c as %d writes it: one word when every
-    |value| is below 10^4, else three."""
-    neg = c < 0
-    if c.min() > -10000 and c.max() < 10000:
-        # The sign byte, then the quad with at most three leading zeros cleared.
-        u = np.abs(c.astype(np.int32))  # in int32, as |-128| overflows an int8
-        lead = (np.minimum(_QUAD_LEAD.take(u), 3) * 8).astype(_U64)
-        return [_QUAD.take(u) >> lead << (lead + np.uint64(8)) | neg * np.uint64(ord("-"))]
-    u = c.astype(_U64)
-    u[neg] = 0 - u[neg]
-    words, quads = _digit_words(u)
-    masks = _LEAD_MASKS.take(np.minimum(_zero_run(quads, _QUAD_LEAD), 19), axis=0)
-    for j in range(3):
-        words[j] &= masks[:, j]
-    words[0] |= neg * np.uint64(ord("-"))  # a negative int64 has at most 19 digits
-    return words
-
-
 def _block(cols):
-    """The CSV body of one row block, as ASCII bytes."""
-    rows = cols[0][1].size
-    ends = np.cumsum([_INT_WORDS if kind == "i" else _FLOAT_WORDS for kind, _ in cols])
-    out = np.zeros((rows, ends[-1]), dtype=_U64)
-    rest_at, rest = [], []
-    floats = [j for j, (kind, _) in enumerate(cols) if kind == "f"]
-    if floats:
-        x = np.concatenate([cols[j][1] for j in floats])
-        bits = x.view(_U64)
-        new = np.concatenate(([True], bits[1:] != bits[:-1]))
-        if new.all():
-            words, win = _float_words(x)
-        else:  # format each run of equal bits once
-            run = np.cumsum(new) - 1
-            words, win = _float_words(x[new])
-            words, win = [w.take(run) for w in words], win.take(run)
-        starts = ends[floats] - _FLOAT_WORDS
-        for i, w in enumerate(words):
-            out[:, starts + i] = w.reshape(len(floats), rows).T
-        at = np.flatnonzero(~win)
-        rest_at.append(at % rows * ends[-1] + starts[at // rows])
-        rest.extend(x[at].tolist())
-    for (kind, c), end in zip(cols, ends):
-        if kind == "i":
-            for j, w in enumerate(_int_words(c)):
-                out[:, end - _INT_WORDS + j] = w
-        elif kind == "o":
-            rest_at.append(np.arange(rows) * ends[-1] + end - _FLOAT_WORDS)
-            rest.extend(c.tolist())
-    out[:, ends - 1] |= np.uint64(ord(",")) << 56
-    out[:, -1] ^= np.uint64(ord(",") ^ ord("\n")) << 56
+    """The CSV body of one row block of (float64 copy, column, fallback
+    format) triples, as ASCII bytes."""
+    rows = cols[0][0].size
+    x = np.concatenate([f for f, _, _ in cols])
+    bits = x.view(_U64)
+    new = np.concatenate(([True], bits[1:] != bits[:-1]))
+    run = np.cumsum(new) - 1
+    words, win = _float_words(x[new])  # once per run of equal bits
+    out = np.empty((rows, len(cols), 4), dtype=_U64)
+    for i, w in enumerate(words):
+        out[:, :, i] = w.take(run).reshape(len(cols), rows).T
+    out[:, :, 3] |= np.uint64(ord(",")) << 56
+    out[:, -1, 3] ^= np.uint64(ord(",") ^ ord("\n")) << 56
     flat = out.view(np.uint8).reshape(-1)
-    if rest:
-        # Each %.17g field (at most 24 bytes) goes to the start of its slot.
-        text = np.frombuffer((("%.17g\n" * len(rest)) % tuple(rest)).encode("ascii"), dtype=np.uint8)
+    at = np.flatnonzero(~win.take(run))
+    if at.size:
+        # Each field out of the window (at most 24 bytes) goes to the start of
+        # its slot, formatted from its own column, never from the float copy.
+        row, col = at % rows, at // rows
+        rest, fmt = [], ""
+        for j, (_, c, f) in enumerate(cols):
+            r = row[col == j]
+            rest.extend(c.take(r).tolist())
+            fmt += f * r.size
+        text = np.frombuffer((fmt % tuple(rest)).encode("ascii"), dtype=np.uint8)
         stops = np.flatnonzero(text == ord("\n"))
         sizes = np.diff(stops, prepend=-1)
-        origin = np.repeat(np.concatenate(rest_at) * 8 - (stops - sizes + 1), sizes)
+        origin = np.repeat((row * len(cols) + col) * 32 - (stops - sizes + 1), sizes)
         fill = text != ord("\n")
         flat[(origin + np.arange(text.size))[fill]] = text[fill]
     return flat.tobytes().translate(None, b"\0")
@@ -225,15 +193,14 @@ def csv_text(header, columns) -> str:
     cols = [np.asarray(c) for c in columns]
     if not cols or len(cols) != len(header) or any(c.ndim != 1 or c.size != cols[0].size for c in cols):
         raise ContractError("csv_text needs one equal-length 1-D column per header field")
-    typed = []
+    triples = []
     for c in cols:
-        if c.dtype.kind in "iu":
-            typed.append(("i", c))
-        elif c.dtype.kind == "b" or (c.dtype.kind == "f" and c.dtype.itemsize <= 8):
-            typed.append(("f", c.astype(np.float64)))
-        else:
-            typed.append(("o", c))
-    rows = max(1, _BLOCK // max(1, sum(kind == "f" for kind, _ in typed)))
-    body = b"".join(_block([(kind, c[i:i + rows]) for kind, c in typed])
+        if c.dtype.kind in "iub" or (c.dtype.kind == "f" and c.dtype.itemsize <= 8):
+            f = c.astype(np.float64)
+        else:  # a NaN stands in for each value, so every field takes the fallback
+            f = np.full(c.size, np.nan)
+        triples.append((f, c, "%d\n" if c.dtype.kind in "iu" else "%.17g\n"))
+    rows = max(1, _BLOCK // len(cols))
+    body = b"".join(_block([(f[i:i + rows], c[i:i + rows], fmt) for f, c, fmt in triples])
                     for i in range(0, cols[0].size, rows))
     return ",".join(header) + "\n" + body.decode("ascii")

@@ -53,6 +53,9 @@ class ExperimentConfig:
             raise ContractError("dims must be a non-empty list of counts >= 1")
         if not sizes or any(n < 1 for n in sizes):
             raise ContractError("train_sizes must be a non-empty list of counts >= 1")
+        repeated = [name for name, v in (("dims", dims), ("train_sizes", sizes)) if len(set(v)) < len(v)]
+        if repeated:
+            raise ContractError(f"{' and '.join(repeated)} must not repeat a value")
         if any(n <= max(dims) for n in sizes):
             raise ContractError(
                 f"every training size must exceed max(dims)={max(dims)} for estimability"

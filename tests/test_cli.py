@@ -85,6 +85,11 @@ class TestParseConfig:
         # one trial is a valid learning curve: its variances are nan
         assert cli.parse_config("n_trials = 1\n", [("command", "learning-curve")]).experiment.n_trials == 1
 
+    def test_variance_study_needs_one_dimensionality(self):
+        with pytest.raises(ConfigError, match=r"line 3: variance-study needs exactly one dimensionality"):
+            cli.parse_config("[experiment]\nn_trials = 3\ndims = 3, 7\n", [("command", "variance-study")])
+        assert cli.parse_config("dims = 3, 7\n", [("command", "learning-curve")]).experiment.dims == (3, 7)
+
     @pytest.mark.parametrize(
         "line",
         ["n_trials = 3.5", "prior1 = half", "emit_svg = maybe", "dims = 3, x", "mu1 = 1, two",
@@ -588,6 +593,22 @@ class TestMain:
             assert cli.main(argv + flags) == 2
             assert "n_trials >= 2" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["learning-curve", "--dims", "3,3"], "must not repeat"),
+         (["learning-curve", "--train_sizes", "20,50,20"], "must not repeat"),
+         (["variance-study", "--dims", "3,7"], "variance-study needs exactly one dimensionality")],
+        ids=["repeated dims", "repeated train_sizes", "variance-study over two dims"],
+    )
+    def test_grid_that_is_not_a_valid_experiment_exits_2(self, tmp_path, capsys, argv, message):
+        flags = ["--n_trials", "3", "--test_size", "200", "--out", str(tmp_path / "out")]
+        if "--train_sizes" not in argv:
+            flags += ["--train_sizes", "20,50"]
+        assert cli.main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_no_svg_flag(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--no-svg", "--sim_size", "500"]) == 0

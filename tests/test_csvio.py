@@ -130,6 +130,34 @@ class TestByteIdentityCorpus:
         tail[-100:] = head[:100] = 7.5
         assert_each_value_formatted_alone(tail, head)
 
+    def test_runs_that_cross_from_a_float_column_into_an_int_column(self):
+        # Integers are formatted through their float copies, so a run of equal
+        # bits can span a float and an int column; each field out of the
+        # window must still take its own column's format, from its own value.
+        assert csv_text(("f", "i"), ([1e17], [10**17])) == "f,i\n1e+17,100000000000000000\n"
+        assert csv_text(("f", "i"), ([0.5, 1e17], [10**17, 3])) == "f,i\n0.5,100000000000000000\n1e+17,3\n"
+        assert csv_text(("f", "i"), ([-2.0**63], np.array([-(2**63)]))) == (
+            "f,i\n-9.2233720368547758e+18,-9223372036854775808\n")
+        assert csv_text(("i", "f"), (np.array([10**17]), [1e17])) == "i,f\n100000000000000000,1e+17\n"
+        # A label run longer than a row block, its first rows equal to the
+        # score column's last values.
+        n = csvio._BLOCK
+        scores = np.random.default_rng(24).standard_normal(2 * n)
+        scores[-300:] = 1.0
+        labels = np.repeat([1, 2], n)
+        assert_each_value_formatted_alone(scores, labels)
+        assert_each_value_formatted_alone(labels, scores, np.full(2 * n, 2))
+        big = np.repeat([10**17, -(2**63), 2**63 - 1], n)
+        assert_each_value_formatted_alone(np.array(big, dtype=float), big, np.full(3 * n, 1e17), big[::-1])
+
+    def test_an_all_integer_table(self):
+        info = np.iinfo(np.int64)
+        edges = np.array([info.min, info.min + 1, info.max, 10**15 - 1, 10**15, -(10**15), 2**53 + 1, 0, 1, -1])
+        p = np.repeat([3, 7, 11], 5)
+        assert_each_value_formatted_alone(p, np.tile([20, 50, 100, 500, 2000], 3), np.full(15, 20))
+        assert_each_value_formatted_alone(edges, edges[::-1], edges.astype(np.uint64), np.sort(edges))
+        assert csv_text(("p", "n"), (np.array([3, 3]), np.array([0, 20]))) == "p,n\n3,0\n3,20\n"
+
     def test_neighbours_of_powers_of_ten_and_window_edges(self):
         values = np.concatenate([around(float(f"1e{k}")) for k in range(-6, 18)])
         assert_each_value_formatted_alone(values)
@@ -166,7 +194,7 @@ class TestByteIdentityCorpus:
         powers = 10 ** np.arange(19, dtype=np.int64)
         extremes = [info.min, info.min + 1, info.max, 0, 1, -1]
         assert_each_value_formatted_alone(np.concatenate([extremes, powers, powers - 1, -powers, 1 - powers]))
-        # Blocks below 10^4 in magnitude take one digit quad, the rest five.
+        # Integers either side of 10^4, alone and mixed in one block.
         for short in ([0], [0, 9, -9, 9999, -9999], [10000], [-10000], [9999, 10000, -9999, -10000]):
             assert_each_value_formatted_alone(np.array(short))
         assert_each_value_formatted_alone(np.array([-128, 127, 0, -1], dtype=np.int8),

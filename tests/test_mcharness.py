@@ -283,6 +283,12 @@ class TestLearningCurve:
         with pytest.raises(ContractError):
             ExperimentConfig(target_delta_sq=-1.0)
 
+    @pytest.mark.parametrize("dims, sizes", [((3, 3), (20, 20)), ((3, 3), (20,)), ((3,), (20, 50, 20))])
+    def test_repeated_dims_or_train_sizes_rejected(self, dims, sizes):
+        # a repeated value would run the same cell again and write a duplicate row
+        with pytest.raises(ContractError, match="must not repeat"):
+            ExperimentConfig(dims=dims, train_sizes=sizes, n_trials=2, test_size=30)
+
 
 class TestVarianceStudy:
     def test_requires_single_dimensionality(self):
