@@ -168,13 +168,15 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
 
+    def _cited(message, keys) -> ConfigError:
+        where = [f"{k} (line {lines_of[k]})" for k in keys if k in lines_of]
+        return ConfigError(f"{message} [from {', '.join(where)}]" if where else str(message))
+
     def _build(factory, keys):
         try:
             return factory()
         except (LlrLabError, ValueError) as err:
-            where = [f"{k} (line {lines_of[k]})" for k in keys if k in lines_of]
-            suffix = f" [from {', '.join(where)}]" if where else ""
-            raise ConfigError(f"{err}{suffix}") from err
+            raise _cited(err, keys) from err
 
     problem = _build(
         lambda: TwoClassProblem(
@@ -186,6 +188,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         ),
         ("mu1", "sigma1", "mu2", "sigma2", "prior1", "prior2", "costs"),
     )
+
+    if command == "density" and problem.dim != 2:
+        raise _cited(f"density needs a 2-D problem, got dim {problem.dim}", ("mu1", "sigma1"))
 
     dims = values["dims"]
     if command == "variance-study" and "dims" not in explicit:
@@ -403,7 +408,11 @@ def run_command(config: RunConfig) -> list[Path]:
 
     The plots are dropped when ``emit_svg`` is false, else rendered; files
     are materialized only after every one is rendered, and if any write
-    fails, every file this run wrote or began to write is removed.
+    fails, every file this run wrote or began to write is removed.  An
+    existing output is unlinked and created anew, not truncated in place:
+    a symlinked or hard-linked output's other names keep their bytes, and
+    ext4 frees a fresh file's delayed-allocation blocks for less than a
+    truncated-and-rewritten one's, which it allocates at close.
     """
     files = {}
     for name, body in _RUNNERS[config.command](config).items():
@@ -418,6 +427,7 @@ def run_command(config: RunConfig) -> list[Path]:
         for name, text in files.items():
             path = config.out_dir / name
             written.append(path)  # before the write, so a partial file is removed too
+            path.unlink(missing_ok=True)
             path.write_text(text, encoding="utf-8")
     except OSError:
         for path in written:

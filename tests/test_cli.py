@@ -419,27 +419,30 @@ class TestMain:
         assert list(tmp_path.iterdir()) == []
 
     def test_exit_code_3_on_module_error(self, tmp_path, capsys):
-        # 3-D problem has no analytic density path
-        code = cli.main(
-            [
-                "density",
-                "--out",
-                str(tmp_path),
-                "--mu1",
-                "0,0,1",
-                "--sigma1",
-                "[[1,0,0],[0,1,0],[0,0,1]]",
-                "--mu2",
-                "0,0,0",
-                "--sigma2",
-                "[[1,0,0],[0,1,0],[0,0,2]]",
-                "--sim_size",
-                "100",
-            ]
-        )
+        # two scores a class give an ROC with no interior point to fit a line through
+        code = cli.main(["normal-deviate", "--out", str(tmp_path), "--sim_size", "2"])
         assert code == 3
         assert "failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "mu1, sigma1, mu2, sigma2",
+        [("1", "[[1]]", "0", "[[2]]"),
+         ("0,0,1", "[[1,0,0],[0,1,0],[0,0,1]]", "0,0,0", "[[1,0,0],[0,1,0],[0,0,2]]")],
+        ids=["1-D", "3-D"],
+    )
+    def test_density_of_a_problem_that_is_not_2d_exits_2(self, tmp_path, capsys, mu1, sigma1, mu2, sigma2):
+        # rejected as configuration, before any score is simulated
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[problem]\nmu1 = {mu1}\nsigma1 = {sigma1}\nmu2 = {mu2}\nsigma2 = {sigma2}\n")
+        out = tmp_path / "out"
+        assert cli.main(["density", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: density needs a 2-D problem" in err
+        assert "[from mu1 (line 2), sigma1 (line 3)]" in err
+        assert not out.exists()
+        # the other commands take any dimension
+        assert cli.main(["roc", "--config", str(config), "--out", str(out), "--sim_size", "50"]) == 0
 
     def test_density_that_fails_its_own_mass_check_exits_3(self, tmp_path, capsys):
         # A parabolic score whose class-2 peak is narrow: the densities are
@@ -581,6 +584,30 @@ class TestMain:
         monkeypatch.setattr(pathlib.Path, "write_text", disk_fills_during_svg)
         assert cli.main(argv) == 4
         assert list(tmp_path.iterdir()) == []
+
+    def test_rerun_into_the_same_out_rewrites_identical_regular_files(self, tmp_path):
+        argv = ["roc", "--out", str(tmp_path), "--sim_size", "500"]
+        runs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            assert all(path.is_file() and not path.is_symlink() for path in tmp_path.iterdir())
+            runs.append({path.name: path.read_bytes() for path in tmp_path.iterdir()})
+        assert sorted(runs[0]) == ["roc.csv", "roc.svg"]
+        assert runs[0] == runs[1]
+
+    def test_output_that_is_a_link_is_replaced_not_written_through(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"not an output\n")
+        (out / "roc.csv").symlink_to(target)
+        (out / "roc.svg").hardlink_to(target)
+        assert cli.main(["roc", "--out", str(out), "--sim_size", "500"]) == 0
+        assert target.read_bytes() == b"not an output\n"
+        for name in ("roc.csv", "roc.svg"):
+            path = out / name
+            assert path.is_file() and not path.is_symlink() and path.stat().st_nlink == 1
+            assert path.read_bytes() != b"not an output\n"
 
     def test_override_without_value_is_config_error(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--sim_size"]) == 2
