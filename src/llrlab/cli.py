@@ -168,15 +168,13 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
 
-    def _cited(message, keys) -> ConfigError:
-        where = [f"{k} (line {lines_of[k]})" for k in keys if k in lines_of]
-        return ConfigError(f"{message} [from {', '.join(where)}]" if where else str(message))
-
     def _build(factory, keys):
         try:
             return factory()
         except (LlrLabError, ValueError) as err:
-            raise _cited(err, keys) from err
+            where = [f"{k} (line {lines_of[k]})" for k in keys if k in lines_of]
+            suffix = f" [from {', '.join(where)}]" if where else ""
+            raise ConfigError(f"{err}{suffix}") from err
 
     problem = _build(
         lambda: TwoClassProblem(
@@ -190,7 +188,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     )
 
     if command == "density" and problem.dim != 2:
-        raise _cited(f"density needs a 2-D problem, got dim {problem.dim}", ("mu1", "sigma1"))
+        raise ConfigError(
+            f"density needs a 2-D problem, got dim {problem.dim}",
+            line=lines_of.get("mu1", lines_of.get("sigma1")),
+        )
 
     dims = values["dims"]
     if command == "variance-study" and "dims" not in explicit:
@@ -411,8 +412,10 @@ def run_command(config: RunConfig) -> list[Path]:
     fails, every file this run wrote or began to write is removed.  An
     existing output is unlinked and created anew, not truncated in place:
     a symlinked or hard-linked output's other names keep their bytes, and
-    ext4 frees a fresh file's delayed-allocation blocks for less than a
-    truncated-and-rewritten one's, which it allocates at close.
+    the new file takes the umask's mode and the caller's ownership, so an
+    output made read-only is replaced as well.  On ext4 this is also
+    cheaper when the old file was itself rewritten and not yet written
+    back: its blocks were allocated at close, a fresh file's are not.
     """
     files = {}
     for name, body in _RUNNERS[config.command](config).items():

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -438,8 +440,7 @@ class TestMain:
         out = tmp_path / "out"
         assert cli.main(["density", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error: density needs a 2-D problem" in err
-        assert "[from mu1 (line 2), sigma1 (line 3)]" in err
+        assert "config error: line 2: density needs a 2-D problem" in err
         assert not out.exists()
         # the other commands take any dimension
         assert cli.main(["roc", "--config", str(config), "--out", str(out), "--sim_size", "50"]) == 0
@@ -608,6 +609,16 @@ class TestMain:
             path = out / name
             assert path.is_file() and not path.is_symlink() and path.stat().st_nlink == 1
             assert path.read_bytes() != b"not an output\n"
+
+    def test_read_only_output_is_replaced_with_a_fresh_mode(self, tmp_path):
+        (tmp_path / "roc.csv").write_bytes(b"not an output\n")
+        (tmp_path / "roc.csv").chmod(0o444)
+        assert cli.main(["roc", "--out", str(tmp_path), "--sim_size", "500"]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        path = tmp_path / "roc.csv"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        assert path.read_bytes().startswith(b"fpf,tpf,threshold\n")
 
     def test_override_without_value_is_config_error(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--sim_size"]) == 2
