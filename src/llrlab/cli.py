@@ -176,6 +176,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             suffix = f" [from {', '.join(where)}]" if where else ""
             raise ConfigError(f"{err}{suffix}") from err
 
+    score_keys = ("mu1", "sigma1", "mu2", "sigma2")
     problem = _build(
         lambda: TwoClassProblem(
             class1=GaussianParams(np.array(values["mu1"]), np.array(values["sigma1"])),
@@ -184,14 +185,18 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             prior2=values["prior2"],
             costs=values["costs"],
         ),
-        ("mu1", "sigma1", "mu2", "sigma2", "prior1", "prior2", "costs"),
+        score_keys + ("prior1", "prior2", "costs"),
     )
 
-    if command == "density" and problem.dim != 2:
-        raise ConfigError(
-            f"density needs a 2-D problem, got dim {problem.dim}",
-            line=lines_of.get("mu1", lines_of.get("sigma1")),
-        )
+    if command == "density":
+        if problem.dim != 2:
+            raise ConfigError(
+                f"density needs a 2-D problem, got dim {problem.dim}",
+                line=lines_of.get("mu1", lines_of.get("sigma1")),
+            )
+        # a score that is constant to rounding has no density; the problem's
+        # score range builds the diagonal form that the run then reuses
+        _build(lambda: llrdist.support_h_range(problem), score_keys)
 
     dims = values["dims"]
     if command == "variance-study" and "dims" not in explicit:
@@ -219,8 +224,9 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             line=lines_of.get("dims"),
         )
 
-    if int(values["sim_size"]) < 1 or int(values["h_points"]) < 8:
-        raise ConfigError("sim_size must be >= 1 and h_points >= 8")
+    for key, least in (("sim_size", 1), ("h_points", 8)):
+        if int(values[key]) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {values[key]}", line=lines_of.get(key))
 
     return RunConfig(
         command=command,

@@ -457,6 +457,9 @@ class DensityGrid:
 #: Half-width of a class window, in class standard deviations: level-curve
 #: points farther out than this carry no representable density.
 _N_SIGMAS = 14.0
+#: A term of the diagonal score that moves it by at most this share of the
+#: score's scale, anywhere in either class window, is rounding noise.
+_NOISE = 1e-12
 
 
 @lru_cache(maxsize=64)
@@ -464,9 +467,27 @@ def _diagonal_score(problem: TwoClassProblem):
     """(diagonalized problem, alpha, beta, gamma) of the score in the
     coordinates y of :func:`transform_problem`, where the class coordinates
     are independent normals and h = sum alpha_i y_i^2 + beta_i y_i + gamma,
-    alpha_i = (1/lam_i - 1)/2.  An alpha_i whose lam_i is within 1e-12
-    (relative) of 1, or a beta_i within 1e-12 of the means' scale, is
-    rounding noise and comes back as exactly 0.
+    alpha_i = (1/lam_i - 1)/2.
+
+    One rule, on the score's own scale, decides which terms are rounding
+    noise.  In either class window (mean -+ _N_SIGMAS class deviations)
+    coordinate i lies within r_i = |m1_i - m2_i| + the wider half-window of
+    either class mean.  h is the difference of the class log-densities,
+    which there stay below S = max(sum r_i^2, sum r_i^2 / lam_i) / 2, and
+    carries their rounding.  A term that moves h by at most _NOISE S in
+    either window comes back as exactly 0:
+
+    - a square term, by |alpha_i| r_i^2 against lam_i = 1; dropped, lam_i
+      counts as exactly 1 in beta and gamma;
+    - then a linear term with no square term beside it, beta_i (y_i -
+      (m1_i + m2_i)/2) with its share of gamma, by |beta_i| r_i;
+    - a linear term beside a square term, beta_i y_i, by |beta_i| times the
+      largest |y_i| in the windows.
+
+    The zeros that callers branch on, alpha and the beta of a coordinate
+    with no square term, depend on lam and the means' difference only, so
+    translating the features cannot change them.  With no term left the
+    score is constant: a :class:`ContractError`.
 
     Built once per problem and shared by every caller: a problem is frozen
     and compares by identity, and alpha and beta come back read-only.
@@ -474,9 +495,17 @@ def _diagonal_score(problem: TwoClassProblem):
     diag = transform_problem(problem)
     lam = diag.lam
     m1, m2 = diag.problem.class1.mu, diag.problem.class2.mu
-    alpha = np.where(np.abs(lam - 1.0) > 1e-12 * max(1.0, lam[0]), 0.5 * (1.0 / lam - 1.0), 0.0)
-    beta = m1 - m2 / lam
-    beta[np.abs(beta) <= 1e-12 * max(np.abs(m1).max(), np.abs(m2 / lam).max())] = 0.0
+    reach = np.abs(m1 - m2) + _N_SIGMAS * np.sqrt(np.maximum(lam, 1.0))
+    noise = _NOISE * 0.5 * max(reach @ reach, reach @ (reach / lam))
+    flat = 0.5 * np.abs(1.0 / lam - 1.0) * reach**2 <= noise
+    lam = np.where(flat, 1.0, lam)
+    # how far y_i gets from where its linear term is dropped about: the
+    # means' midpoint without a square term, the origin beside one
+    far = reach + np.where(flat, 0.0, np.maximum(np.abs(m1), np.abs(m2)))
+    gone = np.abs(m1 - m2 / lam) * far <= noise
+    m1, m2 = np.where(gone & flat, 0.0, m1), np.where(gone & flat, 0.0, m2)
+    alpha = 0.5 * (1.0 / lam - 1.0)
+    beta = np.where(gone, 0.0, m1 - m2 / lam)
     gamma = 0.5 * (m2 @ (m2 / lam) - m1 @ m1 + np.sum(np.log(lam)))
     if not (alpha.any() or beta.any()):
         raise ContractError("degenerate geometry: the score is constant")

@@ -106,6 +106,16 @@ class TestParseConfig:
         assert f"config error: line 2: could not parse {key} = " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, least", [("sim_size", 1), ("h_points", 8)])
+    def test_a_size_below_its_least_cites_its_own_line(self, key, least):
+        text = f"command = density\n{key} = {least - 1}\n"
+        with pytest.raises(ConfigError, match=f"^line 2: {key} must be >= {least}, got {least - 1}$") as err:
+            cli.parse_config(text)
+        assert err.value.line == 2
+        # an override has no line
+        with pytest.raises(ConfigError, match=f"^{key} must be >= {least}"):
+            cli.parse_config("command = density\n", [(key, str(least - 1))])
+
     def test_bool_values(self):
         cfg = cli.parse_config("emit_svg = false\n", [("command", "roc")])
         assert cfg.emit_svg is False
@@ -444,6 +454,22 @@ class TestMain:
         assert not out.exists()
         # the other commands take any dimension
         assert cli.main(["roc", "--config", str(config), "--out", str(out), "--sim_size", "50"]) == 0
+
+    @pytest.mark.parametrize(
+        "problem, cited",
+        [("mu2 = 2, 2\nsigma2 = [[1, .2], [.2, 1]]\n", "mu2 (line 1), sigma2 (line 2)"),
+         ("mu1 = 0, 0\nsigma1 = [[.5, 0], [0, .5]]\nmu2 = 0, 2.63e-47\nsigma2 = [[.5, 0], [0, .5]]\n",
+          "mu1 (line 1), sigma1 (line 2), mu2 (line 3), sigma2 (line 4)")],
+        ids=["equal classes", "means 2.63e-47 apart"],
+    )
+    def test_density_of_a_constant_score_exits_2(self, tmp_path, capsys, problem, cited):
+        # rejected as configuration, citing the lines of the class models
+        config = tmp_path / "run.cfg"
+        config.write_text(problem)
+        out = tmp_path / "out"
+        assert cli.main(["density", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config error: degenerate geometry: the score is constant [from {cited}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_density_that_fails_its_own_mass_check_exits_3(self, tmp_path, capsys):
         # A parabolic score whose class-2 peak is narrow: the densities are
