@@ -46,7 +46,7 @@ class TwoClassProblem:
         if abs(p1 + p2 - 1.0) > 1e-12:
             raise ContractError(f"priors must sum to 1, got {p1} + {p2} = {p1 + p2}")
         c = np.asarray(self.costs, dtype=float)
-        if c.shape != (2, 2) or not np.all(np.isfinite(c)):
+        if c.shape != (2, 2) or not np.isfinite(c).all():
             raise ContractError("costs must be a finite 2x2 matrix")
         if not (c[0, 1] > c[0, 0] and c[1, 0] > c[1, 1]):
             raise ContractError(
@@ -72,9 +72,12 @@ def llr_scores(x, problem: TwoClassProblem) -> np.ndarray:
     if X.shape[1] != problem.dim:
         raise ContractError(f"points have dimension {X.shape[1]}, problem has {problem.dim}")
     c1, c2 = problem.class1, problem.class2
-    q1 = mahalanobis_sq_rows(X, c1)
-    q2 = mahalanobis_sq_rows(X, c2)
-    return -0.5 * (q1 - q2) - 0.5 * (c1.log_det - c2.log_det)
+    # the docstring's expression, formed in place op for op
+    q = mahalanobis_sq_rows(X, c1)
+    q -= mahalanobis_sq_rows(X, c2)
+    q *= -0.5
+    q -= 0.5 * (c1.log_det - c2.log_det)
+    return q
 
 
 def llr_score(x, problem: TwoClassProblem) -> float:

@@ -78,7 +78,8 @@ class SeededRng:
             raise ContractError(f"sample count must be >= 0, got {n}")
         # random() is k / 2^53 for the top 53 bits k of one word, and adding
         # 2^-54 rounds exactly as (k + 0.5) / 2^53 does
-        u = self.generator().random(n) + 0.5 * _U53_INV
+        u = self.generator().random(n)
+        u += 0.5 * _U53_INV
         return np.minimum(u, _U_MAX, out=u)
 
     def normals(self, n: int) -> np.ndarray:
@@ -180,7 +181,9 @@ def mvn_sample(params: GaussianParams, n: int, rng: SeededRng) -> np.ndarray:
     if n == 0:
         return np.empty((0, p))
     z = rng.normals(n * p).reshape(n, p)
-    return params.mu + z @ params.chol.T
+    x = z @ params.chol.T
+    x += params.mu
+    return x
 
 
 def estimate_params(samples) -> GaussianParams:
@@ -193,14 +196,15 @@ def estimate_params(samples) -> GaussianParams:
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
         X = X[:, None]
-    if X.ndim != 2 or not np.all(np.isfinite(X)):
+    if X.ndim != 2 or not np.isfinite(X).all():
         raise ContractError("samples must be a finite 2-D batch of vectors")
     n = X.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples to form a covariance, got {n}")
-    mu = X.mean(axis=0)
+    mu = np.add.reduce(X, axis=0) / n  # what X.mean(axis=0) computes
     dev = X - mu
-    sigma = dev.T @ dev / (n - 1)
+    sigma = dev.T @ dev
+    sigma /= n - 1
     sigma = 0.5 * (sigma + sigma.T)
     try:
         params = GaussianParams(mu, sigma)

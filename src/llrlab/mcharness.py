@@ -62,7 +62,7 @@ class ExperimentConfig:
             )
         if int(self.n_trials) < 1 or int(self.test_size) < 1:
             raise ContractError("n_trials and test_size must be >= 1")
-        if not float(self.target_delta_sq) > 0.0:
+        if not 0.0 < float(self.target_delta_sq) < np.inf:
             raise ContractError("target_delta_sq must be positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "train_sizes", sizes)
@@ -137,7 +137,7 @@ def calibrate_c(p: int, target_delta_sq: float) -> float:
     if p < 1:
         raise ContractError(f"dimensionality must be >= 1, got {p}")
     target = float(target_delta_sq)
-    if not target > 0.0:
+    if not 0.0 < target < np.inf:
         raise ContractError(f"target separation must be positive, got {target}")
     return float(np.sqrt(target / p))
 
@@ -308,8 +308,10 @@ def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> 
     draws from its own stream, so the result does not depend on
     max_workers, bit for bit.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ContractError(f"max_workers must be at least 1, got {max_workers}")
+    if max_workers is not None and (
+        isinstance(max_workers, bool) or not isinstance(max_workers, (int, np.integer)) or max_workers < 1
+    ):
+        raise ContractError(f"max_workers must be an integer >= 1, got {max_workers!r}")
     cells = [(p, n) for p in sorted(config.dims) for n in sorted(config.train_sizes)]
     offsets = {p: calibrate_c(p, config.target_delta_sq) for p in config.dims}
     tasks = [(p, n, offsets[p], t) for p, n in cells for t in range(config.n_trials)]

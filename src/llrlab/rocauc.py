@@ -22,7 +22,7 @@ from .errors import ContractError, DomainError, InsufficientDataError
 
 def _finite_scores(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ContractError(f"{name} contains non-finite scores")
     return arr
 

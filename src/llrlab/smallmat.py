@@ -7,6 +7,8 @@ and finiteness at the public entry points.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -25,7 +27,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ContractError(f"{name} must be 1-D with at least one entry, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractError(f"{name} contains non-finite entries")
     return arr
 
@@ -35,7 +37,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ContractError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractError(f"{name} contains non-finite entries")
     return arr
 
@@ -45,9 +47,11 @@ def require_symmetric(S, name: str = "matrix") -> np.ndarray:
     arr = as_matrix(S, name)
     if arr.shape[0] != arr.shape[1]:
         raise ContractError(f"{name} must be square, got shape {arr.shape}")
-    scale = np.abs(arr).max()
-    if scale > 0 and np.abs(arr - arr.T).max() > SYMMETRY_RTOL * scale:
-        raise ContractError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
+    # an exactly symmetric matrix has max|S - S^T| = 0, which no tolerance exceeds
+    if not (arr == arr.T).all():
+        scale = np.abs(arr).max()
+        if scale > 0 and np.abs(arr - arr.T).max() > SYMMETRY_RTOL * scale:
+            raise ContractError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     return arr
 
 
@@ -77,7 +81,8 @@ def std_normal_quantile_array(p) -> np.ndarray:
     """Vectorized normal quantile; every entry must lie strictly in (0, 1),
     so a NaN entry is a :class:`DomainError`, as it is for the scalar form."""
     arr = np.asarray(p, dtype=float)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
+    # a NaN makes min or max NaN, which fails its comparison
+    if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
         raise DomainError("quantile requires all probabilities strictly inside (0, 1)")
     return special.ndtri(arr)
 
@@ -92,14 +97,16 @@ def cholesky(S) -> np.ndarray:
     n = A.shape[0]
     L = np.zeros_like(A)
     for j in range(n):
-        d = A[j, j] - L[j, :j] @ L[j, :j]
+        row = L[j, :j]
+        d = A[j, j] - row @ row
         if d <= 0.0:
             raise DecompositionError(
                 f"matrix is not positive definite: pivot {j} is {d:.6g}", pivot=j
             )
-        L[j, j] = np.sqrt(d)
+        # math.sqrt rounds correctly, as np.sqrt does
+        root = L[j, j] = math.sqrt(d)
         if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ row) / root
     return L
 
 

@@ -19,6 +19,7 @@ from llrlab import (
     mvn_sample,
 )
 from llrlab.errors import ContractError
+from llrlab.gaussmodel import mahalanobis_sq_rows
 from tests.conftest import MU1, SIGMA1
 
 
@@ -74,6 +75,22 @@ class TestLlrScore:
             x = rng.normal(size=p)
             expected = (mu1 - mu2) @ x - 0.5 * (mu1 @ mu1 - mu2 @ mu2)
             assert llr_score(x, problem) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 11])
+    def test_bit_equal_to_the_docstring_expression(self, p):
+        gen = np.random.default_rng(60 + p)
+        a, b = gen.normal(size=(2, p, p))
+        problem = TwoClassProblem(
+            GaussianParams(gen.normal(size=p), a @ a.T + np.eye(p)),
+            GaussianParams(gen.normal(size=p), b @ b.T + 0.5 * np.eye(p)),
+        )
+        c1, c2 = problem.class1, problem.class2
+        for n in (1, 2, 257):
+            x = 2.0 * gen.normal(size=(n, p))
+            q1 = mahalanobis_sq_rows(x, c1)
+            q2 = mahalanobis_sq_rows(x, c2)
+            expected = -0.5 * (q1 - q2) - 0.5 * (c1.log_det - c2.log_det)
+            assert np.array_equal(llr_scores(x, problem), expected)
 
     def test_exact_rational_oracle_at_2_2(self, counterexample_problem):
         assert llr_score([2.0, 2.0], counterexample_problem) == pytest.approx(

@@ -662,8 +662,9 @@ class TestMain:
         "argv, message",
         [(["learning-curve", "--dims", "3,3"], "must not repeat"),
          (["learning-curve", "--train_sizes", "20,50,20"], "must not repeat"),
-         (["variance-study", "--dims", "3,7"], "variance-study needs exactly one dimensionality")],
-        ids=["repeated dims", "repeated train_sizes", "variance-study over two dims"],
+         (["variance-study", "--dims", "3,7"], "variance-study needs exactly one dimensionality"),
+         (["learning-curve", "--delta_sq", "inf"], "target_delta_sq must be positive")],
+        ids=["repeated dims", "repeated train_sizes", "variance-study over two dims", "infinite separation"],
     )
     def test_grid_that_is_not_a_valid_experiment_exits_2(self, tmp_path, capsys, argv, message):
         flags = ["--n_trials", "3", "--test_size", "200", "--out", str(tmp_path / "out")]

@@ -91,6 +91,18 @@ class TestMvnSample:
         cov = np.cov(x, rowvar=False)
         assert np.abs(cov - SIGMA1).max() < 0.05 * np.abs(SIGMA1).max()
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 11])
+    def test_bit_equal_to_mean_plus_mapped_normals(self, p):
+        gen = np.random.default_rng(p)
+        a = gen.normal(size=(p, p))
+        params = GaussianParams(gen.normal(size=p), a @ a.T + np.eye(p))
+        for n in (1, 5, 300):
+            rng = SeededRng(17, n)
+            z = rng.normals(n * p).reshape(n, p)
+            x = mvn_sample(params, n, rng)
+            assert np.array_equal(x, params.mu + z @ params.chol.T)
+            assert x.flags.writeable and not np.shares_memory(x, params.mu)
+
     def test_non_spd_sigma_surfaces_cholesky_error(self):
         with pytest.raises(DecompositionError):
             GaussianParams([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
@@ -179,6 +191,17 @@ class TestEstimateParams:
         np.testing.assert_allclose(est.mu, x.mean(axis=0), rtol=0, atol=0)
         dev = x - x.mean(axis=0)
         np.testing.assert_allclose(est.sigma, dev.T @ dev / 3.0, atol=1e-15)
+
+    def test_bit_equal_to_the_mean_and_symmetrized_scatter(self):
+        gen = np.random.default_rng(53)
+        for p in range(1, 17):
+            for n in (p + 3, 40 * p):
+                x = 2.0 + gen.normal(size=(n, p)) * gen.uniform(0.1, 10.0, size=p)
+                est = estimate_params(x)
+                dev = x - x.mean(axis=0)
+                s = dev.T @ dev / (n - 1)
+                assert np.array_equal(est.mu, x.mean(axis=0)), (p, n)
+                assert np.array_equal(est.sigma, 0.5 * (s + s.T)), (p, n)
 
     def test_convergence_schedule(self):
         params = GaussianParams(MU2, SIGMA2)

@@ -36,8 +36,10 @@ class TestCalibrateC:
     def test_invalid_inputs(self):
         with pytest.raises(ContractError):
             calibrate_c(0, 0.8)
-        with pytest.raises(ContractError):
-            calibrate_c(3, 0.0)
+        # an infinite separation would put the class-2 mean at infinity
+        for target in (0.0, np.inf, np.nan):
+            with pytest.raises(ContractError, match="target separation must be positive"):
+                calibrate_c(3, target)
 
 
 class TestAsymptoticAuc:
@@ -275,13 +277,31 @@ class TestLearningCurve:
         with pytest.raises(ContractError, match="max_workers"):
             learning_curve(ExperimentConfig(**SMALL), max_workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.5, 2.0, True, False, "2", np.float64(3.0)])
+    def test_a_worker_count_that_is_not_an_integer_is_a_contract_error(self, workers, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("work started before max_workers was checked")
+
+        # with 4 usable cores a float count reaches range() in the fork loop
+        monkeypatch.setattr(mcharness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(mcharness, "run_trial", must_not_run)
+        with pytest.raises(ContractError, match="max_workers must be an integer"):
+            learning_curve(ExperimentConfig(**SMALL), max_workers=workers)
+
+    def test_a_numpy_integer_worker_count_is_accepted(self, monkeypatch):
+        cfg = ExperimentConfig(**SMALL)
+        serial = learning_curve(cfg, max_workers=1).to_csv()
+        monkeypatch.setattr(mcharness.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert learning_curve(cfg, max_workers=np.int64(3)).to_csv() == serial
+
     def test_invalid_config(self):
         with pytest.raises(ContractError):
             ExperimentConfig(dims=(3,), train_sizes=(3,))
         with pytest.raises(ContractError):
             ExperimentConfig(dims=(), train_sizes=(10,))
-        with pytest.raises(ContractError):
-            ExperimentConfig(target_delta_sq=-1.0)
+        for target in (-1.0, np.inf, np.nan):
+            with pytest.raises(ContractError, match="target_delta_sq must be positive"):
+                ExperimentConfig(target_delta_sq=target)
 
     @pytest.mark.parametrize("dims, sizes", [((3, 3), (20, 20)), ((3, 3), (20,)), ((3,), (20, 50, 20))])
     def test_repeated_dims_or_train_sizes_rejected(self, dims, sizes):

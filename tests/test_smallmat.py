@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from llrlab import cholesky, spd_solve, std_normal_cdf, std_normal_quantile
+from llrlab import cholesky, estimate_params, spd_solve, std_normal_cdf, std_normal_quantile
 from llrlab.errors import ConditioningError, ContractError, DecompositionError, DomainError
-from llrlab.smallmat import condition_estimate, std_normal_cdf_array, std_normal_quantile_array
+from llrlab.smallmat import (
+    SYMMETRY_RTOL,
+    condition_estimate,
+    require_symmetric,
+    std_normal_cdf_array,
+    std_normal_quantile_array,
+)
 
 
 def phi_by_integration(z: float, n: int = 200_001) -> float:
@@ -81,6 +87,21 @@ class TestStdNormalQuantile:
             std_normal_quantile_array(np.full((2, 3), np.nan))
         np.testing.assert_array_equal(std_normal_quantile_array([0.5, 0.975]), [0.0, std_normal_quantile(0.975)])
 
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.0, 1.0, -0.1, 1.1])
+    def test_array_rejects_a_bad_entry_at_every_position(self, shape, bad):
+        # Fails if the range check reads np.nanmin / np.nanmax, which skip a NaN.
+        for pos in np.ndindex(shape):
+            p = np.full(shape, 0.5)
+            p[pos] = bad
+            with pytest.raises(DomainError):
+                std_normal_quantile_array(p)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_array_of_no_probabilities_is_empty(self, shape):
+        z = std_normal_quantile_array(np.empty(shape))
+        assert z.shape == shape and z.dtype == np.float64
+
     def test_quantile_cdf_identity(self):
         z = np.linspace(-6.0, 6.0, 2_001)
         back = np.array([std_normal_quantile(std_normal_cdf(v)) for v in z])
@@ -97,7 +118,84 @@ class TestStdNormalQuantile:
             assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-10
 
 
+def reference_cholesky(S) -> np.ndarray:
+    """The column loop written out plainly: each pivot slice re-indexed and
+    its root taken by np.sqrt.  cholesky must reproduce it bit for bit."""
+    A = np.asarray(S, dtype=float)
+    n = A.shape[0]
+    L = np.zeros_like(A)
+    for j in range(n):
+        d = A[j, j] - L[j, :j] @ L[j, :j]
+        L[j, j] = np.sqrt(d)
+        if j + 1 < n:
+            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def reference_is_symmetric(S) -> bool:
+    """The symmetry predicate evaluated on every matrix, with no shortcut."""
+    scale = np.abs(S).max()
+    return not (scale > 0 and np.abs(S - S.T).max() > SYMMETRY_RTOL * scale)
+
+
+def symmetry_cases():
+    """Matrices on both sides of the symmetry tolerance and at its edge."""
+    rng = np.random.default_rng(29)
+    cases = [np.zeros((3, 3)), np.zeros((1, 1)), np.array([[-2.5]]), np.array([[0.0, -0.0], [0.0, 1.0]])]
+    for dim in (2, 3, 7):
+        A = rng.normal(size=(dim, dim)) * 10.0 ** rng.integers(-3, 4)
+        S = A + A.T
+        # the largest entry sits on the diagonal, so no edit below moves the scale
+        S[0, 0] = 3.0 * np.abs(S).max()
+        cases.append(S)
+        tol = SYMMETRY_RTOL * S[0, 0]
+        for gap in (0.5 * tol, np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf), 2.0 * tol):
+            # the gap sits against a zero partner, so max|S - S^T| is exactly gap
+            edge = S.copy()
+            edge[0, -1], edge[-1, 0] = gap, 0.0
+            cases.append(edge)
+            # and against a nonzero partner, where the difference is rounded
+            shifted = S.copy()
+            shifted[-1, 0] = S[0, -1] + gap
+            cases.append(shifted)
+    return cases
+
+
+class TestRequireSymmetric:
+    def test_accepts_and_rejects_as_the_full_predicate_does(self):
+        # Fails if the exact-symmetry gate is written (S == S.T).any(): a
+        # matrix just beyond the tolerance would then pass unchecked.
+        verdicts = []
+        for S in symmetry_cases():
+            try:
+                out = require_symmetric(S)
+            except ContractError:
+                accepted = False
+            else:
+                accepted = True
+                np.testing.assert_array_equal(out, S)
+            assert accepted == reference_is_symmetric(S), S
+            verdicts.append(accepted)
+        assert True in verdicts and False in verdicts
+
+
 class TestCholesky:
+    def test_bit_equal_to_the_reference_loop(self):
+        # Fails if the column is multiplied by 1 / L[j, j] instead of divided.
+        rng = np.random.default_rng(41)
+        for dim in range(1, 17):
+            for _ in range(3):
+                A = rng.normal(size=(dim, dim))
+                S = A @ A.T + 0.1 * dim * np.eye(dim)
+                assert np.array_equal(cholesky(S), reference_cholesky(S)), dim
+
+    def test_fitted_scatters_are_bit_equal_to_the_reference_loop(self):
+        rng = np.random.default_rng(43)
+        for dim in range(1, 17):
+            for n in (dim + 3, 5 * dim + 10):
+                sigma = estimate_params(rng.normal(size=(n, dim)) + 0.3).sigma
+                assert np.array_equal(cholesky(sigma), reference_cholesky(sigma)), (dim, n)
+
     def test_identity(self):
         np.testing.assert_array_equal(cholesky(np.eye(2)), np.eye(2))
 
