@@ -23,39 +23,16 @@ ZERO_ONE_COSTS = ((0.0, 1.0), (1.0, 0.0))
 
 @dataclass(frozen=True, eq=False)
 class TwoClassProblem:
-    """A fully specified two-class Gaussian classification problem.
-
-    costs[i][j] is the price of deciding class j+1 when class i+1 is true;
-    misclassification must cost more than a correct decision on each row.
-    """
+    """A two-class Gaussian classification problem: its two class models."""
 
     class1: GaussianParams
     class2: GaussianParams
-    prior1: float = 0.5
-    prior2: float = 0.5
-    costs: tuple = ZERO_ONE_COSTS
 
     def __post_init__(self):
         if self.class1.dim != self.class2.dim:
             raise ContractError(
                 f"class models disagree in dimension: {self.class1.dim} vs {self.class2.dim}"
             )
-        p1, p2 = float(self.prior1), float(self.prior2)
-        if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
-            raise ContractError(f"priors must lie strictly in (0, 1), got {p1}, {p2}")
-        if abs(p1 + p2 - 1.0) > 1e-12:
-            raise ContractError(f"priors must sum to 1, got {p1} + {p2} = {p1 + p2}")
-        c = np.asarray(self.costs, dtype=float)
-        if c.shape != (2, 2) or not np.isfinite(c).all():
-            raise ContractError("costs must be a finite 2x2 matrix")
-        if not (c[0, 1] > c[0, 0] and c[1, 0] > c[1, 1]):
-            raise ContractError(
-                "misclassification costs must exceed correct-decision costs "
-                f"(need c12 > c11 and c21 > c22, got {c.tolist()})"
-            )
-        object.__setattr__(self, "prior1", p1)
-        object.__setattr__(self, "prior2", p2)
-        object.__setattr__(self, "costs", tuple(map(tuple, c.tolist())))
 
     @property
     def dim(self) -> int:
@@ -86,18 +63,27 @@ def llr_score(x, problem: TwoClassProblem) -> float:
     return float(llr_scores(v[None, :], problem)[0])
 
 
-def bayes_threshold(problem: TwoClassProblem) -> float:
-    """Risk-minimizing decision threshold from priors and costs.
+def bayes_threshold(prior1: float = 0.5, costs=ZERO_ONE_COSTS) -> float:
+    """Risk-minimizing decision threshold from the class-1 prior and the costs.
 
-    th = ln[ P2 (c22 - c21) / (P1 (c11 - c12)) ]; with equal priors and
-    symmetric 0-1 costs this is 0.
+    costs[i][j] is the price of deciding class j+1 when class i+1 is true;
+    misclassification must cost more than a correct decision on each row.
+    With P2 = 1 - P1, th = ln[ P2 (c22 - c21) / (P1 (c11 - c12)) ]; with
+    equal priors and symmetric 0-1 costs this is 0.
     """
-    c = np.asarray(problem.costs, dtype=float)
-    if c[0, 0] == c[0, 1] or c[1, 1] == c[1, 0]:
-        raise ContractError("degenerate costs: c11 == c12 or c21 == c22 leaves no threshold")
-    num = problem.prior2 * (c[1, 1] - c[1, 0])
-    den = problem.prior1 * (c[0, 0] - c[0, 1])
-    return float(np.log(num / den))
+    p1 = float(prior1)
+    p2 = 1.0 - p1
+    if not 0.0 < p1 < 1.0:
+        raise ContractError(f"priors must lie strictly in (0, 1), got {p1}, {p2}")
+    c = np.asarray(costs, dtype=float)
+    if c.shape != (2, 2) or not np.isfinite(c).all():
+        raise ContractError("costs must be a finite 2x2 matrix")
+    if not (c[0, 1] > c[0, 0] and c[1, 0] > c[1, 1]):
+        raise ContractError(
+            "misclassification costs must exceed correct-decision costs "
+            f"(need c12 > c11 and c21 > c22, got {c.tolist()})"
+        )
+    return float(np.log(p2 * (c[1, 1] - c[1, 0]) / (p1 * (c[0, 0] - c[0, 1]))))
 
 
 def classify(score: float, th: float) -> int:

@@ -75,9 +75,6 @@ _SCHEMA = {
     "sigma1": ("problem", _matrix, ((1.0, 0.2), (0.2, 1.0))),
     "mu2": ("problem", _list(float), (1.0, 1.0)),
     "sigma2": ("problem", _matrix, ((0.3, 0.1), (0.1, 0.3))),
-    "prior1": ("problem", float, 0.5),
-    "prior2": ("problem", float, 0.5),
-    "costs": ("problem", _matrix, ((0.0, 1.0), (1.0, 0.0))),
     "dims": ("experiment", _list(int), _EXPERIMENT.dims),
     "train_sizes": ("experiment", _list(int), _EXPERIMENT.train_sizes),
     "n_trials": ("experiment", int, _EXPERIMENT.n_trials),
@@ -181,11 +178,8 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         lambda: TwoClassProblem(
             class1=GaussianParams(np.array(values["mu1"]), np.array(values["sigma1"])),
             class2=GaussianParams(np.array(values["mu2"]), np.array(values["sigma2"])),
-            prior1=values["prior1"],
-            prior2=values["prior2"],
-            costs=values["costs"],
         ),
-        score_keys + ("prior1", "prior2", "costs"),
+        score_keys,
     )
 
     if command == "density":

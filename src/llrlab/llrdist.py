@@ -785,9 +785,7 @@ def default_h_grid(problem: TwoClassProblem, n_points: int = 801) -> np.ndarray:
     terms: an ellipse's vertex) also gets a point _GRID_EDGE of the span
     inside it, so scores simulated there fall on the grid.
     """
-    n_points = int(n_points)
-    if n_points < 2:
-        raise ContractError(f"a score grid needs at least 2 points, got {n_points}")
+    n_points = smallmat.as_integer(n_points, "a score grid's n_points", 2)
     lo_sup, hi_sup = support_h_range(problem)
     diag_problem, alpha, beta, gamma = _diagonal_score(problem)
     squares = alpha != 0.0
@@ -878,9 +876,6 @@ def transform_problem(problem: TwoClassProblem) -> DiagonalizedProblem:
     new_problem = TwoClassProblem(
         class1=GaussianParams(mu1, np.eye(len(mu1))),
         class2=GaussianParams(mu2, np.diag(lam)),
-        prior1=problem.prior1,
-        prior2=problem.prior2,
-        costs=problem.costs,
     )
     return DiagonalizedProblem(transform=W, problem=new_problem, lam=lam)
 

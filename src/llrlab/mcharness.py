@@ -47,12 +47,12 @@ class ExperimentConfig:
     base_seed: int = 2
 
     def __post_init__(self):
-        dims = tuple(int(p) for p in self.dims)
-        sizes = tuple(int(n) for n in self.train_sizes)
-        if not dims or any(p < 1 for p in dims):
-            raise ContractError("dims must be a non-empty list of counts >= 1")
-        if not sizes or any(n < 1 for n in sizes):
-            raise ContractError("train_sizes must be a non-empty list of counts >= 1")
+        dims = tuple(smallmat.as_integer(p, "a dims entry", 1) for p in self.dims)
+        sizes = tuple(smallmat.as_integer(n, "a train_sizes entry", 1) for n in self.train_sizes)
+        if not dims:
+            raise ContractError("dims must not be empty")
+        if not sizes:
+            raise ContractError("train_sizes must not be empty")
         repeated = [name for name, v in (("dims", dims), ("train_sizes", sizes)) if len(set(v)) < len(v)]
         if repeated:
             raise ContractError(f"{' and '.join(repeated)} must not repeat a value")
@@ -60,16 +60,14 @@ class ExperimentConfig:
             raise ContractError(
                 f"every training size must exceed max(dims)={max(dims)} for estimability"
             )
-        if int(self.n_trials) < 1 or int(self.test_size) < 1:
-            raise ContractError("n_trials and test_size must be >= 1")
         if not 0.0 < float(self.target_delta_sq) < np.inf:
             raise ContractError("target_delta_sq must be positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "train_sizes", sizes)
-        object.__setattr__(self, "n_trials", int(self.n_trials))
-        object.__setattr__(self, "test_size", int(self.test_size))
+        object.__setattr__(self, "n_trials", smallmat.as_integer(self.n_trials, "n_trials", 1))
+        object.__setattr__(self, "test_size", smallmat.as_integer(self.test_size, "test_size", 1))
         object.__setattr__(self, "target_delta_sq", float(self.target_delta_sq))
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "base_seed", smallmat.as_integer(self.base_seed, "base_seed"))
 
     def rng(self) -> SeededRng:
         return SeededRng(self.base_seed)
@@ -308,10 +306,8 @@ def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> 
     draws from its own stream, so the result does not depend on
     max_workers, bit for bit.
     """
-    if max_workers is not None and (
-        isinstance(max_workers, bool) or not isinstance(max_workers, (int, np.integer)) or max_workers < 1
-    ):
-        raise ContractError(f"max_workers must be an integer >= 1, got {max_workers!r}")
+    if max_workers is not None:
+        max_workers = smallmat.as_integer(max_workers, "max_workers", 1)
     cells = [(p, n) for p in sorted(config.dims) for n in sorted(config.train_sizes)]
     offsets = {p: calibrate_c(p, config.target_delta_sq) for p in config.dims}
     tasks = [(p, n, offsets[p], t) for p, n in cells for t in range(config.n_trials)]

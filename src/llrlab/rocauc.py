@@ -52,9 +52,7 @@ class ScoreSet:
 
 def _count_arrays(counts, n, frac: np.ndarray, counts_name: str, n_name: str) -> tuple[int, np.ndarray]:
     """Validated (class size, read-only count copy) for one class of a ROC curve."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ContractError(f"{n_name} must be an integer >= 1, got {n!r}")
-    n = int(n)
+    n = smallmat.as_integer(n, n_name, 1)
     counts = np.array(counts)
     if counts.dtype.kind not in "iu":
         raise ContractError(f"{counts_name} must be an integer array, got dtype {counts.dtype}")

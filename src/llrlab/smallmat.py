@@ -32,6 +32,14 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def as_integer(n, name: str, least: int | None = None) -> int:
+    """An int or numpy integer (a bool is neither) as int, not below ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or (least is not None and n < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ContractError(f"{name} must be an integer{bound}, got {n!r}")
+    return int(n)
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array with rows, cols >= 1."""
     arr = np.asarray(m, dtype=float)

@@ -217,7 +217,7 @@ def test_criterion_9_diagonalization_invariance(problem, marginal_grids):
         diag = L.transform_problem(problem)
         rng = np.random.default_rng(99)
         x = rng.normal(loc=1.2, scale=1.4, size=(10_000, 2))
-        th = L.bayes_threshold(problem)
+        th = L.bayes_threshold()
         before = L.classify_scores(L.llr_scores(x, problem), th)
         after = L.classify_scores(L.llr_scores(diag.map_points(x), diag.problem), th)
         np.testing.assert_array_equal(before, after)

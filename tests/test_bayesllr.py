@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -122,28 +123,36 @@ class TestLlrScore:
 
 class TestBayesThreshold:
     def test_symmetric_zero_one_costs(self):
-        problem = TwoClassProblem(
-            class1=GaussianParams([0.0], [[1.0]]), class2=GaussianParams([1.0], [[1.0]])
-        )
-        assert bayes_threshold(problem) == 0.0
+        assert bayes_threshold() == 0.0
+        assert bayes_threshold(0.5, ((0.0, 1.0), (1.0, 0.0))) == 0.0
 
     def test_skewed_priors(self):
-        problem = TwoClassProblem(
-            class1=GaussianParams([0.0], [[1.0]]),
-            class2=GaussianParams([1.0], [[1.0]]),
-            prior1=0.9,
-            prior2=0.1,
-        )
-        assert bayes_threshold(problem) == pytest.approx(math.log(0.1 / 0.9), rel=1e-15)
-        assert bayes_threshold(problem) == pytest.approx(-2.1972246, abs=1e-6)
+        assert bayes_threshold(0.9) == pytest.approx(math.log(0.1 / 0.9), rel=1e-15)
+        assert bayes_threshold(0.9) == pytest.approx(-2.1972246, abs=1e-6)
 
-    def test_degenerate_costs_rejected_at_construction(self):
-        with pytest.raises(ContractError):
-            TwoClassProblem(
-                class1=GaussianParams([0.0], [[1.0]]),
-                class2=GaussianParams([1.0], [[1.0]]),
-                costs=((1.0, 1.0), (1.0, 0.0)),
-            )
+    @pytest.mark.parametrize("prior1", [0.0, 1.0, -0.1, 1.5, math.nan, math.inf])
+    def test_prior_validation(self, prior1):
+        with pytest.raises(ContractError, match=r"priors must lie strictly in \(0, 1\)"):
+            bayes_threshold(prior1)
+
+    @pytest.mark.parametrize(
+        "costs",
+        [((0.0, math.inf), (1.0, 0.0)), ((0.0, 1.0), (math.nan, 0.0)), ((0.0, 1.0),),
+         ((0.0, 1.0, 2.0), (1.0, 0.0, 2.0)), (0.0, 1.0, 1.0, 0.0)],
+        ids=["inf", "nan", "1x2", "2x3", "flat"],
+    )
+    def test_costs_must_be_a_finite_2x2_matrix(self, costs):
+        with pytest.raises(ContractError, match="costs must be a finite 2x2 matrix"):
+            bayes_threshold(0.5, costs)
+
+    @pytest.mark.parametrize(
+        "costs",
+        [((1.0, 1.0), (1.0, 0.0)), ((0.0, 1.0), (0.0, 0.0)), ((2.0, 1.0), (1.0, 0.0)), ((0.0, 1.0), (1.0, 3.0))],
+        ids=["c12 == c11", "c21 == c22", "c12 < c11", "c21 < c22"],
+    )
+    def test_degenerate_costs_rejected(self, costs):
+        with pytest.raises(ContractError, match="misclassification costs must exceed"):
+            bayes_threshold(0.5, costs)
 
     def test_empirical_risk_minimization_oracle(self):
         # 2-D problem with skewed priors and asymmetric costs; the Bayes
@@ -151,21 +160,19 @@ class TestBayesThreshold:
         problem = TwoClassProblem(
             class1=GaussianParams([0.8, 0.0], np.eye(2)),
             class2=GaussianParams([0.0, 0.5], np.eye(2)),
-            prior1=0.9,
-            prior2=0.1,
-            costs=((0.0, 1.0), (4.0, 0.0)),
         )
-        th = bayes_threshold(problem)
+        costs = ((0.0, 1.0), (4.0, 0.0))
+        th = bayes_threshold(0.9, costs)
         n = 100_000
         rng = SeededRng(5150)
-        labels = (rng.derive(0).uniforms(n) < problem.prior2).astype(int)  # 1 => class 2
+        labels = (rng.derive(0).uniforms(n) < 0.1).astype(int)  # 1 => class 2
         x = np.where(
             labels[:, None],
             mvn_sample(problem.class2, n, rng.derive(2)),
             mvn_sample(problem.class1, n, rng.derive(1)),
         )
         scores = llr_scores(x, problem)
-        c = np.asarray(problem.costs)
+        c = np.asarray(costs)
 
         def risk(threshold):
             decide2 = scores <= threshold
@@ -199,14 +206,9 @@ class TestClassify:
 
 
 class TestTwoClassProblem:
-    def test_prior_validation(self):
-        with pytest.raises(ContractError):
-            TwoClassProblem(
-                class1=GaussianParams([0.0], [[1.0]]),
-                class2=GaussianParams([1.0], [[1.0]]),
-                prior1=0.7,
-                prior2=0.7,
-            )
+    def test_a_problem_is_its_two_class_models(self):
+        # priors and costs belong to the threshold, not to the problem
+        assert [f.name for f in dataclasses.fields(TwoClassProblem)] == ["class1", "class2"]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractError):

@@ -34,14 +34,13 @@ class TestParseConfig:
         dims = 3,7,11
         train_sizes = 30, 60
         [problem]
-        prior1 = 0.25
-        prior2 = 0.75
+        mu2 = 0.5, 1.5
         """
         cfg = cli.parse_config(text, [("command", "learning-curve")])
         assert cfg.experiment.target_delta_sq == 0.9
         assert cfg.experiment.dims == (3, 7, 11)
         assert cfg.experiment.train_sizes == (30, 60)
-        assert cfg.problem.prior1 == 0.25
+        np.testing.assert_array_equal(cfg.problem.class2.mu, [0.5, 1.5])
 
     def test_non_spd_covariance_is_cited_with_line(self):
         text = "[problem]\nsigma1 = [[1,2],[2,1]]\n"
@@ -94,7 +93,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "line",
-        ["n_trials = 3.5", "prior1 = half", "emit_svg = maybe", "dims = 3, x", "mu1 = 1, two",
+        ["n_trials = 3.5", "delta_sq = half", "emit_svg = maybe", "dims = 3, x", "mu1 = 1, two",
          "sigma1 = [[1, 0.2], [0.2]"],
         ids=["int", "float", "bool", "int list", "float list", "matrix"],
     )
@@ -104,6 +103,16 @@ class TestParseConfig:
         assert cli.main(["variance-study", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         key = line.partition(" = ")[0]
         assert f"config error: line 2: could not parse {key} = " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["prior1 = 0.25", "prior2 = 0.75", "costs = [[0, 1], [2, 0]]"])
+    def test_a_decision_policy_key_is_unknown(self, tmp_path, capsys, line):
+        # a problem is its two class models; priors and costs reach only bayes_threshold
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[problem]\nmu1 = 2, 2\n{line}\n")
+        assert cli.main(["roc", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        key = line.partition(" = ")[0]
+        assert f"config error: line 3: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, least", [("sim_size", 1), ("h_points", 8)])

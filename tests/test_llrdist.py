@@ -1475,6 +1475,13 @@ def test_default_h_grid_needs_two_points(counterexample_problem, n_points):
     assert default_h_grid(counterexample_problem, 2).size == 2
 
 
+@pytest.mark.parametrize("n_points", [2.7, 801.0, np.float64(801.0), True, "801"])
+def test_default_h_grid_needs_an_integer_count(counterexample_problem, n_points):
+    with pytest.raises(ContractError, match="n_points must be an integer"):
+        default_h_grid(counterexample_problem, n_points)
+    assert default_h_grid(counterexample_problem, np.int64(3)).size == 3
+
+
 def test_default_h_grid_shape(counterexample_problem):
     grid = default_h_grid(counterexample_problem, 301)
     lo, _ = support_h_range(counterexample_problem)

@@ -303,6 +303,22 @@ class TestLearningCurve:
             with pytest.raises(ContractError, match="target_delta_sq must be positive"):
                 ExperimentConfig(target_delta_sq=target)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dims", (2.9,)), ("dims", (2, True)), ("train_sizes", (20.7, 50)), ("n_trials", 3.9),
+         ("n_trials", "6"), ("test_size", True), ("test_size", np.float64(40.0)), ("base_seed", 2.5)],
+    )
+    def test_counts_and_the_seed_must_be_integers(self, field, value):
+        # int() would truncate these silently and run a grid nobody asked for
+        with pytest.raises(ContractError, match="must be an integer"):
+            ExperimentConfig(**{**SMALL, field: value})
+
+    def test_numpy_integers_and_any_integer_seed_are_accepted(self):
+        cfg = ExperimentConfig(dims=np.array([2, 3]), train_sizes=(np.int64(8), 25), n_trials=np.int32(6),
+                               test_size=40, base_seed=-77)
+        assert (cfg.dims, cfg.train_sizes, cfg.n_trials, cfg.base_seed) == ((2, 3), (8, 25), 6, -77)
+        assert all(type(v) is int for v in (*cfg.dims, *cfg.train_sizes, cfg.n_trials, cfg.test_size))
+
     @pytest.mark.parametrize("dims, sizes", [((3, 3), (20, 20)), ((3, 3), (20,)), ((3,), (20, 50, 20))])
     def test_repeated_dims_or_train_sizes_rejected(self, dims, sizes):
         # a repeated value would run the same cell again and write a duplicate row
