@@ -219,15 +219,15 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         )
 
     for key, least in (("sim_size", 1), ("h_points", 8)):
-        if int(values[key]) < least:
+        if values[key] < least:
             raise ConfigError(f"{key} must be >= {least}, got {values[key]}", line=lines_of.get(key))
 
     return RunConfig(
         command=command,
         problem=problem,
         experiment=experiment,
-        sim_size=int(values["sim_size"]),
-        h_points=int(values["h_points"]),
+        sim_size=values["sim_size"],
+        h_points=values["h_points"],
         out_dir=Path(values["out_dir"]),
         emit_svg=bool(values["emit_svg"]),
     )

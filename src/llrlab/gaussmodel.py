@@ -52,8 +52,8 @@ class SeededRng:
     stream_id: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed) & _MASK64)
-        object.__setattr__(self, "stream_id", int(self.stream_id) & _MASK64)
+        object.__setattr__(self, "seed", smallmat.as_integer(self.seed, "seed") & _MASK64)
+        object.__setattr__(self, "stream_id", smallmat.as_integer(self.stream_id, "stream_id") & _MASK64)
 
     def derive(self, *indices: int) -> "SeededRng":
         """Child stream obtained by mixing integer indices into stream_id.
@@ -64,7 +64,7 @@ class SeededRng:
         """
         s = self.stream_id
         for idx in indices:
-            s = _splitmix64(s ^ _splitmix64(int(idx) & _MASK64))
+            s = _splitmix64(s ^ _splitmix64(smallmat.as_integer(idx, "a derive index") & _MASK64))
         return SeededRng(self.seed, s)
 
     def generator(self) -> Generator:
@@ -73,9 +73,7 @@ class SeededRng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1), one 53-bit word each."""
-        n = int(n)
-        if n < 0:
-            raise ContractError(f"sample count must be >= 0, got {n}")
+        n = smallmat.as_integer(n, "n", 0)
         # random() is k / 2^53 for the top 53 bits k of one word, and adding
         # 2^-54 rounds exactly as (k + 0.5) / 2^53 does
         u = self.generator().random(n)
@@ -96,7 +94,8 @@ class GaussianParams:
     """Mean vector and covariance matrix of one class.
 
     The covariance must be symmetric positive definite; this is checked at
-    construction, and the Cholesky factor is kept for reuse.
+    construction, and the Cholesky factor is kept for reuse.  mu and sigma
+    are kept as read-only copies of the caller's arrays.
     """
 
     mu: np.ndarray
@@ -111,10 +110,8 @@ class GaussianParams:
             raise ContractError(
                 f"mean has dimension {mu.shape[0]} but covariance is {sigma.shape[0]}x{sigma.shape[1]}"
             )
-        mu.flags.writeable = False
-        sigma.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mu", smallmat.read_only_copy(mu))
+        object.__setattr__(self, "sigma", smallmat.read_only_copy(sigma))
         L = smallmat.cholesky(sigma)
         L.flags.writeable = False
         object.__setattr__(self, "chol", L)
@@ -174,9 +171,7 @@ def mvn_sample(params: GaussianParams, n: int, rng: SeededRng) -> np.ndarray:
     consecutive variates) and mapped through the Cholesky factor, so the
     output is a pure function of (params, n, rng).
     """
-    n = int(n)
-    if n < 0:
-        raise ContractError(f"sample count must be >= 0, got {n}")
+    n = smallmat.as_integer(n, "n", 0)
     p = params.dim
     if n == 0:
         return np.empty((0, p))

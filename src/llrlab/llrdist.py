@@ -43,9 +43,10 @@ from .rocauc import RocCurve
 
 
 def _require_class(label: int) -> int:
-    if label not in (CLASS1, CLASS2):
+    label = smallmat.as_integer(label, "class label", CLASS1)
+    if label > CLASS2:
         raise ContractError(f"class label must be {CLASS1} or {CLASS2}, got {label!r}")
-    return int(label)
+    return label
 
 
 def _class_params(problem: TwoClassProblem, label: int) -> GaussianParams:
@@ -407,10 +408,9 @@ class DensityGrid:
     label: int
 
     def __post_init__(self):
-        # the grid keeps read-only copies, so the caller's arrays stay theirs
-        h = np.array(self.h_values, dtype=float)
-        d = np.array(self.density, dtype=float)
-        e = np.array(self.est_error, dtype=float)
+        h = smallmat.read_only_copy(self.h_values)
+        d = smallmat.read_only_copy(self.density)
+        e = smallmat.read_only_copy(self.est_error)
         if not (h.shape == d.shape == e.shape) or h.ndim != 1 or h.size < 2:
             raise ContractError("density grid needs matching 1-D arrays of length >= 2")
         # written so that NaN fails; an infinite density or est_error (a
@@ -423,7 +423,6 @@ class DensityGrid:
             raise ContractError("error estimates must be non-negative (and not NaN)")
         object.__setattr__(self, "label", _require_class(self.label))
         for name, arr in (("h_values", h), ("density", d), ("est_error", e)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def integral(self) -> float:

@@ -131,9 +131,7 @@ class CurveSummary:
 
 def calibrate_c(p: int, target_delta_sq: float) -> float:
     """Mean offset c with squared Mahalanobis separation c^2 p = target."""
-    p = int(p)
-    if p < 1:
-        raise ContractError(f"dimensionality must be >= 1, got {p}")
+    p = smallmat.as_integer(p, "p", 1)
     target = float(target_delta_sq)
     if not 0.0 < target < np.inf:
         raise ContractError(f"target separation must be positive, got {target}")
@@ -155,23 +153,24 @@ def population(p: int, c: float) -> TwoClassProblem:
     Built once per (p, c) and shared by every trial of a cell; the problem is
     frozen and its arrays read-only, so no trial can alter it for the next.
     """
-    eye = np.eye(int(p))
+    eye = np.eye(p)
     return TwoClassProblem(
-        class1=GaussianParams(np.zeros(int(p)), eye),
-        class2=GaussianParams(np.full(int(p), float(c)), eye),
+        class1=GaussianParams(np.zeros(p), eye),
+        class2=GaussianParams(np.full(p, float(c)), eye),
     )
 
 
 def run_trial(p: int, n: int, c: float, test_size: int, rng: SeededRng) -> TrialResult:
     """One Monte-Carlo trial: sample, fit, and score both ways.
 
-    A rank-deficient training scatter is retried on the next derived
+    n must exceed p, so that the training scatter can be full rank.  A
+    rank-deficient training scatter is retried on the next derived
     sub-stream at most three times before the error surfaces with trial
     provenance.  The result is a pure function of the arguments.
     """
-    p, n, test_size = int(p), int(n), int(test_size)
-    if n <= p:
-        raise ContractError(f"need n > p for an estimable covariance, got n={n}, p={p}")
+    p = smallmat.as_integer(p, "p", 1)
+    n = smallmat.as_integer(n, "n", p + 1)
+    test_size = smallmat.as_integer(test_size, "test_size", 1)
     pop = population(p, c)
 
     last_err = None
@@ -329,8 +328,13 @@ def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> 
 def variance_study(config: ExperimentConfig) -> CurveSummary:
     """Learning curve restricted to a single dimensionality.
 
-    The interesting column is var_auc_true as a function of n.
+    The interesting column is var_auc_true as a function of n, which needs
+    at least two trials per cell.
     """
     if len(config.dims) != 1:
         raise ContractError(f"variance study needs exactly one dimensionality, got {config.dims}")
+    if config.n_trials < 2:
+        raise ContractError(
+            f"variance study needs n_trials >= 2 to estimate a variance, got {config.n_trials}"
+        )
     return learning_curve(config)

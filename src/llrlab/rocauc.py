@@ -21,7 +21,7 @@ from .errors import ContractError, DomainError, InsufficientDataError
 
 
 def _finite_scores(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = smallmat.read_only_copy(np.ravel(values))
     if arr.size and not np.isfinite(arr).all():
         raise ContractError(f"{name} contains non-finite scores")
     return arr
@@ -29,18 +29,14 @@ def _finite_scores(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """Labeled decision scores for the two classes."""
+    """Labeled decision scores for the two classes, kept as read-only copies."""
 
     class1_scores: np.ndarray
     class2_scores: np.ndarray
 
     def __post_init__(self):
-        s1 = _finite_scores(self.class1_scores, "class1_scores")
-        s2 = _finite_scores(self.class2_scores, "class2_scores")
-        s1.flags.writeable = False
-        s2.flags.writeable = False
-        object.__setattr__(self, "class1_scores", s1)
-        object.__setattr__(self, "class2_scores", s2)
+        object.__setattr__(self, "class1_scores", _finite_scores(self.class1_scores, "class1_scores"))
+        object.__setattr__(self, "class2_scores", _finite_scores(self.class2_scores, "class2_scores"))
 
     def require_nonempty(self):
         if self.class1_scores.size == 0 or self.class2_scores.size == 0:
@@ -53,7 +49,7 @@ class ScoreSet:
 def _count_arrays(counts, n, frac: np.ndarray, counts_name: str, n_name: str) -> tuple[int, np.ndarray]:
     """Validated (class size, read-only count copy) for one class of a ROC curve."""
     n = smallmat.as_integer(n, n_name, 1)
-    counts = np.array(counts)
+    counts = smallmat.read_only_copy(counts, None)
     if counts.dtype.kind not in "iu":
         raise ContractError(f"{counts_name} must be an integer array, got dtype {counts.dtype}")
     if counts.shape != frac.shape:
@@ -62,7 +58,6 @@ def _count_arrays(counts, n, frac: np.ndarray, counts_name: str, n_name: str) ->
         raise ContractError(f"{counts_name} must run non-decreasing from 0 to {n_name} = {n}")
     if not np.array_equal(frac, counts / n):
         raise ContractError(f"{counts_name} / {n_name} does not give the curve's fractions exactly")
-    counts.flags.writeable = False
     return n, counts
 
 
@@ -87,9 +82,9 @@ class RocCurve:
     n2: int | None = None
 
     def __post_init__(self):
-        fpf = np.asarray(self.fpf, dtype=float)
-        tpf = np.asarray(self.tpf, dtype=float)
-        th = np.asarray(self.thresholds, dtype=float)
+        fpf = smallmat.read_only_copy(self.fpf)
+        tpf = smallmat.read_only_copy(self.tpf)
+        th = smallmat.read_only_copy(self.thresholds)
         if not (fpf.shape == tpf.shape == th.shape) or fpf.ndim != 1 or fpf.size < 2:
             raise ContractError("a ROC curve needs matching 1-D arrays with at least 2 points")
         if np.any(np.isnan(fpf)) or np.any(np.isnan(tpf)):
@@ -99,7 +94,6 @@ class RocCurve:
         if np.any(np.diff(fpf) < 0.0) or np.any(np.diff(tpf) < 0.0):
             raise ContractError("ROC coordinates must be non-decreasing along the curve")
         for name, arr in (("fpf", fpf), ("tpf", tpf), ("thresholds", th)):
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         given = [v is not None for v in (self.tp_counts, self.fp_counts, self.n1, self.n2)]
         if any(given) and not all(given):
@@ -214,7 +208,7 @@ def trapezoid_auc(curve: RocCurve) -> float:
     overflow, which is a :class:`ContractError`.
     """
     if curve.has_counts:
-        n1, n2 = int(curve.n1), int(curve.n2)
+        n1, n2 = curve.n1, curve.n2
         # every partial sum of the doubled area is at most 2 n1 n2
         if 2 * n1 * n2 >= 2**63:
             raise ContractError(f"{n1} x {n2} score pairs overflow the exact int64 area sum")

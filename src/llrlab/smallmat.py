@@ -40,6 +40,13 @@ def as_integer(n, name: str, least: int | None = None) -> int:
     return int(n)
 
 
+def read_only_copy(a, dtype=float) -> np.ndarray:
+    """A read-only copy of ``a``: what a value type keeps of its caller's arrays."""
+    arr = np.array(a, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float64 array with rows, cols >= 1."""
     arr = np.asarray(m, dtype=float)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallmat
 from .csvio import _QUAD, _QUAD_LEAD, _U64
 from .errors import ContractError
 
@@ -46,15 +47,14 @@ class Series:
     step: bool = False  # render as a staircase (histograms)
 
     def __post_init__(self):
-        xs = np.array(self.x, dtype=float)
-        ys = np.array(self.y, dtype=float)
+        xs = smallmat.read_only_copy(self.x)
+        ys = smallmat.read_only_copy(self.y)
         if xs.ndim != 1 or xs.shape != ys.shape or not xs.size:
             raise ContractError(f"series {self.name!r} needs matching non-empty x and y")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ContractError(f"series {self.name!r} contains non-finite values")
-        for name, arr in (("x", xs), ("y", ys)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "x", xs)
+        object.__setattr__(self, "y", ys)
 
 
 @dataclass(frozen=True)

@@ -331,6 +331,11 @@ class TestVarianceStudy:
         with pytest.raises(ContractError):
             variance_study(ExperimentConfig(**SMALL))
 
+    def test_requires_two_trials(self):
+        # one trial per cell has no sample variance: it would come back NaN
+        with pytest.raises(ContractError, match="n_trials >= 2"):
+            variance_study(ExperimentConfig(dims=(3,), train_sizes=(20,), n_trials=1, test_size=50))
+
     def test_variances_nonnegative_and_reported(self):
         cfg = ExperimentConfig(dims=(3,), train_sizes=(10, 60), n_trials=12, test_size=60, base_seed=3)
         summary = variance_study(cfg)
