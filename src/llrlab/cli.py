@@ -4,12 +4,14 @@
             [--key value]...
 
 Commands: density, roc, normal-deviate, learning-curve, variance-study,
-simulate.  Any config key can be overridden with --key value (dotted
-section prefixes like problem.mu1 are accepted).
+simulate; the command is the positional argument only.  Any config key can
+be overridden with --key value or --key=value (dotted section prefixes like
+problem.mu1 are accepted).
 
 Config files are line based: `key = value`, `#` comments, optional
 `[problem]` / `[experiment]` / `[output]` section headers, matrices as
-nested bracketed rows `[[1,.2],[.2,1]]`, lists comma separated.
+nested bracketed rows `[[1,.2],[.2,1]]`, lists comma separated.  A key under
+a header, like a key with a dotted prefix, must belong to that section.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (also a density
 grid that fails its own unit-mass, KS or ratio-law check), 4 I/O error.
@@ -32,8 +34,6 @@ from .csvio import csv_text
 from .errors import ConfigError, InsufficientDataError, LlrLabError
 from .gaussmodel import GaussianParams, SeededRng, mvn_sample
 from .smallmat import std_normal_quantile_array  # noqa: F401  (bench/tracing.py hooks this name here)
-
-COMMANDS = ("density", "roc", "normal-deviate", "learning-curve", "variance-study", "simulate")
 
 #: the experiment defaults, which the CLI's own defaults do not restate
 _EXPERIMENT = mcharness.ExperimentConfig()
@@ -70,7 +70,6 @@ def _matrix(raw: str) -> tuple:
 
 #: key -> (section, parser, default)
 _SCHEMA = {
-    "command": ("output", str, None),
     "mu1": ("problem", _list(float), (2.0, 2.0)),
     "sigma1": ("problem", _matrix, ((1.0, 0.2), (0.2, 1.0))),
     "mu2": ("problem", _list(float), (1.0, 1.0)),
@@ -109,23 +108,27 @@ def _parse_value(key: str, parse, raw: str, line: int | None):
         raise ConfigError(f"could not parse {key} = {raw!r}: {err}", line=line) from err
 
 
-def _canonical_key(key: str, line: int | None) -> str:
+def _canonical_key(key: str, line: int | None, header: str | None = None) -> str:
+    """The schema key named by ``key``, whose section must match both its
+    dotted prefix and the file's current ``[header]``, where either is given."""
     key = key.strip()
-    section = None
+    sections = [] if header is None else [header]
     if "." in key:
         section, _, bare = key.partition(".")
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section {section!r} in key {key!r}", line=line)
+        sections.append(section)
         key = bare.strip()
     if key not in _SCHEMA:
         raise ConfigError(f"unknown key {key!r}", line=line)
-    if section is not None and _SCHEMA[key][0] != section:
-        raise ConfigError(f"key {key!r} belongs to [{_SCHEMA[key][0]}], not [{section}]", line=line)
+    for section in sections:
+        if _SCHEMA[key][0] != section:
+            raise ConfigError(f"key {key!r} belongs to [{_SCHEMA[key][0]}], not [{section}]", line=line)
     return key
 
 
-def parse_config(text: str, overrides=()) -> RunConfig:
-    """Build a RunConfig from file text plus (key, value) override pairs.
+def parse_config(command: str, text: str = "", overrides=()) -> RunConfig:
+    """Build a RunConfig for ``command`` from file text plus (key, value) override pairs.
 
     Overrides win over file values; anything not mentioned falls back to the
     documented defaults (counter-example problem parameters, delta_sq = 0.8,
@@ -146,7 +149,7 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
         key, _, raw_value = line.partition("=")
-        key = _canonical_key(key, lineno)
+        key = _canonical_key(key, lineno, section)
         values[key] = _parse_value(key, _SCHEMA[key][1], raw_value, lineno)
         lines_of[key] = lineno
 
@@ -159,9 +162,6 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     for key, (_, _, default) in _SCHEMA.items():
         values.setdefault(key, default)
 
-    command = values["command"]
-    if command is None:
-        raise ConfigError("no command given")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
 
@@ -402,6 +402,7 @@ _RUNNERS = {
     "variance-study": _cmd_variance_study,
     "simulate": _cmd_simulate,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run_command(config: RunConfig) -> list[Path]:
@@ -478,7 +479,7 @@ def main(argv=None) -> int:
         text = ""
         if args.config is not None:
             text = args.config.read_text(encoding="utf-8")
-        overrides = [("command", args.command)]
+        overrides = []
         seed = args.seed
         if seed is None and os.environ.get(SEED_ENV_VAR):
             try:
@@ -492,7 +493,7 @@ def main(argv=None) -> int:
         if args.no_svg:
             overrides.append(("emit_svg", "false"))
         overrides.extend(_split_overrides(extras))
-        written = run_command(parse_config(text, overrides))
+        written = run_command(parse_config(args.command, text, overrides))
     except ConfigError as err:
         print(f"llr-lab: config error: {err}", file=sys.stderr)
         return 2

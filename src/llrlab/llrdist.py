@@ -886,7 +886,7 @@ def transform_problem(problem: TwoClassProblem) -> DiagonalizedProblem:
 
 @dataclass(frozen=True, eq=False)
 class HistogramTable:
-    """Histogram of scores with the bin rule used for density overlays."""
+    """Histogram of scores with the bin rule used for density overlays; its arrays are read-only."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -933,6 +933,7 @@ def histogram_vs_analytic(scores, grid: DensityGrid) -> tuple[float, HistogramTa
     ks = float(np.max(np.maximum(np.abs(cdf - upper), np.abs(cdf - lower))))
     nbins = freedman_diaconis_bins(s)
     counts, edges = np.histogram(s, bins=nbins)
+    counts.flags.writeable = edges.flags.writeable = False
     return ks, HistogramTable(bin_edges=edges, counts=counts)
 
 

@@ -46,19 +46,18 @@ class ScoreSet:
         return ScoreSet(self.class2_scores, self.class1_scores)
 
 
-def _count_arrays(counts, n, frac: np.ndarray, counts_name: str, n_name: str) -> tuple[int, np.ndarray]:
-    """Validated (class size, read-only count copy) for one class of a ROC curve."""
-    n = smallmat.as_integer(n, n_name, 1)
+def _count_array(counts, frac: np.ndarray, name: str) -> np.ndarray:
+    """Validated read-only copy of one class's sweep counts, whose last entry is the class size."""
     counts = smallmat.read_only_copy(counts, None)
     if counts.dtype.kind not in "iu":
-        raise ContractError(f"{counts_name} must be an integer array, got dtype {counts.dtype}")
+        raise ContractError(f"{name} must be an integer array, got dtype {counts.dtype}")
     if counts.shape != frac.shape:
-        raise ContractError(f"{counts_name} has shape {counts.shape}, the curve {frac.shape}")
-    if counts[0] != 0 or counts[-1] != n or np.any(counts[1:] < counts[:-1]):
-        raise ContractError(f"{counts_name} must run non-decreasing from 0 to {n_name} = {n}")
-    if not np.array_equal(frac, counts / n):
-        raise ContractError(f"{counts_name} / {n_name} does not give the curve's fractions exactly")
-    return n, counts
+        raise ContractError(f"{name} has shape {counts.shape}, the curve {frac.shape}")
+    if counts[0] != 0 or counts[-1] < 1 or np.any(counts[1:] < counts[:-1]):
+        raise ContractError(f"{name} must run non-decreasing from 0 to a class size of at least 1")
+    if not np.array_equal(frac, counts / counts[-1]):
+        raise ContractError(f"{name} / {name}[-1] does not give the curve's fractions exactly")
+    return counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +67,10 @@ class RocCurve:
     Threshold sentinels +inf / -inf mark the (0,0) and (1,1) anchors.  When
     the curve comes from an empirical sweep, the integer true/false positive
     counts are kept alongside so that areas can be accumulated exactly.
-    The counts come with the class sizes n1, n2 >= 1 or not at all; each
-    runs from 0 to its class size and gives its fraction exactly, with
-    tpf == tp_counts / n1 and fpf == fp_counts / n2.
+    The two count arrays come together or not at all; each runs from 0 to
+    its class size (its last entry, at least 1) and gives its fraction
+    exactly, with tpf == tp_counts / tp_counts[-1] and
+    fpf == fp_counts / fp_counts[-1].
     """
 
     fpf: np.ndarray
@@ -78,8 +78,6 @@ class RocCurve:
     thresholds: np.ndarray
     tp_counts: np.ndarray | None = None
     fp_counts: np.ndarray | None = None
-    n1: int | None = None
-    n2: int | None = None
 
     def __post_init__(self):
         fpf = smallmat.read_only_copy(self.fpf)
@@ -95,18 +93,11 @@ class RocCurve:
             raise ContractError("ROC coordinates must be non-decreasing along the curve")
         for name, arr in (("fpf", fpf), ("tpf", tpf), ("thresholds", th)):
             object.__setattr__(self, name, arr)
-        given = [v is not None for v in (self.tp_counts, self.fp_counts, self.n1, self.n2)]
-        if any(given) and not all(given):
-            raise ContractError("tp_counts, fp_counts, n1 and n2 must be given together or not at all")
-        if all(given):
-            for counts_name, n_name, frac in (("tp_counts", "n1", tpf), ("fp_counts", "n2", fpf)):
-                n, counts = _count_arrays(getattr(self, counts_name), getattr(self, n_name), frac,
-                                          counts_name, n_name)
-                object.__setattr__(self, counts_name, counts)
-                object.__setattr__(self, n_name, n)
-
-    def __len__(self) -> int:
-        return self.fpf.size
+        if (self.tp_counts is None) != (self.fp_counts is None):
+            raise ContractError("tp_counts and fp_counts must be given together or not at all")
+        if self.has_counts:
+            for name, frac in (("tp_counts", tpf), ("fp_counts", fpf)):
+                object.__setattr__(self, name, _count_array(getattr(self, name), frac, name))
 
     @property
     def has_counts(self) -> bool:
@@ -192,10 +183,8 @@ def empirical_roc(scores: ScoreSet) -> RocCurve:
         fpf=fp_counts / n2,
         tpf=tp_counts / n1,
         thresholds=thresholds,
-        tp_counts=tp_counts.astype(np.int64),
-        fp_counts=fp_counts.astype(np.int64),
-        n1=n1,
-        n2=n2,
+        tp_counts=tp_counts,
+        fp_counts=fp_counts,
     )
 
 
@@ -208,7 +197,7 @@ def trapezoid_auc(curve: RocCurve) -> float:
     overflow, which is a :class:`ContractError`.
     """
     if curve.has_counts:
-        n1, n2 = curve.n1, curve.n2
+        n1, n2 = int(curve.tp_counts[-1]), int(curve.fp_counts[-1])
         # every partial sum of the doubled area is at most 2 n1 n2
         if 2 * n1 * n2 >= 2**63:
             raise ContractError(f"{n1} x {n2} score pairs overflow the exact int64 area sum")

@@ -16,7 +16,7 @@ from llrlab.svgplot import PlotSpec, Series, render_svg
 
 class TestParseConfig:
     def test_empty_file_with_command_gives_defaults(self):
-        cfg = cli.parse_config("", [("command", "learning-curve")])
+        cfg = cli.parse_config("learning-curve", "")
         assert cfg.command == "learning-curve"
         assert cfg.experiment.dims == (3, 7, 11)
         assert cfg.experiment.train_sizes == (20, 50, 100, 500, 2000)
@@ -36,7 +36,7 @@ class TestParseConfig:
         [problem]
         mu2 = 0.5, 1.5
         """
-        cfg = cli.parse_config(text, [("command", "learning-curve")])
+        cfg = cli.parse_config("learning-curve", text)
         assert cfg.experiment.target_delta_sq == 0.9
         assert cfg.experiment.dims == (3, 7, 11)
         assert cfg.experiment.train_sizes == (30, 60)
@@ -45,51 +45,52 @@ class TestParseConfig:
     def test_non_spd_covariance_is_cited_with_line(self):
         text = "[problem]\nsigma1 = [[1,2],[2,1]]\n"
         with pytest.raises(ConfigError) as exc:
-            cli.parse_config(text, [("command", "density")])
+            cli.parse_config("density", text)
         message = str(exc.value)
         assert "positive definite" in message
         assert "line 2" in message
 
     def test_unknown_key_cites_line(self):
         with pytest.raises(ConfigError, match="line 3"):
-            cli.parse_config("\n\nbogus = 1\n", [("command", "density")])
+            cli.parse_config("density", "\n\nbogus = 1\n")
 
     def test_unknown_section(self):
         with pytest.raises(ConfigError, match=r"\[nope\]"):
-            cli.parse_config("[nope]\n", [("command", "density")])
+            cli.parse_config("density", "[nope]\n")
 
     def test_malformed_matrix(self):
         with pytest.raises(ConfigError, match="line 1"):
-            cli.parse_config("sigma1 = [[1,0.2],[0.2]\n", [("command", "density")])
+            cli.parse_config("density", "sigma1 = [[1,0.2],[0.2]\n")
 
     def test_overrides_win_and_accept_dotted_keys(self):
         cfg = cli.parse_config(
+            "simulate",
             "n_trials = 7\n",
-            [("command", "simulate"), ("experiment.n_trials", "9"), ("problem.mu1", "0,1")],
+            [("experiment.n_trials", "9"), ("problem.mu1", "0,1")],
         )
         assert cfg.experiment.n_trials == 9
         np.testing.assert_array_equal(cfg.problem.class1.mu, [0.0, 1.0])
 
     def test_missing_command(self):
         with pytest.raises(ConfigError, match="command"):
-            cli.parse_config("delta_sq = 0.8\n")
+            cli.parse_config(None, "delta_sq = 0.8\n")
 
     def test_variance_study_defaults_to_single_dimensionality(self):
-        cfg = cli.parse_config("", [("command", "variance-study")])
+        cfg = cli.parse_config("variance-study", "")
         assert cfg.experiment.dims == (11,)
-        cfg = cli.parse_config("dims = 5\n", [("command", "variance-study")])
+        cfg = cli.parse_config("variance-study", "dims = 5\n")
         assert cfg.experiment.dims == (5,)
 
     def test_variance_study_needs_two_trials(self):
         with pytest.raises(ConfigError, match=r"line 2: variance-study needs n_trials >= 2"):
-            cli.parse_config("[experiment]\nn_trials = 1\n", [("command", "variance-study")])
+            cli.parse_config("variance-study", "[experiment]\nn_trials = 1\n")
         # one trial is a valid learning curve: its variances are nan
-        assert cli.parse_config("n_trials = 1\n", [("command", "learning-curve")]).experiment.n_trials == 1
+        assert cli.parse_config("learning-curve", "n_trials = 1\n").experiment.n_trials == 1
 
     def test_variance_study_needs_one_dimensionality(self):
         with pytest.raises(ConfigError, match=r"line 3: variance-study needs exactly one dimensionality"):
-            cli.parse_config("[experiment]\nn_trials = 3\ndims = 3, 7\n", [("command", "variance-study")])
-        assert cli.parse_config("dims = 3, 7\n", [("command", "learning-curve")]).experiment.dims == (3, 7)
+            cli.parse_config("variance-study", "[experiment]\nn_trials = 3\ndims = 3, 7\n")
+        assert cli.parse_config("learning-curve", "dims = 3, 7\n").experiment.dims == (3, 7)
 
     @pytest.mark.parametrize(
         "line",
@@ -115,21 +116,48 @@ class TestParseConfig:
         assert f"config error: line 3: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_the_command_is_the_positional_argument_only(self, tmp_path, capsys):
+        # an override or a file line naming a command is an unknown key
+        out = tmp_path / "out"
+        assert cli.main(["density", "--command", "roc", "--out", str(out)]) == 2
+        assert "config error: unknown key 'command'" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("[output]\ncommand = density\n")
+        assert cli.main(["roc", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error: line 2: unknown key 'command'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_key_under_another_sections_header_exits_2_like_its_dotted_spelling(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_text("[output]\nmu1 = 0, 0\n")
+        assert cli.main(["roc", "--config", str(config), "--out", str(out)]) == 2
+        assert "config error: line 2: key 'mu1' belongs to [problem], not [output]" in capsys.readouterr().err
+        assert cli.main(["roc", "--output.mu1", "0,0", "--out", str(out)]) == 2
+        assert "config error: key 'mu1' belongs to [problem], not [output]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_dotted_key_under_a_header_must_match_both(self):
+        cfg = cli.parse_config("roc", "[problem]\nproblem.mu1 = 0, 1\n")
+        np.testing.assert_array_equal(cfg.problem.class1.mu, [0.0, 1.0])
+        with pytest.raises(ConfigError, match=r"^line 2: key 'n_trials' belongs to \[experiment\], not \[problem\]$"):
+            cli.parse_config("roc", "[problem]\nexperiment.n_trials = 3\n")
+
     @pytest.mark.parametrize("key, least", [("sim_size", 1), ("h_points", 8)])
     def test_a_size_below_its_least_cites_its_own_line(self, key, least):
-        text = f"command = density\n{key} = {least - 1}\n"
+        text = f"[experiment]\n{key} = {least - 1}\n"
         with pytest.raises(ConfigError, match=f"^line 2: {key} must be >= {least}, got {least - 1}$") as err:
-            cli.parse_config(text)
+            cli.parse_config("density", text)
         assert err.value.line == 2
         # an override has no line
         with pytest.raises(ConfigError, match=f"^{key} must be >= {least}"):
-            cli.parse_config("command = density\n", [(key, str(least - 1))])
+            cli.parse_config("density", "", [(key, str(least - 1))])
 
     def test_bool_values(self):
-        cfg = cli.parse_config("emit_svg = false\n", [("command", "roc")])
+        cfg = cli.parse_config("roc", "emit_svg = false\n")
         assert cfg.emit_svg is False
         with pytest.raises(ConfigError):
-            cli.parse_config("emit_svg = maybe\n", [("command", "roc")])
+            cli.parse_config("roc", "emit_svg = maybe\n")
 
 
 class TestRenderSvg:
@@ -574,7 +602,7 @@ class TestMain:
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "314")
-        cfg_a = cli.parse_config("", [("command", "simulate")])
+        cfg_a = cli.parse_config("simulate", "")
         argvs = ["simulate", "--out", str(tmp_path / "x"), "--sim_size", "50"]
         assert cli.main(argvs) == 0
         monkeypatch.setenv(cli.SEED_ENV_VAR, "315")
@@ -654,6 +682,23 @@ class TestMain:
         path = tmp_path / "roc.csv"
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
         assert path.read_bytes().startswith(b"fpf,tpf,threshold\n")
+
+    def test_key_equals_value_is_the_same_override_as_key_value(self, tmp_path):
+        assert cli._split_overrides(["--problem.mu1=0,1", "--n_trials", "3", "--out_dir=a=b"]) == [
+            ("problem.mu1", "0,1"), ("n_trials", "3"), ("out_dir", "a=b")]
+        for name, flags in (("a", ["--sim_size=50"]), ("b", ["--sim_size", "50"])):
+            assert cli.main(["simulate", "--out", str(tmp_path / name), *flags]) == 0
+        scores = (tmp_path / "a" / "scores.csv").read_bytes()
+        assert scores.count(b"\n") == 101 and scores == (tmp_path / "b" / "scores.csv").read_bytes()
+
+    def test_seed_env_that_is_not_an_integer_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "3.5")
+        argv = ["simulate", "--out", str(tmp_path / "out"), "--sim_size", "50"]
+        assert cli.main(argv) == 2
+        assert f"config error: {cli.SEED_ENV_VAR} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # --seed wins, and the variable is then not read
+        assert cli.main(argv + ["--seed", "3"]) == 0
 
     def test_override_without_value_is_config_error(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--sim_size"]) == 2

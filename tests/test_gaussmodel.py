@@ -174,6 +174,17 @@ class TestEstimateParams:
         with pytest.raises(ConditioningError):
             estimate_params([[0.0, 0.0], [2.0, 2.0]])
 
+    @pytest.mark.parametrize("column", ["zero", "copy", "double"])
+    def test_rank_deficient_batch_is_a_conditioning_error(self, column):
+        # every scatter entry and Cholesky step here is exact, so a zero
+        # column, or one that repeats the first or doubles it, leaves the
+        # last pivot exactly 0
+        x0, x1 = np.array([-2.0, -2.0, 2.0, 2.0, 0.0]), np.array([1.0, -1.0, 1.0, -1.0, 0.0])
+        third = {"zero": np.zeros(5), "copy": x0, "double": 2.0 * x0}[column]
+        with pytest.raises(ConditioningError, match="rank deficient") as err:
+            estimate_params(np.column_stack([x0, x1, third]))
+        assert isinstance(err.value.__cause__, DecompositionError)
+
     def test_single_sample_insufficient(self):
         with pytest.raises(InsufficientDataError):
             estimate_params([[1.0, 2.0]])

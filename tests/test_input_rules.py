@@ -89,7 +89,7 @@ def _score_set():
 def _roc_curve():
     fpf, tpf, th = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.25, 1.0]), np.array([np.inf, 0.0, -np.inf])
     tp, fp = np.array([0, 1, 4]), np.array([0, 1, 2])
-    curve = RocCurve(fpf, tpf, th, tp_counts=tp, fp_counts=fp, n1=4, n2=2)
+    curve = RocCurve(fpf, tpf, th, tp_counts=tp, fp_counts=fp)
     return (fpf, tpf, th, tp, fp), curve, ("fpf", "tpf", "thresholds", "tp_counts", "fp_counts")
 
 

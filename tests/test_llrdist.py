@@ -548,6 +548,29 @@ class TestMarginalDensity:
         for label in (1, 2):
             assert marginal_density(grid_h, label, parabola).integral() == pytest.approx(1.0, abs=1e-3)
 
+    def test_parabola_with_its_axis_above_the_class_window_mirrors_the_one_below(self):
+        # N((+-10, 1), diag(0.5, 1)) against N(0, I) puts the square term's
+        # axis at y_0 = +-20, beyond every class window on its side: the two
+        # problems are mirror images in y_0, with one score law.
+        def problem(m):
+            return TwoClassProblem(
+                class1=GaussianParams([0.0, 0.0], np.eye(2)),
+                class2=GaussianParams([m, 1.0], np.diag([0.5, 1.0])),
+            )
+
+        above, below = problem(10.0), problem(-10.0)
+        grid_h = default_h_grid(above)
+        np.testing.assert_array_equal(grid_h, default_h_grid(below))
+        for label in (1, 2):
+            g_above = marginal_density(grid_h, label, above)
+            g_below = marginal_density(grid_h, label, below)
+            assert g_above.integral() == pytest.approx(1.0, abs=1e-3)
+            assert g_below.integral() == pytest.approx(1.0, abs=1e-3)
+            np.testing.assert_array_equal(g_above.density > 0.0, g_below.density > 0.0)
+            inside = g_below.density > 0.0
+            assert inside.sum() > 100
+            assert np.abs(g_above.density[inside] / g_below.density[inside] - 1.0).max() <= 1e-12
+
     def test_ellipse_vertex_is_the_limit_from_inside(self):
         # At the vertex the level curve shrinks to the axis point, and the
         # density is its limit pi pdf(axis point) / sqrt|alpha_0 alpha_1|.
@@ -1157,6 +1180,7 @@ class TestHistogramVsAnalytic:
         ks, hist = histogram_vs_analytic(samples, grid)
         assert ks < 0.02
         assert 20 <= hist.counts.size <= 200
+        assert not hist.counts.flags.writeable and not hist.bin_edges.flags.writeable
 
     def test_wrong_class_scores_have_large_ks(self, counterexample_problem):
         grid_h = default_h_grid(counterexample_problem, 401)

@@ -161,10 +161,10 @@ class TestTrapezoidAuc:
         n1, n2 = 2**31, 2**31 - 1
         for tp, fp, auc in (([0, n1], [0, n2], 0.5), ([0, n1, n1], [0, 0, n2], 1.0)):
             curve = RocCurve(np.array(fp) / n2, np.array(tp) / n1, [np.inf, *[0.0] * (len(tp) - 2), -np.inf],
-                             tp_counts=np.array(tp), fp_counts=np.array(fp), n1=n1, n2=n2)
+                             tp_counts=np.array(tp), fp_counts=np.array(fp))
             assert trapezoid_auc(curve) == auc
         too_many = RocCurve([0.0, 1.0], [0.0, 1.0], [np.inf, -np.inf], tp_counts=np.array([0, 2**31]),
-                            fp_counts=np.array([0, 2**31]), n1=2**31, n2=2**31)
+                            fp_counts=np.array([0, 2**31]))
         with pytest.raises(ContractError, match="int64"):
             trapezoid_auc(too_many)
 
@@ -178,39 +178,44 @@ class TestTrapezoidAuc:
 
 
 class TestRocCurveCounts:
-    """Sweep counts must agree with the curve they are attached to."""
+    """Sweep counts must agree with the curve they are attached to; each
+    count array's last entry is its class size."""
 
     FPF, TPF, TH = [0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [np.inf, 0.0, -np.inf]
-    GOOD = dict(tp_counts=[0, 1, 4], fp_counts=[0, 1, 2], n1=4, n2=2)
+    GOOD = dict(tp_counts=[0, 1, 4], fp_counts=[0, 1, 2])
 
     def curve(self, **changes):
         return RocCurve(self.FPF, self.TPF, self.TH, **{**self.GOOD, **changes})
 
     def test_consistent_counts_are_kept_read_only(self):
         curve = self.curve()
-        assert curve.has_counts and (curve.n1, curve.n2) == (4, 2)
+        assert curve.has_counts and (curve.tp_counts[-1], curve.fp_counts[-1]) == (4, 2)
         np.testing.assert_array_equal(curve.tp_counts, [0, 1, 4])
         assert not curve.tp_counts.flags.writeable and not curve.fp_counts.flags.writeable
         assert trapezoid_auc(curve) == 0.375
 
-    def test_contradicting_counts_are_rejected(self):
-        # tp 5 of 2 positives and fp 3 of 2 negatives gave an area of 1.875
-        with pytest.raises(ContractError, match="from 0 to n1"):
-            RocCurve([0, 1], [0, 1], [np.inf, -np.inf], tp_counts=[0, 5], fp_counts=[0, 3], n1=2, n2=2)
+    def test_counts_are_their_own_class_sizes(self):
+        # the class sizes are the counts' last entries, 5 and 3, so these
+        # counts are the chance diagonal, not a contradiction
+        curve = RocCurve([0, 1], [0, 1], [np.inf, -np.inf], tp_counts=[0, 5], fp_counts=[0, 3])
+        assert trapezoid_auc(curve) == 0.5
 
-    @pytest.mark.parametrize("missing", ["tp_counts", "fp_counts", "n1", "n2"])
+    @pytest.mark.parametrize("missing", ["tp_counts", "fp_counts"])
     def test_counts_and_class_sizes_come_together(self, missing):
         with pytest.raises(ContractError, match="together"):
             self.curve(**{missing: None})
 
     def test_no_counts_and_no_sizes_is_a_plain_curve(self):
         curve = RocCurve(self.FPF, self.TPF, self.TH)
-        assert not curve.has_counts and curve.n1 is None
+        assert not curve.has_counts and curve.fp_counts is None
 
-    @pytest.mark.parametrize("n1", [0, -4, 4.0, True, "4"])
-    def test_class_size_must_be_a_positive_integer(self, n1):
-        with pytest.raises(ContractError, match="n1 must be an integer"):
-            self.curve(n1=n1)
+    @pytest.mark.parametrize("tp, match", [([0, 0, 0], "class size of at least 1"),
+                                           ([0, -1, -4], "class size of at least 1"),
+                                           ([0, 1, 4.0], "integer array"), ([False, False, True], "integer array"),
+                                           (["0", "1", "4"], "integer array")])
+    def test_class_size_must_be_a_positive_integer(self, tp, match):
+        with pytest.raises(ContractError, match=match):
+            self.curve(tp_counts=tp)
 
     def test_counts_must_be_integers(self):
         with pytest.raises(ContractError, match="integer array"):
@@ -221,16 +226,18 @@ class TestRocCurveCounts:
         with pytest.raises(ContractError, match="shape"):
             self.curve(fp_counts=fp)
 
-    @pytest.mark.parametrize("tp", [[1, 1, 4], [0, 1, 3], [0, 5, 4]])
-    def test_counts_must_run_up_from_zero_to_the_class_size(self, tp):
-        with pytest.raises(ContractError, match="non-decreasing from 0 to n1"):
+    @pytest.mark.parametrize("tp, match", [([1, 1, 4], "non-decreasing from 0"),
+                                           ([0, 1, 3], r"tp_counts / tp_counts\[-1\]"),
+                                           ([0, 5, 4], "non-decreasing from 0")])
+    def test_counts_must_run_up_from_zero_to_the_class_size(self, tp, match):
+        with pytest.raises(ContractError, match=match):
             self.curve(tp_counts=tp)
 
     def test_counts_must_give_the_fractions_exactly(self):
-        with pytest.raises(ContractError, match="tp_counts / n1"):
+        with pytest.raises(ContractError, match=r"tp_counts / tp_counts\[-1\]"):
             self.curve(tp_counts=[0, 2, 4])
-        with pytest.raises(ContractError, match="fp_counts / n2"):
-            RocCurve(self.FPF, self.TPF, self.TH, tp_counts=[0, 1, 4], fp_counts=[0, 2, 6], n1=4, n2=6)
+        with pytest.raises(ContractError, match=r"fp_counts / fp_counts\[-1\]"):
+            self.curve(fp_counts=[0, 2, 6])
 
 
 def binormal_point_by_quadrature(t, mu1, sigma1, mu2, sigma2):
