@@ -26,8 +26,8 @@ class DecompositionError(LlrLabError):
 
 
 class ConditioningError(LlrLabError):
-    """A linear system or estimated covariance is singular or too
-    ill-conditioned to trust (condition estimate above 1e12)."""
+    """A linear system or estimated covariance is singular or too ill-conditioned
+    to trust: the condition number of its correlation matrix is above 1e12."""
 
 
 class InsufficientDataError(LlrLabError):

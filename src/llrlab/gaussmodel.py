@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import smallmat
-from .errors import ConditioningError, ContractError, DecompositionError, InsufficientDataError
+from .errors import ConditioningError, ContractError, InsufficientDataError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -112,9 +112,7 @@ class GaussianParams:
             )
         object.__setattr__(self, "mu", smallmat.read_only_copy(mu))
         object.__setattr__(self, "sigma", smallmat.read_only_copy(sigma))
-        L = smallmat.cholesky(sigma)
-        L.flags.writeable = False
-        object.__setattr__(self, "chol", L)
+        object.__setattr__(self, "chol", smallmat.read_only_copy(smallmat.cholesky(sigma)))
 
     @property
     def dim(self) -> int:
@@ -123,9 +121,7 @@ class GaussianParams:
     @cached_property
     def sigma_inv(self) -> np.ndarray:
         Linv = smallmat.triangular_inverse(self.chol)
-        inv = Linv.T @ Linv
-        inv.flags.writeable = False
-        return inv
+        return smallmat.read_only_copy(Linv.T @ Linv)
 
     @cached_property
     def log_det(self) -> float:
@@ -185,8 +181,10 @@ def estimate_params(samples) -> GaussianParams:
     """Sample mean and (n-1)-denominator covariance of a batch of vectors.
 
     Raises :class:`InsufficientDataError` when fewer than two samples are
-    given and :class:`ConditioningError` when the scatter is rank deficient
-    or numerically singular (no silent regularization).
+    given, and :class:`ConditioningError` when the unit-free
+    :func:`smallmat.condition_estimate` finds the covariance singular (no
+    silent regularization).  Below about 60 dimensions, Cholesky provably
+    succeeds on every covariance that test accepts (Higham 2002, sec. 10.1).
     """
     X = np.asarray(samples, dtype=float)
     if X.ndim == 1:
@@ -201,15 +199,11 @@ def estimate_params(samples) -> GaussianParams:
     sigma = dev.T @ dev
     sigma /= n - 1
     sigma = 0.5 * (sigma + sigma.T)
-    try:
-        params = GaussianParams(mu, sigma)
-    except DecompositionError as err:
-        raise ConditioningError(
-            f"sample covariance from {n} points in dimension {X.shape[1]} is rank deficient"
-        ) from err
     if smallmat.condition_estimate(sigma) > smallmat.CONDITION_LIMIT:
-        raise ConditioningError("sample covariance is numerically singular")
-    return params
+        raise ConditioningError(
+            f"sample covariance from {n} points in dimension {X.shape[1]} is numerically singular"
+        )
+    return GaussianParams(mu, sigma)
 
 
 def mahalanobis_sq(mu1, mu2, sigma) -> float:

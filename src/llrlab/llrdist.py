@@ -886,10 +886,14 @@ def transform_problem(problem: TwoClassProblem) -> DiagonalizedProblem:
 
 @dataclass(frozen=True, eq=False)
 class HistogramTable:
-    """Histogram of scores with the bin rule used for density overlays; its arrays are read-only."""
+    """Histogram of scores with the bin rule used for density overlays; its arrays are read-only copies."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "bin_edges", smallmat.read_only_copy(self.bin_edges))
+        object.__setattr__(self, "counts", smallmat.read_only_copy(self.counts, None))
 
     @property
     def densities(self) -> np.ndarray:
@@ -933,7 +937,6 @@ def histogram_vs_analytic(scores, grid: DensityGrid) -> tuple[float, HistogramTa
     ks = float(np.max(np.maximum(np.abs(cdf - upper), np.abs(cdf - lower))))
     nbins = freedman_diaconis_bins(s)
     counts, edges = np.histogram(s, bins=nbins)
-    counts.flags.writeable = edges.flags.writeable = False
     return ks, HistogramTable(bin_edges=edges, counts=counts)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import smallmat
 from .bayesllr import TwoClassProblem, llr_scores
 from .csvio import csv_text
-from .errors import ConditioningError, ContractError, InsufficientDataError, LlrLabError
+from .errors import ConditioningError, ContractError, LlrLabError
 from .gaussmodel import GaussianParams, SeededRng, estimate_params, mvn_sample
 from .rocauc import ScoreSet, empirical_auc
 
@@ -60,13 +60,11 @@ class ExperimentConfig:
             raise ContractError(
                 f"every training size must exceed max(dims)={max(dims)} for estimability"
             )
-        if not 0.0 < float(self.target_delta_sq) < np.inf:
-            raise ContractError("target_delta_sq must be positive")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "train_sizes", sizes)
         object.__setattr__(self, "n_trials", smallmat.as_integer(self.n_trials, "n_trials", 1))
         object.__setattr__(self, "test_size", smallmat.as_integer(self.test_size, "test_size", 1))
-        object.__setattr__(self, "target_delta_sq", float(self.target_delta_sq))
+        object.__setattr__(self, "target_delta_sq", _separation(self.target_delta_sq))
         object.__setattr__(self, "base_seed", smallmat.as_integer(self.base_seed, "base_seed"))
 
     def rng(self) -> SeededRng:
@@ -76,7 +74,7 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class TrialResult:
     """AUC pair from one Monte-Carlo trial, with the index of the attempt
-    whose fit succeeded (0 unless rank-deficient scatters were retried)."""
+    whose fit succeeded (0 unless singular training covariances were retried)."""
 
     auc_true: float
     auc_apparent: float
@@ -129,21 +127,23 @@ class CurveSummary:
         raise KeyError(f"no cell (p={p}, n={n})")
 
 
+def _separation(target_delta_sq) -> float:
+    """A squared Mahalanobis separation as a float; it must be finite and positive."""
+    target = float(target_delta_sq)
+    if not 0.0 < target < np.inf:
+        raise ContractError(f"target_delta_sq must be positive and finite, got {target!r}")
+    return target
+
+
 def calibrate_c(p: int, target_delta_sq: float) -> float:
     """Mean offset c with squared Mahalanobis separation c^2 p = target."""
     p = smallmat.as_integer(p, "p", 1)
-    target = float(target_delta_sq)
-    if not 0.0 < target < np.inf:
-        raise ContractError(f"target separation must be positive, got {target}")
-    return float(np.sqrt(target / p))
+    return float(np.sqrt(_separation(target_delta_sq) / p))
 
 
 def asymptotic_auc(target_delta_sq: float) -> float:
     """Equal-covariance Bayes AUC at squared separation delta_sq: Phi(delta/sqrt(2))."""
-    target = float(target_delta_sq)
-    if not target > 0.0:
-        raise ContractError(f"target separation must be positive, got {target}")
-    return smallmat.std_normal_cdf(np.sqrt(target) / np.sqrt(2.0))
+    return smallmat.std_normal_cdf(np.sqrt(_separation(target_delta_sq)) / np.sqrt(2.0))
 
 
 @lru_cache(maxsize=64)
@@ -164,9 +164,10 @@ def run_trial(p: int, n: int, c: float, test_size: int, rng: SeededRng) -> Trial
     """One Monte-Carlo trial: sample, fit, and score both ways.
 
     n must exceed p, so that the training scatter can be full rank.  A
-    rank-deficient training scatter is retried on the next derived
-    sub-stream at most three times before the error surfaces with trial
-    provenance.  The result is a pure function of the arguments.
+    singular training covariance (a :class:`ConditioningError`) is retried
+    on the next derived sub-stream at most three times before the error
+    surfaces with trial provenance.  The result is a pure function of the
+    arguments.
     """
     p = smallmat.as_integer(p, "p", 1)
     n = smallmat.as_integer(n, "n", p + 1)
@@ -181,7 +182,7 @@ def run_trial(p: int, n: int, c: float, test_size: int, rng: SeededRng) -> Trial
             fitted = TwoClassProblem(
                 class1=estimate_params(train1), class2=estimate_params(train2)
             )
-        except (ConditioningError, InsufficientDataError) as err:
+        except ConditioningError as err:
             last_err = err
             continue
         test1 = mvn_sample(pop.class1, test_size, rng.derive(_ROLE_TEST1, attempt))

@@ -115,7 +115,7 @@ class BinormalFit:
     ``a`` is the intercept, ``b`` the slope; ``residual`` is the RMS
     deviation of the deviate points from the line (0 for an exact fit).
     A proper fit has b > 0.  ``z_fpf`` and ``z_tpf`` are the deviate
-    points the line was fitted to, read-only.
+    points the line was fitted to, kept as read-only copies.
     """
 
     a: float
@@ -123,6 +123,10 @@ class BinormalFit:
     residual: float
     z_fpf: np.ndarray = field(repr=False, compare=False)
     z_tpf: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "z_fpf", smallmat.read_only_copy(self.z_fpf))
+        object.__setattr__(self, "z_tpf", smallmat.read_only_copy(self.z_tpf))
 
 
 def _win_tie_counts(s1: np.ndarray, s2: np.ndarray) -> tuple[int, int]:
@@ -211,10 +215,7 @@ def trapezoid_auc(curve: RocCurve) -> float:
 
 def binormal_tpf(a: float, b: float, fpf: float) -> float:
     """TPF of the binormal ROC whose deviate plot is the line a + b*z."""
-    fpf = float(fpf)
-    if not 0.0 < fpf < 1.0:
-        raise DomainError(f"binormal_tpf needs 0 < fpf < 1, got {fpf!r}")
-    return smallmat.std_normal_cdf(a + b * smallmat.std_normal_quantile(fpf))
+    return float(binormal_tpf_array(a, b, fpf))
 
 
 def binormal_tpf_array(a: float, b: float, fpf) -> np.ndarray:
@@ -251,7 +252,6 @@ def normal_deviate_fit(curve: RocCurve) -> BinormalFit:
         )
     b, a = np.polyfit(x, y, 1)
     residual = float(np.sqrt(np.mean((y - (a + b * x)) ** 2)))
-    x.flags.writeable = y.flags.writeable = False
     return BinormalFit(a=float(a), b=float(b), residual=residual, z_fpf=x, z_tpf=y)
 
 

@@ -14,7 +14,8 @@ from scipy import special
 
 from .errors import ConditioningError, ContractError, DecompositionError, DomainError
 
-#: Condition-number estimate above which a matrix is treated as singular.
+#: :func:`condition_estimate` above which a matrix is singular: the one
+#: singularity test, so no choice of feature units moves a verdict.
 CONDITION_LIMIT = 1e12
 #: Relative asymmetry max|S - S^T| / max|S| above which a matrix is rejected.
 SYMMETRY_RTOL = 1e-12
@@ -41,7 +42,7 @@ def as_integer(n, name: str, least: int | None = None) -> int:
 
 
 def read_only_copy(a, dtype=float) -> np.ndarray:
-    """A read-only copy of ``a``: what a value type keeps of its caller's arrays."""
+    """A read-only copy of ``a``: what a value type keeps of its caller's arrays and its own."""
     arr = np.array(a, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -71,34 +72,28 @@ def require_symmetric(S, name: str = "matrix") -> np.ndarray:
 
 
 def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF, accurate to better than 1e-12 everywhere.
-
-    Evaluated through the complementary error function, which keeps full
-    relative accuracy deep in the lower tail.
-    """
-    return float(0.5 * special.erfc(-float(z) / _SQRT2))
+    """Standard normal CDF, accurate to better than 1e-12 everywhere."""
+    return float(std_normal_cdf_array(z))
 
 
 def std_normal_quantile(p: float) -> float:
     """Inverse of :func:`std_normal_cdf` for p strictly inside (0, 1)."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile requires 0 < p < 1, got {p!r}")
-    return float(special.ndtri(p))
+    return float(std_normal_quantile_array(p))
 
 
 def std_normal_cdf_array(z) -> np.ndarray:
-    """Vectorized standard normal CDF."""
+    """Vectorized standard normal CDF, through erfc, which keeps full relative accuracy deep in the lower tail."""
     return 0.5 * special.erfc(-np.asarray(z, dtype=float) / _SQRT2)
 
 
 def std_normal_quantile_array(p) -> np.ndarray:
-    """Vectorized normal quantile; every entry must lie strictly in (0, 1),
-    so a NaN entry is a :class:`DomainError`, as it is for the scalar form."""
+    """Vectorized normal quantile; every entry must lie strictly in (0, 1), which a
+    NaN does not, and the :class:`DomainError` names the first entry that does not."""
     arr = np.asarray(p, dtype=float)
     # a NaN makes min or max NaN, which fails its comparison
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
-        raise DomainError("quantile requires all probabilities strictly inside (0, 1)")
+        first = arr.flat[np.argmin((arr > 0.0) & (arr < 1.0))]
+        raise DomainError(f"quantile requires 0 < p < 1, got {float(first)!r}")
     return special.ndtri(arr)
 
 
@@ -131,23 +126,28 @@ def chol_logdet(L: np.ndarray) -> float:
 
 
 def condition_estimate(S) -> float:
-    """2-norm condition estimate of a symmetric matrix via its eigenvalues.
-
-    Returns inf when the spectrum touches zero.
+    """2-norm condition number, from its eigenvalues, of the correlation matrix
+    D^-1/2 S D^-1/2 of a symmetric S with D = diag(S): the number Cholesky's
+    accuracy depends on (van der Sluis 1969), which rescaling S's variables
+    leaves alone.  inf when a diagonal entry is not positive or the spectrum
+    touches zero.
     """
     A = require_symmetric(S, "condition input")
-    eig = np.abs(np.linalg.eigvalsh(A))
-    if eig.min() == 0.0:
-        return np.inf
-    return float(eig.max() / eig.min())
+    d = np.diag(A)
+    if (d > 0.0).all():
+        r = 1.0 / np.sqrt(d)
+        eig = np.abs(np.linalg.eigvalsh(r[:, None] * A * r))
+        if eig.min() > 0.0:
+            return float(eig.max() / eig.min())
+    return np.inf
 
 
 def spd_solve(S, v) -> np.ndarray:
     """Solve S x = v for symmetric positive definite S.
 
-    Raises :class:`ConditioningError` when the condition estimate exceeds
-    :data:`CONDITION_LIMIT`, and :class:`DecompositionError` when S is not
-    positive definite at all.
+    Raises :class:`ConditioningError` when :func:`condition_estimate`
+    exceeds :data:`CONDITION_LIMIT`, and :class:`DecompositionError` when
+    S is not positive definite at all.
     """
     A = require_symmetric(S, "spd_solve matrix")
     b = as_vector(v, "spd_solve rhs")
@@ -156,7 +156,7 @@ def spd_solve(S, v) -> np.ndarray:
             f"dimension mismatch: matrix is {A.shape[0]}x{A.shape[1]}, rhs has {b.shape[0]}"
         )
     cond = condition_estimate(A)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    if cond > CONDITION_LIMIT:
         raise ConditioningError(f"matrix condition estimate {cond:.3g} exceeds {CONDITION_LIMIT:g}")
     L = cholesky(A)
     y = np.linalg.solve(L, b)

@@ -777,6 +777,14 @@ class TestMain:
                     "learning_curve.svg": "68925a680ab8134b8325c359e6ee5e2155e8a46fa87e46839802058ea576a73f",
                 },
             ),
+            # n = p + 1 gives the worst-conditioned fits the grid allows
+            (
+                "learning-curve --dims 3,7,11 --train_sizes 12 --n_trials 20 --test_size 200",
+                {
+                    "learning_curve.csv": "e1322a094909f2a32ca53b21c5b6ca30619272a6ae4341a21d26bf8e6b05422a",
+                    "learning_curve.svg": "94800a6555b00cbd863a9cc5af3330d3ca5ddd6e379f460a1687e0a732cc4808",
+                },
+            ),
             (
                 "variance-study --n_trials 3 --train_sizes 20,50 --test_size 200",
                 {

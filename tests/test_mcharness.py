@@ -38,8 +38,9 @@ class TestCalibrateC:
             calibrate_c(0, 0.8)
         # an infinite separation would put the class-2 mean at infinity
         for target in (0.0, np.inf, np.nan):
-            with pytest.raises(ContractError, match="target separation must be positive"):
-                calibrate_c(3, target)
+            for call in (lambda t: calibrate_c(3, t), asymptotic_auc):
+                with pytest.raises(ContractError, match="target_delta_sq must be positive"):
+                    call(target)
 
 
 class TestAsymptoticAuc:

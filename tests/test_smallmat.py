@@ -253,5 +253,23 @@ class TestSpdSolve:
 
 
 def test_condition_estimate_scales():
+    # the estimate is that of the correlation matrix, so no diagonal
+    # scaling, i.e. no choice of feature units, moves it
     assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
-    assert condition_estimate(np.diag([1e6, 1e-8])) > 1e12
+    assert condition_estimate(np.diag([1e6, 1e-8])) == pytest.approx(1.0)
+    gen = np.random.default_rng(19)
+    A = gen.normal(size=(5, 5))
+    S = A @ A.T + 0.01 * np.eye(5)
+    base = condition_estimate(S)
+    assert base > 10.0
+    for scale in (np.array([1.0, 1e6, 1.0, 1.0, 1.0]), np.geomspace(1e-8, 1e8, 5)):
+        assert condition_estimate(scale[:, None] * S * scale) == pytest.approx(base, rel=1e-9)
+    assert condition_estimate([[1.0, 1.0], [1.0, 1.0 + 1e-14]]) > 1e12
+
+
+@pytest.mark.parametrize("diagonal", [[1.0, 0.0], [-1.0, 2.0], [0.0, -0.0]])
+def test_condition_estimate_without_a_positive_diagonal_is_infinite(diagonal):
+    # RuntimeWarnings are errors here, so this also checks that no warning is raised
+    S = np.diag(diagonal)
+    S[0, 1] = S[1, 0] = 0.5
+    assert condition_estimate(S) == np.inf
