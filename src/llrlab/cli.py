@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +36,6 @@ from .smallmat import std_normal_quantile_array  # noqa: F401  (bench/tracing.py
 
 #: the experiment defaults, which the CLI's own defaults do not restate
 _EXPERIMENT = mcharness.ExperimentConfig()
-DEFAULT_SEED = _EXPERIMENT.base_seed
-SEED_ENV_VAR = "LLR_LAB_SEED"
 
 _SECTIONS = ("problem", "experiment", "output")
 
@@ -79,7 +76,7 @@ _SCHEMA = {
     "n_trials": ("experiment", int, _EXPERIMENT.n_trials),
     "test_size": ("experiment", int, _EXPERIMENT.test_size),
     "delta_sq": ("experiment", float, _EXPERIMENT.target_delta_sq),
-    "base_seed": ("experiment", int, DEFAULT_SEED),
+    "base_seed": ("experiment", int, _EXPERIMENT.base_seed),
     "sim_size": ("experiment", int, 10000),
     "h_points": ("experiment", int, 801),
     "out_dir": ("output", str, "."),
@@ -470,7 +467,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", type=Path, default=None, help="config file path")
-    parser.add_argument("--seed", type=int, default=None, help="base seed (else $LLR_LAB_SEED)")
+    parser.add_argument("--seed", type=int, default=None, help="base seed (same as --base_seed N)")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--no-svg", action="store_true", help="skip SVG output")
     args, extras = parser.parse_known_args(argv)
@@ -480,14 +477,8 @@ def main(argv=None) -> int:
         if args.config is not None:
             text = args.config.read_text(encoding="utf-8")
         overrides = []
-        seed = args.seed
-        if seed is None and os.environ.get(SEED_ENV_VAR):
-            try:
-                seed = int(os.environ[SEED_ENV_VAR])
-            except ValueError as err:
-                raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from err
-        if seed is not None:
-            overrides.append(("base_seed", str(seed)))
+        if args.seed is not None:
+            overrides.append(("base_seed", str(args.seed)))
         if args.out is not None:
             overrides.append(("out_dir", str(args.out)))
         if args.no_svg:

@@ -169,8 +169,6 @@ def mvn_sample(params: GaussianParams, n: int, rng: SeededRng) -> np.ndarray:
     """
     n = smallmat.as_integer(n, "n", 0)
     p = params.dim
-    if n == 0:
-        return np.empty((0, p))
     z = rng.normals(n * p).reshape(n, p)
     x = z @ params.chol.T
     x += params.mu

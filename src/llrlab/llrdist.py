@@ -323,7 +323,13 @@ _FIRST_STEPS = 8
 _FIRST_NODES = np.arange(2 * _FIRST_STEPS + 1) / (2 * _FIRST_STEPS)
 
 
-def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _settled(value, error):
+    """Whether a row of :func:`adaptive_gk_rows` converged: its value is
+    finite and error <= max(_ABS_TOL, _REL_TOL |value|)."""
+    return np.isfinite(value) & (error <= np.fmax(_ABS_TOL, _REL_TOL * np.abs(value)))
+
+
+def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Nested trapezoid rule on 8, 16, 32, ... equal steps of [a[i], b[i]],
     every row i at once.
 
@@ -336,23 +342,23 @@ def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``f(rows, x)`` maps the indices of the rows still refining and their
     abscissae, an array of shape (len(rows), m), to values of that shape.
     The first two levels are one call on their 17 nodes, each later level one
-    call on the new midpoints only.  Row i returns (integral, error_estimate,
-    converged) of the first level T_2n with |T_2n - T_n| <= max(_ABS_TOL,
-    _REL_TOL |T_2n|), the estimate being |T_2n - T_n|, and leaves later
-    calls; or, flagged unconverged, of the last level before the
-    evaluations would pass _MAX_EVALS.  A row whose value is not finite
-    leaves at once, flagged, with error inf: no later level can change a sum
-    that holds it.  A row with a == b is 0 with error 0 and never reaches
-    ``f``.  Rows do not interact, so each row's result is that of
-    :func:`adaptive_gk` on it alone.  Never raises on slow convergence: the
-    caller decides what a flagged row means.
+    call on the new midpoints only.  Row i returns (integral, error_estimate)
+    of the first level T_2n whose estimate |T_2n - T_n| is within
+    max(_ABS_TOL, _REL_TOL |T_2n|), and leaves later calls; or of the last
+    level before the evaluations would pass _MAX_EVALS.  A row whose value
+    is not finite leaves at once with error inf: no later level can change a
+    sum that holds it.  A row with a == b is 0 with error 0 and never
+    reaches ``f``.  So a row converged exactly when its value is finite and
+    error <= max(_ABS_TOL, _REL_TOL |value|) (:func:`_settled`).  Rows do
+    not interact, so each row's result is that of :func:`adaptive_gk` on it
+    alone.  Never raises on slow convergence: the caller decides what an
+    unconverged row means.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     value, error = np.zeros(a.shape), np.zeros(a.shape)
-    converged = np.ones(a.shape, dtype=bool)
     rows = np.flatnonzero(a != b)
     if rows.size == 0:
-        return value, error, converged
+        return value, error
     lo, width = a[rows], b[rows] - a[rows]
     # one call on the first two levels: T_n sums the even nodes, T_2n adds the odd
     steps = 2 * _FIRST_STEPS
@@ -366,11 +372,10 @@ def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     new = np.where(finite, sums * width / steps, first)
     err = np.abs(np.subtract(new, first, out=np.full(rows.size, np.inf), where=finite))
     while True:
-        keep = ~(err <= np.fmax(_ABS_TOL, _REL_TOL * np.abs(new)))
+        keep = ~_settled(new, err)
         finite = np.isfinite(new)
         if not finite.all():
             err, keep = np.where(finite, err, np.inf), keep & finite
-            converged[rows[~finite]] = False
         value[rows], error[rows] = new, err
         rows, lo, width, sums = rows[keep], lo[keep], width[keep], sums[keep]
         if rows.size == 0 or 2 * steps + 1 > _MAX_EVALS:
@@ -379,16 +384,15 @@ def adaptive_gk_rows(f, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         steps *= 2
         new = sums * width / steps
         err = np.abs(new - value[rows])
-    converged[rows] = False
-    return value, error, converged
+    return value, error
 
 
 def adaptive_gk(f, a: float, b: float) -> tuple[float, float, bool]:
     """The one-row case of :func:`adaptive_gk_rows`: (integral,
     error_estimate, converged) of ``f``, which maps a 1-D array of abscissae
-    to values, over [a, b]."""
-    value, error, converged = adaptive_gk_rows(lambda rows, x: f(x[0])[None], [a], [b])
-    return float(value[0]), float(error[0]), bool(converged[0])
+    to values, over [a, b]; converged is :func:`_settled` of the first two."""
+    value, error = adaptive_gk_rows(lambda rows, x: f(x[0])[None], [a], [b])
+    return float(value[0]), float(error[0]), bool(_settled(value[0], error[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +698,7 @@ def _level_plan(problem: TwoClassProblem, label: int):
         density, est_error = np.zeros_like(h), np.zeros_like(h)
         for rows, lo, hi, integrand in arcs(h, density, est_error):
             # a curve that misses the class windows has lo >= hi: an empty arc
-            value, err, _ = adaptive_gk_rows(integrand, lo, np.maximum(lo, hi))
+            value, err = adaptive_gk_rows(integrand, lo, np.maximum(lo, hi))
             density[rows] = np.maximum(value, 0.0)
             est_error[rows] = err
         return density, est_error

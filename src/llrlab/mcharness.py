@@ -78,8 +78,6 @@ class TrialResult:
 
     auc_true: float
     auc_apparent: float
-    n: int
-    p: int
     attempt: int
 
 
@@ -192,8 +190,6 @@ def run_trial(p: int, n: int, c: float, test_size: int, rng: SeededRng) -> Trial
         return TrialResult(
             auc_true=empirical_auc(true),
             auc_apparent=empirical_auc(apparent),
-            n=n,
-            p=p,
             attempt=attempt,
         )
     raise ConditioningError(

@@ -129,16 +129,20 @@ def condition_estimate(S) -> float:
     """2-norm condition number, from its eigenvalues, of the correlation matrix
     D^-1/2 S D^-1/2 of a symmetric S with D = diag(S): the number Cholesky's
     accuracy depends on (van der Sluis 1969), which rescaling S's variables
-    leaves alone.  inf when a diagonal entry is not positive or the spectrum
-    touches zero.
+    leaves alone.  inf when a diagonal entry is not positive, the scaled
+    matrix overflows (only an indefinite S, with some |S_ij| far above
+    sqrt(S_ii S_jj), can) or its spectrum touches zero.
     """
     A = require_symmetric(S, "condition input")
     d = np.diag(A)
     if (d > 0.0).all():
         r = 1.0 / np.sqrt(d)
-        eig = np.abs(np.linalg.eigvalsh(r[:, None] * A * r))
-        if eig.min() > 0.0:
-            return float(eig.max() / eig.min())
+        with np.errstate(over="ignore"):
+            C = r[:, None] * A * r
+        if np.isfinite(C).all():
+            eig = np.abs(np.linalg.eigvalsh(C))
+            if eig.min() > 0.0:
+                return float(eig.max() / eig.min())
     return np.inf
 
 

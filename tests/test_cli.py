@@ -600,17 +600,14 @@ class TestMain:
         assert "class 1" in err and "exceeds the DKW bound 0.06" in err and "h_points=801" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "314")
-        cfg_a = cli.parse_config("simulate", "")
-        argvs = ["simulate", "--out", str(tmp_path / "x"), "--sim_size", "50"]
-        assert cli.main(argvs) == 0
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "315")
-        assert cli.main(["simulate", "--out", str(tmp_path / "y"), "--sim_size", "50"]) == 0
-        assert (tmp_path / "x" / "scores.csv").read_bytes() != (
-            tmp_path / "y" / "scores.csv"
-        ).read_bytes()
-        assert cfg_a.experiment.base_seed == cli.DEFAULT_SEED  # env not read by parse_config
+    def test_seed_environment_variable_is_not_read(self, tmp_path, monkeypatch):
+        argv = ["simulate", "--sim_size", "50", "--out"]
+        assert cli.main(argv + [str(tmp_path / "unset")]) == 0
+        expected = (tmp_path / "unset" / "scores.csv").read_bytes()
+        for value in ("314", "3.5"):
+            monkeypatch.setenv("LLR_LAB_SEED", value)
+            assert cli.main(argv + [str(tmp_path / value)]) == 0
+            assert (tmp_path / value / "scores.csv").read_bytes() == expected
 
     def test_failed_write_removes_partial_outputs(self, tmp_path, monkeypatch):
         import pathlib
@@ -690,15 +687,6 @@ class TestMain:
             assert cli.main(["simulate", "--out", str(tmp_path / name), *flags]) == 0
         scores = (tmp_path / "a" / "scores.csv").read_bytes()
         assert scores.count(b"\n") == 101 and scores == (tmp_path / "b" / "scores.csv").read_bytes()
-
-    def test_seed_env_that_is_not_an_integer_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "3.5")
-        argv = ["simulate", "--out", str(tmp_path / "out"), "--sim_size", "50"]
-        assert cli.main(argv) == 2
-        assert f"config error: {cli.SEED_ENV_VAR} must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-        # --seed wins, and the variable is then not read
-        assert cli.main(argv + ["--seed", "3"]) == 0
 
     def test_override_without_value_is_config_error(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--sim_size"]) == 2

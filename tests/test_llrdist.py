@@ -33,6 +33,7 @@ from llrlab.llrdist import (
     _diagonal_score,
     _joint_values,
     _quadratic_roots,
+    _settled,
     adaptive_gk,
     adaptive_gk_rows,
     default_h_grid,
@@ -1299,10 +1300,13 @@ class TestAdaptiveGk:
             return np.stack([funcs[r](xr) for r, xr in zip(rows, x)])
 
         with np.errstate(divide="ignore"):
-            values, errors, converged = adaptive_gk_rows(batch, a, b)
+            values, errors = adaptive_gk_rows(batch, a, b)
+            converged = []
             for i, f in enumerate(funcs):
-                assert (values[i], errors[i], converged[i]) == adaptive_gk(f, a[i], b[i])
-        assert list(converged) == [True, True, True, False, False, True, True]
+                value, error, ok = adaptive_gk(f, a[i], b[i])
+                assert (values[i], errors[i]) == (value, error)
+                converged.append(ok)
+        assert converged == [True, True, True, False, False, True, True]
         assert errors[3] == np.inf and np.isfinite(errors[4])
         for sd, value in zip(sds, values):
             assert value == pytest.approx(ndtr(1.0 / sd) - ndtr(-1.0 / sd), rel=1e-9)
@@ -1331,10 +1335,49 @@ class TestAdaptiveGk:
                 out[rows == 1] = np.nan
             return out
 
-        value, error, converged = adaptive_gk_rows(f, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+        value, error = adaptive_gk_rows(f, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
         assert np.isnan(value[:2]).all() and list(error[:2]) == [np.inf, np.inf]
-        assert list(converged) == [False, False, True]
+        assert list(_settled(value, error)) == [False, False, True]
         assert 0 not in calls[1] and 1 in calls[1] and 1 not in calls[2]
+
+    def test_a_row_converged_exactly_when_its_value_and_error_settle(self):
+        # random rows of seven integrand families, one in ten on an empty
+        # interval: smooth, oscillatory (often past the budget), cusp, pole,
+        # NaN past a point, inf near one, and a sum that overflows to inf
+        families = [
+            lambda c, x: np.exp(-c * x * x),
+            lambda c, x: np.cos(40.0 * c * x),
+            lambda c, x: np.sqrt(np.abs(x - c)),
+            lambda c, x: 1.0 / (x - c),
+            lambda c, x: np.where(x > c, np.nan, x),
+            lambda c, x: np.where(np.abs(x - c) < 0.1, np.inf, x),
+            lambda c, x: 1e308 * c + 0.0 * x,
+        ]
+        rng = np.random.default_rng(34)
+        family = np.repeat(np.arange(len(families)), 40)
+        c = rng.uniform(-1.0, 1.0, family.size)
+        a, b = rng.uniform(-1.0, 0.0, family.size), rng.uniform(0.0, 1.0, family.size)
+        b[::10] = a[::10]
+
+        def row(i):
+            return lambda x: families[family[i]](c[i], x)
+
+        def batch(rows, x):
+            return np.stack([row(i)(xi) for i, xi in zip(rows, x)])
+
+        with np.errstate(all="ignore"):
+            value, error = adaptive_gk_rows(batch, a, b)
+            alone = [adaptive_gk(row(i), a[i], b[i]) for i in range(family.size)]
+        np.testing.assert_array_equal(value, [v for v, _, _ in alone])
+        np.testing.assert_array_equal(error, [e for _, e, _ in alone])
+        converged = np.array([ok for _, _, ok in alone])
+        np.testing.assert_array_equal(converged, _settled(value, error))
+        # every verdict occurs: converged, out of budget, NaN and infinite
+        finite = np.isfinite(value)
+        assert converged.any() and (finite & ~converged).any()
+        assert np.isnan(value).any() and np.isinf(value).any()
+        assert (error[~finite] == np.inf).all() and not converged[~finite].any()
+        assert (error[b == a] == 0.0).all() and converged[b == a].all()
 
 
 class TestDensityGridAndRoc:

@@ -251,6 +251,12 @@ class TestSpdSolve:
         with pytest.raises(ContractError):
             spd_solve(np.eye(2), [1.0, 2.0, 3.0])
 
+    def test_grossly_indefinite_matrix_is_singular_without_a_warning(self):
+        # its scaled off-diagonal entry, 1e200 / 1e-200, overflows: estimate
+        # inf (RuntimeWarnings are errors here)
+        with pytest.raises(ConditioningError):
+            spd_solve([[1e-200, 1e200], [1e200, 1e-200]], [1.0, 1.0])
+
 
 def test_condition_estimate_scales():
     # the estimate is that of the correlation matrix, so no diagonal
