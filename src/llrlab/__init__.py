@@ -61,7 +61,6 @@ from .mcharness import (
     calibrate_c,
     learning_curve,
     run_trial,
-    variance_study,
 )
 from .rocauc import (
     BinormalFit,

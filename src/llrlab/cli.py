@@ -12,6 +12,8 @@ Config files are line based: `key = value`, `#` comments, optional
 `[problem]` / `[experiment]` / `[output]` section headers, matrices as
 nested bracketed rows `[[1,.2],[.2,1]]`, lists comma separated.  A key under
 a header, like a key with a dotted prefix, must belong to that section.
+Files are UTF-8, a leading byte-order mark skipped.  Every key is parsed,
+but a command builds and range-checks only the keys it reads (RunConfig).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical error (also a density
 grid that fails its own unit-mass, KS or ratio-law check), 4 I/O error.
@@ -58,6 +60,12 @@ def _list(item):
     return parse
 
 
+def _path(raw: str) -> str:
+    if "\0" in raw:
+        raise ValueError("a path cannot hold a NUL byte")
+    return raw
+
+
 def _matrix(raw: str) -> tuple:
     arr = np.asarray(ast.literal_eval(raw), dtype=float)
     if arr.ndim != 2:
@@ -79,17 +87,19 @@ _SCHEMA = {
     "base_seed": ("experiment", int, _EXPERIMENT.base_seed),
     "sim_size": ("experiment", int, 10000),
     "h_points": ("experiment", int, 801),
-    "out_dir": ("output", str, "."),
+    "out_dir": ("output", _path, "."),
     "emit_svg": ("output", _bool, True),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description."""
+    """Fully resolved run description.  ``problem`` is None for learning-curve
+    and variance-study; the simulating commands read only ``experiment``'s
+    seed, so theirs is the library's default grid with the run's base_seed."""
 
     command: str
-    problem: TwoClassProblem
+    problem: TwoClassProblem | None
     experiment: mcharness.ExperimentConfig
     sim_size: int
     h_points: int
@@ -170,54 +180,53 @@ def parse_config(command: str, text: str = "", overrides=()) -> RunConfig:
             suffix = f" [from {', '.join(where)}]" if where else ""
             raise ConfigError(f"{err}{suffix}") from err
 
-    score_keys = ("mu1", "sigma1", "mu2", "sigma2")
-    problem = _build(
-        lambda: TwoClassProblem(
-            class1=GaussianParams(np.array(values["mu1"]), np.array(values["sigma1"])),
-            class2=GaussianParams(np.array(values["mu2"]), np.array(values["sigma2"])),
-        ),
-        score_keys,
-    )
-
-    if command == "density":
-        if problem.dim != 2:
+    if command in ("learning-curve", "variance-study"):
+        problem = None
+        dims = (11,) if command == "variance-study" and "dims" not in explicit else values["dims"]
+        experiment = _build(
+            lambda: mcharness.ExperimentConfig(
+                dims=dims,
+                train_sizes=values["train_sizes"],
+                n_trials=values["n_trials"],
+                test_size=values["test_size"],
+                target_delta_sq=values["delta_sq"],
+                base_seed=values["base_seed"],
+            ),
+            ("dims", "train_sizes", "n_trials", "test_size", "delta_sq", "base_seed"),
+        )
+        if command == "variance-study" and experiment.n_trials < 2:
             raise ConfigError(
-                f"density needs a 2-D problem, got dim {problem.dim}",
-                line=lines_of.get("mu1", lines_of.get("sigma1")),
+                f"variance-study needs n_trials >= 2 to estimate a variance, got {experiment.n_trials}",
+                line=lines_of.get("n_trials"),
             )
-        # a score that is constant to rounding has no density; the problem's
-        # score range builds the diagonal form that the run then reuses
-        _build(lambda: llrdist.support_h_range(problem), score_keys)
-
-    dims = values["dims"]
-    if command == "variance-study" and "dims" not in explicit:
-        dims = (11,)
-    experiment = _build(
-        lambda: mcharness.ExperimentConfig(
-            dims=dims,
-            train_sizes=values["train_sizes"],
-            n_trials=values["n_trials"],
-            test_size=values["test_size"],
-            target_delta_sq=values["delta_sq"],
-            base_seed=values["base_seed"],
-        ),
-        ("dims", "train_sizes", "n_trials", "test_size", "delta_sq", "base_seed"),
-    )
-
-    if command == "variance-study" and experiment.n_trials < 2:
-        raise ConfigError(
-            f"variance-study needs n_trials >= 2 to estimate a variance, got {experiment.n_trials}",
-            line=lines_of.get("n_trials"),
+        if command == "variance-study" and len(experiment.dims) != 1:
+            raise ConfigError(
+                f"variance-study needs exactly one dimensionality, got {experiment.dims}",
+                line=lines_of.get("dims"),
+            )
+    else:
+        experiment = mcharness.ExperimentConfig(base_seed=values["base_seed"])
+        score_keys = ("mu1", "sigma1", "mu2", "sigma2")
+        problem = _build(
+            lambda: TwoClassProblem(
+                class1=GaussianParams(np.array(values["mu1"]), np.array(values["sigma1"])),
+                class2=GaussianParams(np.array(values["mu2"]), np.array(values["sigma2"])),
+            ),
+            score_keys,
         )
-    if command == "variance-study" and len(experiment.dims) != 1:
-        raise ConfigError(
-            f"variance-study needs exactly one dimensionality, got {experiment.dims}",
-            line=lines_of.get("dims"),
-        )
-
-    for key, least in (("sim_size", 1), ("h_points", 8)):
-        if values[key] < least:
-            raise ConfigError(f"{key} must be >= {least}, got {values[key]}", line=lines_of.get(key))
+        if command == "density":
+            if problem.dim != 2:
+                raise ConfigError(
+                    f"density needs a 2-D problem, got dim {problem.dim}",
+                    line=lines_of.get("mu1", lines_of.get("sigma1")),
+                )
+            # a score that is constant to rounding has no density; the problem's
+            # score range builds the diagonal form that the run then reuses
+            _build(lambda: llrdist.support_h_range(problem), score_keys)
+        least_sizes = (("sim_size", 1), ("h_points", 8)) if command == "density" else (("sim_size", 1),)
+        for key, least in least_sizes:
+            if values[key] < least:
+                raise ConfigError(f"{key} must be >= {least}, got {values[key]}", line=lines_of.get(key))
 
     return RunConfig(
         command=command,
@@ -365,7 +374,7 @@ def _cmd_learning_curve(config: RunConfig) -> dict:
 
 
 def _cmd_variance_study(config: RunConfig) -> dict:
-    summary = mcharness.variance_study(config.experiment)
+    summary = mcharness.learning_curve(config.experiment)
     # every row has the study's one dimensionality
     (p,) = config.experiment.dims
     return {
@@ -475,7 +484,10 @@ def main(argv=None) -> int:
     try:
         text = ""
         if args.config is not None:
-            text = args.config.read_text(encoding="utf-8")
+            try:
+                text = args.config.read_bytes().decode("utf-8").removeprefix("\ufeff")
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"{args.config} is not UTF-8: {err.reason} at byte {err.start}") from err
         overrides = []
         if args.seed is not None:
             overrides.append(("base_seed", str(args.seed)))

@@ -321,17 +321,3 @@ def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> 
     ]
     return CurveSummary(rows=tuple(rows))
 
-
-def variance_study(config: ExperimentConfig) -> CurveSummary:
-    """Learning curve restricted to a single dimensionality.
-
-    The interesting column is var_auc_true as a function of n, which needs
-    at least two trials per cell.
-    """
-    if len(config.dims) != 1:
-        raise ContractError(f"variance study needs exactly one dimensionality, got {config.dims}")
-    if config.n_trials < 2:
-        raise ContractError(
-            f"variance study needs n_trials >= 2 to estimate a variance, got {config.n_trials}"
-        )
-    return learning_curve(config)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from llrlab import cli, svgplot
+from llrlab import cli, mcharness, svgplot
 from llrlab.errors import ConfigError, ContractError
 from llrlab.svgplot import PlotSpec, Series, render_svg
 
@@ -23,6 +23,9 @@ class TestParseConfig:
         assert cfg.experiment.n_trials == 100
         assert cfg.experiment.test_size == 1000
         assert cfg.experiment.target_delta_sq == 0.8
+        # a Monte-Carlo command builds its own populations
+        assert cfg.problem is None
+        cfg = cli.parse_config("roc", "")
         np.testing.assert_array_equal(cfg.problem.class1.mu, [2.0, 2.0])
         np.testing.assert_array_equal(cfg.problem.class2.sigma, [[0.3, 0.1], [0.1, 0.3]])
 
@@ -40,7 +43,11 @@ class TestParseConfig:
         assert cfg.experiment.target_delta_sq == 0.9
         assert cfg.experiment.dims == (3, 7, 11)
         assert cfg.experiment.train_sizes == (30, 60)
+        assert cfg.problem is None
+        cfg = cli.parse_config("roc", text)
         np.testing.assert_array_equal(cfg.problem.class2.mu, [0.5, 1.5])
+        # a simulating command reads only the seed of its experiment
+        assert cfg.experiment == mcharness.ExperimentConfig()
 
     def test_non_spd_covariance_is_cited_with_line(self):
         text = "[problem]\nsigma1 = [[1,2],[2,1]]\n"
@@ -63,13 +70,15 @@ class TestParseConfig:
             cli.parse_config("density", "sigma1 = [[1,0.2],[0.2]\n")
 
     def test_overrides_win_and_accept_dotted_keys(self):
+        cfg = cli.parse_config("learning-curve", "n_trials = 7\n", [("experiment.n_trials", "9")])
+        assert cfg.experiment.n_trials == 9
         cfg = cli.parse_config(
             "simulate",
-            "n_trials = 7\n",
-            [("experiment.n_trials", "9"), ("problem.mu1", "0,1")],
+            "mu1 = 2, 2\nbase_seed = 4\n",
+            [("problem.mu1", "0,1"), ("base_seed", "5")],
         )
-        assert cfg.experiment.n_trials == 9
         np.testing.assert_array_equal(cfg.problem.class1.mu, [0.0, 1.0])
+        assert cfg.experiment.base_seed == 5
 
     def test_missing_command(self):
         with pytest.raises(ConfigError, match="command"):
@@ -393,6 +402,8 @@ def test_points_kernel_matches_percent_2f_over_its_window(values):
 
 
 class TestMain:
+    SMALL_GRID = ("--train_sizes", "20", "--n_trials", "2", "--test_size", "100")
+
     def test_density_outputs_normalized_grids(self, tmp_path):
         code = cli.main(
             ["density", "--out", str(tmp_path), "--sim_size", "4000", "--h_points", "501"]
@@ -690,6 +701,74 @@ class TestMain:
 
     def test_override_without_value_is_config_error(self, tmp_path):
         assert cli.main(["roc", "--out", str(tmp_path), "--sim_size"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [(["roc", "--sim_size", "200"], ["--train_sizes", "2"]),
+         (["roc", "--sim_size", "200"], ["--h_points", "3"]),
+         (["simulate", "--sim_size", "200"], ["--delta_sq", "0"]),
+         (["learning-curve", "--dims", "3", *SMALL_GRID], ["--sigma1", "[[1,2],[2,1]]"]),
+         (["learning-curve", "--dims", "3", *SMALL_GRID], ["--sim_size", "0"]),
+         (["variance-study", *SMALL_GRID], ["--mu1", "1,2,3"])],
+        ids=["roc train_sizes", "roc h_points", "simulate delta_sq", "learning-curve sigma1",
+             "learning-curve sim_size", "variance-study mu1"],
+    )
+    def test_a_key_the_command_does_not_read_is_parsed_but_not_applied(self, tmp_path, argv, unread):
+        without, with_key = tmp_path / "without", tmp_path / "with"
+        assert cli.main(argv + ["--out", str(without)]) == 0
+        assert cli.main(argv + unread + ["--out", str(with_key)]) == 0
+        names = sorted(p.name for p in without.iterdir())
+        assert names == sorted(p.name for p in with_key.iterdir())
+        for name in names:
+            assert (without / name).read_bytes() == (with_key / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["roc", "--train_sizes", "x"], "could not parse train_sizes = 'x'"),
+         (["roc", "--sigma1", "[[1,2],[2,1]]"], "not positive definite"),
+         (["learning-curve", "--train_sizes", "2"], "every training size must exceed"),
+         (["variance-study", "--n_trials", "1"], "variance-study needs n_trials >= 2")],
+        ids=["roc unparsable train_sizes", "roc sigma1", "learning-curve train_sizes", "variance-study n_trials"],
+    )
+    def test_a_key_the_command_reads_is_still_checked(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_config_that_is_not_utf8_exits_2_naming_file_and_byte(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"[problem]\nmu1 = 2, 2\n\xff = 1\n")
+        assert cli.main(["roc", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config error: {config} is not UTF-8: invalid start byte at byte 21" in capsys.readouterr().err
+        config.write_bytes(np.random.default_rng(0).bytes(300))
+        assert cli.main(["roc", "--config", str(config), "--out", str(out)]) == 2
+        assert f"config error: {config} is not UTF-8: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        text = "[problem]\nmu1 = 1.5, 2\n"
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            (tmp_path / f"{name}.cfg").write_text(text, encoding=encoding)
+            argv = ["simulate", "--config", str(tmp_path / f"{name}.cfg"), "--sim_size", "50"]
+            assert cli.main(argv + ["--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "marked.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        # the file's mu1 is applied: an override of the same value writes the same bytes
+        assert cli.main(["simulate", "--mu1", "1.5,2", "--sim_size", "50", "--out", str(tmp_path / "flag")]) == 0
+        scores = {name: (tmp_path / name / "scores.csv").read_bytes() for name in ("plain", "marked", "flag")}
+        assert scores["plain"] == scores["marked"] == scores["flag"]
+
+    def test_a_nul_byte_in_out_dir_exits_2_citing_its_line(self, tmp_path, capsys):
+        out = f"{tmp_path}/a\0b"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"[output]\nout_dir = {out}\n")
+        assert cli.main(["roc", "--config", str(config)]) == 2
+        assert "config error: line 2: could not parse out_dir = " in capsys.readouterr().err
+        for flags in (["--out", out], [f"--out_dir={out}"]):
+            assert cli.main(["roc", *flags]) == 2
+            assert "config error: could not parse out_dir = " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_variance_study_with_one_trial_exits_2(self, tmp_path, capsys):
         # a one-trial variance is nan, which the CSV could write but no plot can draw

@@ -12,7 +12,6 @@ from llrlab import (
     learning_curve,
     mahalanobis_sq,
     run_trial,
-    variance_study,
 )
 from llrlab.errors import ConditioningError, ContractError
 from llrlab import mcharness
@@ -328,26 +327,20 @@ class TestLearningCurve:
 
 
 class TestVarianceStudy:
-    def test_requires_single_dimensionality(self):
-        with pytest.raises(ContractError):
-            variance_study(ExperimentConfig(**SMALL))
-
-    def test_requires_two_trials(self):
-        # one trial per cell has no sample variance: it would come back NaN
-        with pytest.raises(ContractError, match="n_trials >= 2"):
-            variance_study(ExperimentConfig(dims=(3,), train_sizes=(20,), n_trials=1, test_size=50))
+    # a variance study is a learning curve at one dimensionality with at least
+    # two trials, rules that `llr-lab variance-study` checks
 
     def test_variances_nonnegative_and_reported(self):
         cfg = ExperimentConfig(dims=(3,), train_sizes=(10, 60), n_trials=12, test_size=60, base_seed=3)
-        summary = variance_study(cfg)
+        summary = learning_curve(cfg)
         assert all(r.var_auc_true >= 0 for r in summary.rows)
         assert [r.n for r in summary.rows] == [10, 60]
 
     def test_doubling_trials_is_stable(self):
         base = ExperimentConfig(dims=(3,), train_sizes=(30,), n_trials=30, test_size=200, base_seed=8)
         double = ExperimentConfig(dims=(3,), train_sizes=(30,), n_trials=60, test_size=200, base_seed=8)
-        a = variance_study(base).rows[0]
-        b = variance_study(double).rows[0]
+        a = learning_curve(base).rows[0]
+        b = learning_curve(double).rows[0]
         se = np.sqrt(a.var_auc_true / a.n_trials + b.var_auc_true / b.n_trials)
         assert abs(a.mean_auc_true - b.mean_auc_true) <= 3 * se
 
