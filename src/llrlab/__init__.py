@@ -40,7 +40,6 @@ from .gaussmodel import (
 from .llrdist import (
     DensityGrid,
     DiagonalizedProblem,
-    SupportSlice,
     density_roc,
     default_h_grid,
     histogram_vs_analytic,

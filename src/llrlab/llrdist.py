@@ -23,7 +23,9 @@ Every level-curve integral runs on one nested trapezoid engine
 (``adaptive_gk_rows``) that refines the curves of all grid points together.
 A conic level curve is parametrized in both coordinates, so no root is
 solved along it.  The joint density of (h, x1), in the original
-coordinates, scores its roots as rows of ``gaussmodel.mvn_logpdf_array``.
+coordinates, takes arrays of points and scores the roots of all of them as
+one batch of rows of ``gaussmodel.mvn_logpdf_array``; the support in x1 at
+one score is a tuple of intervals.
 """
 
 from __future__ import annotations
@@ -78,13 +80,6 @@ class ScoreGeometry:
     c2: float
     kind: str
 
-    def b_at(self, x1):
-        return self.b0 + self.b1 * np.asarray(x1, dtype=float)
-
-    def c_at(self, x1):
-        x1 = np.asarray(x1, dtype=float)
-        return self.c0 + x1 * (self.c1 + x1 * self.c2)
-
     def discriminant_coeffs(self, h: float) -> tuple[float, float, float]:
         """(d2, d1, d0) of D(h, x1) = d2 x1^2 + d1 x1 + d0 at fixed h."""
         d2 = self.b1 * self.b1 - 4.0 * self.a2 * self.c2
@@ -93,16 +88,15 @@ class ScoreGeometry:
         return d2, d1, d0
 
     def x2_quadratic(self, h, x1):
-        """(b, c, D) at (h, x1): the x2 with score(x1, x2) = h are the roots
-        of a2 x2^2 + b x2 + c, whose discriminant is D = b^2 - 4 a2 c."""
+        """(b, c, D) at (h, x1), elementwise: the x2 with score(x1, x2) = h
+        are the roots of a2 x2^2 + b x2 + c, whose discriminant is
+        D = b^2 - 4 a2 c; b = b0 + b1 x1 and c = c0 + c1 x1 + c2 x1^2 - h."""
         if self.kind == "x1_only":
             raise ContractError("degenerate geometry: the score depends on x1 only")
-        b = self.b_at(x1)
-        c = self.c_at(x1) - np.asarray(h, dtype=float)
+        x1 = np.asarray(x1, dtype=float)
+        b = self.b0 + self.b1 * x1
+        c = self.c0 + x1 * (self.c1 + x1 * self.c2) - np.asarray(h, dtype=float)
         return b, c, b * b - 4.0 * self.a2 * c
-
-    def discriminant_at(self, h, x1):
-        return self.x2_quadratic(h, x1)[2]
 
 
 def score_geometry(problem: TwoClassProblem) -> ScoreGeometry:
@@ -178,8 +172,19 @@ def _pair_sum(x, axis) -> np.ndarray:
     return out
 
 
+def _finite(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array; a NaN or infinite entry is a
+    :class:`ContractError` that names the argument."""
+    arr = np.asarray(value, dtype=float)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ContractError(f"{name} must be finite, got {float(arr[bad][0])}")
+    return arr
+
+
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
     """All x2 with score(x1, x2) = h; length 0, 1, or 2 by discriminant sign."""
+    h, x1 = _finite(h, "h"), _finite(x1, "x1")
     geom = score_geometry(problem)
     b, c, disc = (float(v) for v in geom.x2_quadratic(h, x1))
     if geom.a2 == 0.0 and b == 0.0:
@@ -191,47 +196,36 @@ def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
     return sorted(float(r) for r in roots[: 1 if disc == 0.0 else 2])
 
 
-def _joint_values(h, x1, params: GaussianParams, geom: ScoreGeometry) -> np.ndarray:
-    """Vectorized branch-sum joint density of (h, x1); 0 outside the support.
+def joint_density(h, x1, label: int, problem: TwoClassProblem) -> float | np.ndarray:
+    """Joint density of (score, x1) under one class, elementwise over h and
+    x1, which broadcast together; a float when both are scalars.
 
-    Points exactly on the fold (zero Jacobian) come out as +inf.
+    The class density summed over the x2 roots at each (h, x1), divided by
+    the Jacobian sqrt(D) (:meth:`ScoreGeometry.x2_quadratic`); zero outside
+    the support region, where D < 0.  A point on the fold itself (D >= 0
+    with sqrt(D) below 1e-12) raises :class:`SingularityError`, which names
+    the first such point.
     """
-    h, x1 = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(x1, dtype=float))
-    return _branch_sum(x1, geom.x2_quadratic(h, x1), geom.a2, params)
-
-
-def _branch_sum(x1, quadratic, a2: float, params: GaussianParams) -> np.ndarray:
-    """The class density summed over the x2 roots of quadratic = (b, c, D)
-    at each x1, divided by the Jacobian sqrt(D): 0 where D < 0, +inf where
-    D == 0."""
-    b, c, disc = quadratic
-    out = np.where(disc == 0.0, np.inf, 0.0)
+    h, x1 = np.broadcast_arrays(_finite(h, "h"), _finite(x1, "x1"))
+    geom = score_geometry(problem)
+    params = _class_params(problem, label)
+    b, c, disc = geom.x2_quadratic(h, x1)
+    fold = (disc >= 0.0) & (np.sqrt(np.abs(disc)) < 1e-12)
+    if fold.any():
+        i = np.flatnonzero(fold)[0]
+        raise SingularityError(
+            f"point (h={h.flat[i]:g}, x1={x1.flat[i]:g}) lies on the fold of the score transformation"
+        )
+    out = np.zeros(disc.shape)
     inside = disc > 0.0
-    if np.any(inside):
+    if inside.any():
         sq = np.sqrt(disc[inside])
-        roots = _quadratic_roots(a2, b[inside], c[inside], sq)
+        roots = _quadratic_roots(geom.a2, b[inside], c[inside], sq)
         # the points (x1, root) of every root as one batch of rows; their
         # densities add in root order
         rows = np.stack([np.tile(x1[inside], len(roots)), np.concatenate(roots)], axis=1)
         out[inside] = np.exp(mvn_logpdf_array(rows, params)).reshape(len(roots), -1).sum(axis=0) / sq
-    return out
-
-
-def joint_density(h: float, x1: float, label: int, problem: TwoClassProblem) -> float:
-    """Joint density of (score, x1) under one class at a single point.
-
-    Zero outside the support region; evaluation on the fold itself (Jacobian
-    below 1e-12) raises :class:`SingularityError`.
-    """
-    geom = score_geometry(problem)
-    params = _class_params(problem, label)
-    h, x1 = float(h), np.asarray(float(x1))
-    quadratic = geom.x2_quadratic(h, x1)
-    if quadratic[2] >= 0.0 and np.sqrt(quadratic[2]) < 1e-12:
-        raise SingularityError(
-            f"point (h={h:g}, x1={float(x1):g}) lies on the fold of the score transformation"
-        )
-    return float(_branch_sum(x1, quadratic, geom.a2, params))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -239,33 +233,20 @@ def joint_density(h: float, x1: float, label: int, problem: TwoClassProblem) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportSlice:
-    """Feasible x1 interval(s) of the support region at a fixed score value.
-
-    Intervals are closed and may extend to +-inf for non-parabolic conics.
-    """
-
-    h: float
-    intervals: tuple
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.intervals) == 0
-
-
 def _quadratic_nonneg_intervals(d2: float, d1: float, d0: float) -> tuple:
     """Closed intervals where d2 x^2 + d1 x + d0 >= 0."""
-    if d2 == 0.0 and d1 == 0.0:
-        return ((-np.inf, np.inf),) if d0 >= 0.0 else ()
+    if d2 == 0.0:
+        if d1 == 0.0:
+            return ((-np.inf, np.inf),) if d0 >= 0.0 else ()
+        # the line's one root, c/q of _quadratic_roots, solved without the
+        # square d1^2, which underflows to 0 for |d1| below 1e-154
+        root = -d0 / d1
+        return ((root, np.inf),) if d1 > 0.0 else ((-np.inf, root),)
     disc = d1 * d1 - 4.0 * d2 * d0
     if disc <= 0.0:
-        # no sign change (d1 != 0 when d2 == 0 makes disc > 0)
+        # no sign change
         return ((-np.inf, np.inf),) if d2 > 0.0 else ()
-    roots = sorted(_quadratic_roots(d2, d1, d0, np.sqrt(disc)))
-    if d2 == 0.0:
-        return ((roots[0], np.inf),) if d1 > 0.0 else ((-np.inf, roots[0]),)
-    lo, hi = roots
+    lo, hi = sorted(_quadratic_roots(d2, d1, d0, np.sqrt(disc)))
     if d2 < 0.0:
         return ((lo, hi),)
     if lo == hi:
@@ -273,20 +254,22 @@ def _quadratic_nonneg_intervals(d2: float, d1: float, d0: float) -> tuple:
     return ((-np.inf, lo), (hi, np.inf))
 
 
-def support_region(h: float, problem: TwoClassProblem) -> SupportSlice:
-    """x1 interval(s) on which the joint density of (h, x1) is positive."""
+def support_region(h: float, problem: TwoClassProblem) -> tuple:
+    """The x1 support of the joint density of (h, x1) at one score h: a
+    tuple of closed intervals (lo, hi), which may extend to -+inf, in
+    increasing order; () when no x1 reaches h."""
+    h = float(_finite(h, "h"))
     geom = score_geometry(problem)
-    h = float(h)
     if geom.kind == "quadratic":
-        return SupportSlice(h=h, intervals=_quadratic_nonneg_intervals(*geom.discriminant_coeffs(h)))
+        return _quadratic_nonneg_intervals(*geom.discriminant_coeffs(h))
     if geom.kind == "linear":
-        # Every x1 with a nonzero x2 coefficient carries one branch.
-        if geom.b1 == 0.0:
-            intervals = ((-np.inf, np.inf),)
-        else:
+        # Every x1 with a nonzero x2 coefficient b0 + b1 x1 carries one
+        # branch; it vanishes at x_star, unless that lies past the float range.
+        with np.errstate(divide="ignore", over="ignore"):
             x_star = -geom.b0 / geom.b1
-            intervals = ((-np.inf, x_star), (x_star, np.inf))
-        return SupportSlice(h=h, intervals=intervals)
+        if not np.isfinite(x_star):
+            return ((-np.inf, np.inf),)
+        return ((-np.inf, x_star), (x_star, np.inf))
     raise ContractError("degenerate geometry: the score depends on x1 only")
 
 

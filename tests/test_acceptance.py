@@ -117,15 +117,14 @@ def test_criterion_3_three_digit_constant_cross_check(problem):
         while checked < 20:
             h = rng.uniform(-2.0, 4.0)
             x1 = rng.uniform(-0.7, 1.7)
-            if float(geom.discriminant_at(h, x1)) <= 0.3:
+            if float(geom.x2_quadratic(h, x1)[2]) <= 0.3:
                 continue
             assert L.joint_density(h, x1, 1, problem) == pytest.approx(
                 reference_joint_w1(h, x1), rel=1e-2
             )
             checked += 1
 
-        slc = L.support_region(0.0, problem)
-        (lo, hi), = slc.intervals
+        (lo, hi), = L.support_region(0.0, problem)
         assert lo == pytest.approx(-0.9557, abs=2e-2)
         assert hi == pytest.approx(1.9557, abs=2e-2)
 

@@ -31,7 +31,6 @@ from llrlab.llrdist import (
     _MAX_EVALS,
     DensityGrid,
     _diagonal_score,
-    _joint_values,
     _quadratic_roots,
     _settled,
     adaptive_gk,
@@ -80,7 +79,7 @@ def interior_points(problem, n, seed, margin=0.3):
     while len(pts) < n:
         h = rng.uniform(-2.0, 4.0)
         x1 = rng.uniform(-0.7, 1.7)
-        if float(geom.discriminant_at(h, x1)) > margin:
+        if float(geom.x2_quadratic(h, x1)[2]) > margin:
             pts.append((h, x1))
     return pts
 
@@ -104,10 +103,11 @@ class TestInvertLlr:
     def test_tangency_double_root(self, counterexample_problem):
         geom = score_geometry(counterexample_problem)
         x1, h = self.FOLD_POINT
-        assert float(geom.discriminant_at(h, x1)) == 0.0
+        b, _, disc = geom.x2_quadratic(h, x1)
+        assert float(disc) == 0.0
         roots = invert_llr(h, x1, counterexample_problem)
         assert len(roots) == 1
-        assert roots[0] == pytest.approx(-float(geom.b_at(x1)) / (2.0 * geom.a2), rel=1e-12)
+        assert roots[0] == pytest.approx(-float(b) / (2.0 * geom.a2), rel=1e-12)
 
     def test_equal_covariance_single_root(self):
         sigma = np.array([[1.0, 0.3], [0.3, 2.0]])
@@ -122,6 +122,24 @@ class TestInvertLlr:
     def test_score_depending_on_x1_only_is_degenerate(self, equal_cov_problem):
         with pytest.raises(ContractError):
             invert_llr(0.1, 0.2, equal_cov_problem)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call, arg",
+    [
+        (lambda h, x1, problem: joint_density(h, x1, 1, problem), "h"),
+        (lambda h, x1, problem: joint_density(h, x1, 1, problem), "x1"),
+        (lambda h, x1, problem: support_region(h, problem), "h"),
+        (lambda h, x1, problem: invert_llr(h, x1, problem), "h"),
+        (lambda h, x1, problem: invert_llr(h, x1, problem), "x1"),
+    ],
+    ids=["joint_density-h", "joint_density-x1", "support_region-h", "invert_llr-h", "invert_llr-x1"],
+)
+def test_non_finite_point_is_a_contract_error(counterexample_problem, call, arg, value):
+    point = {"h": 0.0, "x1": 0.5, arg: value}
+    with pytest.raises(ContractError, match=f"^{arg} must be finite"):
+        call(problem=counterexample_problem, **point)
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: v == 0.0 or abs(v) > 1e-6)
@@ -183,6 +201,25 @@ class TestJointDensity:
         with pytest.raises(SingularityError):
             joint_density(h, x1, 1, counterexample_problem)
 
+    def test_array_call_matches_scalar_calls(self, counterexample_problem):
+        # both roots, one root's edge and points outside the support; a lone
+        # row's Mahalanobis sum runs in another einsum order, so the values
+        # agree to rounding, not in every bit
+        h, x1 = np.meshgrid(np.linspace(-3.0, 9.0, 13), np.linspace(-2.0, 5.0, 11))
+        for label in (1, 2):
+            grid = joint_density(h, x1, label, counterexample_problem)
+            assert grid.shape == h.shape and (grid > 0.0).any() and (grid == 0.0).any()
+            scalar = [joint_density(a, b, label, counterexample_problem) for a, b in zip(h.flat, x1.flat)]
+            assert all(type(v) is float for v in scalar)
+            np.testing.assert_allclose(grid.ravel(), scalar, rtol=1e-14, atol=0.0)
+            # a scalar h broadcasts against an array of x1
+            np.testing.assert_array_equal(joint_density(h[0, 3], x1[:, 3], label, counterexample_problem), grid[:, 3])
+
+    def test_fold_point_inside_an_array_raises(self, counterexample_problem):
+        x1, h = TestInvertLlr.FOLD_POINT
+        with pytest.raises(SingularityError, match=f"x1={x1:g}\\)"):
+            joint_density([0.0, h, 1.0], [0.5, x1, 0.5], 1, counterexample_problem)
+
     def test_matches_three_digit_reference(self, counterexample_problem):
         for h, x1 in interior_points(counterexample_problem, 20, seed=32):
             mine = joint_density(h, x1, 1, counterexample_problem)
@@ -202,17 +239,16 @@ class TestJointDensity:
         x_edges = np.linspace(0.0, 1.2, 7)
         counts, _, _ = np.histogram2d(h, x[:, 0], bins=(h_edges, x_edges))
         geom = score_geometry(counterexample_problem)
-        params = counterexample_problem.class2
         checked = 0
         for i in range(len(h_edges) - 1):
             for j in range(len(x_edges) - 1):
                 hs = np.linspace(h_edges[i], h_edges[i + 1], 33)
                 xs = np.linspace(x_edges[j], x_edges[j + 1], 33)
                 gh, gx = np.meshgrid(hs, xs, indexing="ij")
-                disc = geom.discriminant_at(gh, gx)
+                disc = geom.x2_quadratic(gh, gx)[2]
                 if disc.min() < 0.2:  # skip cells touching the fold
                     continue
-                vals = _joint_values(gh, gx, params, geom)
+                vals = joint_density(gh, gx, 2, counterexample_problem)
                 mass = simpson(simpson(vals, x=xs, axis=1), x=hs)
                 if mass * n < 50:
                     continue
@@ -224,43 +260,43 @@ class TestJointDensity:
 
 class TestSupportRegion:
     def test_matches_three_digit_parabola_roots(self, counterexample_problem):
-        slc = support_region(0.0, counterexample_problem)
-        assert len(slc.intervals) == 1
-        lo, hi = slc.intervals[0]
+        intervals = support_region(0.0, counterexample_problem)
+        assert len(intervals) == 1
+        lo, hi = intervals[0]
         assert lo == pytest.approx(-0.9557, abs=2e-2)
         assert hi == pytest.approx(1.9557, abs=2e-2)
 
     def test_far_below_support_is_empty(self, counterexample_problem):
-        assert support_region(-50.0, counterexample_problem).is_empty
+        assert support_region(-50.0, counterexample_problem) == ()
 
     def test_boundary_roots_have_tiny_residual(self, counterexample_problem):
         geom = score_geometry(counterexample_problem)
         for h in (-1.0, 0.0, 2.0, 5.0):
-            for root in support_region(h, counterexample_problem).intervals[0]:
-                assert abs(float(geom.discriminant_at(h, root))) < 1e-9
+            for root in support_region(h, counterexample_problem)[0]:
+                assert abs(float(geom.x2_quadratic(h, root)[2])) < 1e-9
         # A rank-one precision difference rounds d2 to about -7e-18, so the
         # finite endpoint is the small root -d0/d1, which the textbook
         # quadratic formula loses to cancellation.
         geom = score_geometry(NEAR_PARABOLA)
         for h, expected in ((-1.0, -0.74955), (0.0, 0.25045), (1.0, 1.25045)):
             _d2, d1, d0 = geom.discriminant_coeffs(h)
-            lo = support_region(h, NEAR_PARABOLA).intervals[0][0]
+            lo = support_region(h, NEAR_PARABOLA)[0][0]
             assert lo == pytest.approx(-d0 / d1, rel=1e-9)
             assert lo == pytest.approx(expected, abs=1e-5)
-            assert abs(float(geom.discriminant_at(h, lo))) < 1e-9
+            assert abs(float(geom.x2_quadratic(h, lo)[2])) < 1e-9
 
     def test_support_h_range_counterexample(self, counterexample_problem):
         lo, hi = support_h_range(counterexample_problem)
         assert np.isfinite(lo) and hi == np.inf
-        assert support_region(lo - 1e-6, counterexample_problem).is_empty
-        assert not support_region(lo + 1e-6, counterexample_problem).is_empty
+        assert support_region(lo - 1e-6, counterexample_problem) == ()
+        assert support_region(lo + 1e-6, counterexample_problem) != ()
         # parabolic level curves reach every score
         assert support_h_range(NEAR_PARABOLA) == (-np.inf, np.inf)
 
     def assert_support_matches_joint_density(self, problem, h):
         """joint_density at h is > 0 inside each support interval and 0
         outside them, a step of 0.1 or more away from every end."""
-        intervals = support_region(h, problem).intervals
+        intervals = support_region(h, problem)
         ends = [end for interval in intervals for end in interval if np.isfinite(end)]
         for lo, hi in intervals:
             if np.isfinite(lo) and np.isfinite(hi):
@@ -295,11 +331,23 @@ class TestSupportRegion:
         assert geom.kind == "linear" and geom.b1 != 0.0
         x_star = -geom.b0 / geom.b1
         for h in (-1.0, 0.0, 1.0):
-            assert support_region(h, problem).intervals == ((-np.inf, x_star), (x_star, np.inf))
+            assert support_region(h, problem) == ((-np.inf, x_star), (x_star, np.inf))
             self.assert_support_matches_joint_density(problem, h)
             # the one x1 outside both intervals lies on the fold
             with pytest.raises(SingularityError):
                 joint_density(h, x_star, 1, problem)
+
+    def test_linear_score_whose_split_is_past_the_float_range(self):
+        # b1 near 1e-300 puts x* = -b0 / b1 past 1e308: no float x1 is on the fold
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], [[1.0, -1e-300], [-1e-300, 2.0]]),
+            class2=GaussianParams([0.0, 1.0], [[0.5, -5e-301], [-5e-301, 2.0]]),
+        )
+        geom = score_geometry(problem)
+        assert geom.kind == "linear" and geom.b1 != 0.0
+        for h in (-1.0, 0.0, 1.0):
+            assert support_region(h, problem) == ((-np.inf, np.inf),)
+            self.assert_support_matches_joint_density(problem, h)
 
     def test_equal_covariances_support_the_whole_line(self):
         sigma = [[1.0, 0.3], [0.3, 0.8]]
@@ -309,8 +357,21 @@ class TestSupportRegion:
         )
         assert score_geometry(problem).kind == "linear"
         for h in (-2.0, 0.3, 2.0):
-            assert support_region(h, problem).intervals == ((-np.inf, np.inf),)
+            assert support_region(h, problem) == ((-np.inf, np.inf),)
             self.assert_support_matches_joint_density(problem, h)
+
+    def test_support_holds_every_point_where_d_is_a_line_of_tiny_slope(self):
+        # D = d1 x1 + d0 with d1 = -4 a2 c1 = -1e-200: the support at the
+        # score of (1, 0.5) is (-inf, 6.25e198], which holds that point
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], np.eye(2)),
+            class2=GaussianParams([1e-200, 0.0], np.diag([1.0, 2.0])),
+        )
+        h = llr_score([1.0, 0.5], problem)
+        ((lo, hi),) = support_region(h, problem)
+        assert lo == -np.inf and hi == pytest.approx(6.25e198, rel=1e-12)
+        assert joint_density(h, 1.0, 1, problem) > 0.0
+        assert invert_llr(h, 1.0, problem) == pytest.approx([-0.5, 0.5], rel=1e-12)
 
     @pytest.mark.parametrize(
         "coeffs, intervals",
@@ -326,6 +387,8 @@ class TestSupportRegion:
             ((1.0, 0.0, -1.0), ((-np.inf, -1.0), (1.0, np.inf))),
             # roots 0 and -1e-330, which rounds to -0: a double root in floating point
             ((1e300, 1e-30, 0.0), ((-np.inf, np.inf),)),
+            # a line whose slope squares to 0 in floating point
+            ((0.0, -1e-200, 1e-200), ((-np.inf, 1.0),)),
         ],
     )
     def test_quadratic_nonneg_intervals_at_exact_coefficients(self, coeffs, intervals):
@@ -377,6 +440,66 @@ def spd_problems(draw):
         class1=GaussianParams(mu1, 0.5 * (sigma1 + sigma1.T)),
         class2=GaussianParams(mu2, 0.5 * (sigma2 + sigma2.T)),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spd_problems())
+def test_random_spd_pairs_support_density_and_roots_agree(problem):
+    """At the scores of three points of each class, off the class mean:
+    each finite end of support_region is a zero of D; at the point's x1 and
+    a step of 0.1 or 1 to either side of each end, invert_llr finds the x2
+    roots inside an interval, each of which scores h again, and
+    joint_density is positive wherever a root carries a representable class
+    density; outside every interval both are empty.
+
+    Only ends within 1e3 of the origin, far past every class window, are
+    checked.  Farther ends come from a d2 or b1 near 0: at a d2 that is
+    rounding noise D's sign next to the end is noise too, and at x1 near
+    1e273 (b1 near 1e-273) D's terms overflow."""
+    geom = score_geometry(problem)
+    assume(geom.kind != "x1_only")
+    n_roots = 1 if geom.kind == "linear" else 2
+    classes = (problem.class1, problem.class2)
+    for params in classes:
+        sd = np.sqrt(np.diag(params.sigma))
+        # a class mean can be the vertex or saddle point, whose x1 is a fold
+        for offset in ((1.0, 0.5), (-2.0, 1.0), (0.5, -2.0)):
+            point = params.mu + sd * offset
+            h = llr_score(point, problem)
+            intervals = support_region(h, problem)
+            ends = [end for interval in intervals for end in interval if abs(end) <= 1e3]
+            for end in ends:
+                disc = geom.x2_quadratic(h, end)[2]
+                # the size of the terms that D = b^2 - 4 a2 c sums
+                scale = (abs(geom.b0) + abs(geom.b1 * end)) ** 2 + 4.0 * abs(geom.a2) * (
+                    abs(geom.c0) + abs(geom.c1 * end) + abs(geom.c2) * end * end + abs(h)
+                )
+                assert abs(float(disc)) <= 1e-9 * scale, (h, end, float(disc), scale)
+            probes = [end + step for end in ends for step in (-1.0, -0.1, 0.1, 1.0)]
+            inside = [x1 for x1 in probes if any(lo <= x1 <= hi for lo, hi in intervals)]
+            # D's sign is rounding at a probe that lands on another end
+            outside = [x1 for x1 in probes if x1 not in inside and min(abs(x1 - end) for end in ends) >= 0.05]
+            assert any(lo <= point[0] <= hi for lo, hi in intervals), (h, point, intervals)
+            for x1 in [point[0], *inside]:
+                roots = invert_llr(h, x1, problem)
+                assert len(roots) == n_roots, (h, x1, roots)
+                rows = np.array([[x1, r] for r in roots])
+                logpdf = [mvn_logpdf_array(rows, p) for p in classes]
+                # the score's rounding grows with the Mahalanobis terms it sums
+                scale = 1.0 + np.abs(logpdf[0]) + np.abs(logpdf[1])
+                assert np.all(np.abs(llr_scores(rows, problem) - h) <= 1e-9 * scale), (h, x1, roots)
+                if np.sqrt(float(geom.x2_quadratic(h, x1)[2])) < 1e-12:
+                    # a Jacobian below 1e-12 is the fold, even off the means
+                    # of a score whose x2 coefficient is that small
+                    with pytest.raises(SingularityError):
+                        joint_density(h, x1, 1, problem)
+                    continue
+                for label in (1, 2):
+                    if logpdf[label - 1].max() > -600.0:
+                        assert joint_density(h, x1, label, problem) > 0.0, (h, x1, label)
+            for x1 in outside:
+                assert invert_llr(h, x1, problem) == [], (h, x1)
+                assert joint_density(h, x1, 1, problem) == 0.0, (h, x1)
 
 
 class TestMarginalDensity:
@@ -1078,10 +1201,9 @@ class TestDensityBytes:
     def test_joint_density_bytes(self, counterexample_problem):
         # non-diagonal class models, both roots and the support edge
         h, x1 = np.meshgrid(np.linspace(-3.0, 9.0, 61), np.linspace(-2.0, 5.0, 57))
-        geom = score_geometry(counterexample_problem)
         sha = hashlib.sha256()
-        for params in (counterexample_problem.class1, counterexample_problem.class2):
-            sha.update(_joint_values(h, x1, params, geom).tobytes())
+        for label in (1, 2):
+            sha.update(joint_density(h, x1, label, counterexample_problem).tobytes())
         assert sha.hexdigest() == "ef44e09f63804cbf85d370c4550834638e8b7082df0707a5747ff88fd6521991"
 
 
@@ -1472,17 +1594,16 @@ def test_marginal_against_quadpack_oracle(counterexample_problem):
         (SADDLE, [-6.0, -2.5, -1.0, 1.0, 2.5, 6.0]),
     )
     for problem, h_probe in probes:
-        geom = score_geometry(problem)
         params = problem.class2
         m, s = params.mu[0], np.sqrt(params.sigma[0, 0])
         mine = marginal_density(h_probe, 2, problem)
         for h, value in zip(h_probe, mine.density):
             ref = 0.0
-            for lo, hi in support_region(h, problem).intervals:
+            for lo, hi in support_region(h, problem):
                 lo, hi = max(lo, m - 12.0 * s), min(hi, m + 12.0 * s)
                 if lo < hi:
                     ref += quad(
-                        lambda x1: float(_joint_values(h, x1, params, geom)),
+                        lambda x1: joint_density(h, x1, 2, problem),
                         lo,
                         hi,
                         limit=400,
@@ -1498,11 +1619,9 @@ def test_score_geometry_polynomial_matches_score(counterexample_problem):
     rng = np.random.default_rng(50)
     pts = rng.normal(loc=1.0, scale=1.5, size=(200, 2))
     scores = llr_scores(pts, counterexample_problem)
-    poly = (
-        geom.a2 * pts[:, 1] ** 2
-        + geom.b_at(pts[:, 0]) * pts[:, 1]
-        + geom.c_at(pts[:, 0])
-    )
+    # at h = 0, c is the score's x1 part exactly
+    b, c, _ = geom.x2_quadratic(0.0, pts[:, 0])
+    poly = geom.a2 * pts[:, 1] ** 2 + b * pts[:, 1] + c
     assert np.abs(scores - poly).max() < 1e-10
 
 
