@@ -13,9 +13,7 @@ from .bayesllr import (
     CLASS2,
     TwoClassProblem,
     bayes_threshold,
-    classify,
     classify_scores,
-    llr_score,
     llr_scores,
 )
 from .errors import (
@@ -32,9 +30,7 @@ from .gaussmodel import (
     GaussianParams,
     SeededRng,
     estimate_params,
-    mahalanobis,
     mahalanobis_sq,
-    mvn_pdf,
     mvn_sample,
 )
 from .llrdist import (
@@ -67,13 +63,12 @@ from .rocauc import (
     ScoreSet,
     auc_probability_identity_check,
     binormal_auc,
-    binormal_tpf,
     empirical_auc,
     empirical_error_fractions,
     empirical_roc,
     normal_deviate_fit,
     trapezoid_auc,
 )
-from .smallmat import cholesky, spd_solve, std_normal_cdf, std_normal_quantile
+from .smallmat import cholesky, spd_solve, std_normal_cdf_array, std_normal_quantile_array
 
 __version__ = "0.1.0"

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import smallmat
 from .errors import ContractError
 from .gaussmodel import GaussianParams, mahalanobis_sq_rows
 
@@ -40,7 +39,7 @@ class TwoClassProblem:
 
 
 def llr_scores(x, problem: TwoClassProblem) -> np.ndarray:
-    """Log-likelihood-ratio scores for a batch of points (rows of x).
+    """Log-likelihood-ratio scores, in nats, of the rows of x (a 1-D x is one row).
 
     value = -1/2 [ (x-mu1)' S1^-1 (x-mu1) - (x-mu2)' S2^-1 (x-mu2) ]
             - 1/2 ln(|S1| / |S2|)
@@ -55,12 +54,6 @@ def llr_scores(x, problem: TwoClassProblem) -> np.ndarray:
     q *= -0.5
     q -= 0.5 * (c1.log_det - c2.log_det)
     return q
-
-
-def llr_score(x, problem: TwoClassProblem) -> float:
-    """Log-likelihood-ratio score of a single point, in nats."""
-    v = smallmat.as_vector(x, "x")
-    return float(llr_scores(v[None, :], problem)[0])
 
 
 def bayes_threshold(prior1: float = 0.5, costs=ZERO_ONE_COSTS) -> float:
@@ -86,12 +79,7 @@ def bayes_threshold(prior1: float = 0.5, costs=ZERO_ONE_COSTS) -> float:
     return float(np.log(p2 * (c[1, 1] - c[1, 0]) / (p1 * (c[0, 0] - c[0, 1]))))
 
 
-def classify(score: float, th: float) -> int:
-    """Decide class 1 when score > th; ties go to class 2."""
-    return CLASS1 if score > th else CLASS2
-
-
 def classify_scores(scores, th: float) -> np.ndarray:
-    """Vectorized decision rule with the same tie convention as classify."""
+    """Decide class 1 where score > th, elementwise; ties go to class 2."""
     s = np.asarray(scores, dtype=float)
     return np.where(s > th, CLASS1, CLASS2)

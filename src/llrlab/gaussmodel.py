@@ -154,12 +154,6 @@ def mahalanobis_sq_rows(X: np.ndarray, params: GaussianParams) -> np.ndarray:
     return np.einsum("ji,jk,ki->i", dev, params.sigma_inv, dev)
 
 
-def mvn_pdf(x, params: GaussianParams) -> float:
-    """Multinormal density at a single point."""
-    v = smallmat.as_vector(x, "x")
-    return float(np.exp(mvn_logpdf_array(v[None, :], params)[0]))
-
-
 def mvn_sample(params: GaussianParams, n: int, rng: SeededRng) -> np.ndarray:
     """Draw n vectors, returned as an (n, dim) array.
 
@@ -212,8 +206,3 @@ def mahalanobis_sq(mu1, mu2, sigma) -> float:
         raise ContractError("mean vectors must have equal dimension")
     d = m1 - m2
     return float(d @ smallmat.spd_solve(sigma, d))
-
-
-def mahalanobis(mu1, mu2, sigma) -> float:
-    """Mahalanobis distance between two mean vectors under a shared spread."""
-    return float(np.sqrt(mahalanobis_sq(mu1, mu2, sigma)))

@@ -90,13 +90,22 @@ class ScoreGeometry:
     def x2_quadratic(self, h, x1):
         """(b, c, D) at (h, x1), elementwise: the x2 with score(x1, x2) = h
         are the roots of a2 x2^2 + b x2 + c, whose discriminant is
-        D = b^2 - 4 a2 c; b = b0 + b1 x1 and c = c0 + c1 x1 + c2 x1^2 - h."""
+        D = b^2 - 4 a2 c; b = b0 + b1 x1 and c = c0 + c1 x1 + c2 x1^2 - h.
+        A point where one of them overflows is a :class:`ContractError`
+        that names it."""
         if self.kind == "x1_only":
             raise ContractError("degenerate geometry: the score depends on x1 only")
-        x1 = np.asarray(x1, dtype=float)
-        b = self.b0 + self.b1 * x1
-        c = self.c0 + x1 * (self.c1 + x1 * self.c2) - np.asarray(h, dtype=float)
-        return b, c, b * b - 4.0 * self.a2 * c
+        h, x1 = np.asarray(h, dtype=float), np.asarray(x1, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = self.b0 + self.b1 * x1
+            c = self.c0 + x1 * (self.c1 + x1 * self.c2) - h
+            disc = b * b - 4.0 * self.a2 * c
+        bad = ~(np.isfinite(b) & np.isfinite(c) & np.isfinite(disc))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            h, x1 = np.broadcast_to(h, bad.shape).flat[i], np.broadcast_to(x1, bad.shape).flat[i]
+            raise ContractError(f"the x2 quadratic of the score overflows a float at (h={h:g}, x1={x1:g})")
+        return b, c, disc
 
 
 def score_geometry(problem: TwoClassProblem) -> ScoreGeometry:
@@ -141,7 +150,7 @@ def _quadratic_roots(a, b, c, sq):
     q = -(b + sign(b) sq) / 2 never subtracts, and the roots q/a and c/q keep
     full relative accuracy, the small one included (Goldberg 1991, sec. 1.4).
     a == 0 gives the one linear root c/q = -c/b.  q vanishes only for
-    b = sq = 0, the double root 0 of a t^2, whose second root is then nan.
+    b = sq = 0, the double root 0 of a t^2, which no caller passes.
     """
     q = -0.5 * (b + np.copysign(sq, b))
     if a == 0.0:
@@ -191,9 +200,10 @@ def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
         raise ContractError("degenerate geometry: the score does not depend on x2 at this x1")
     if disc < 0.0:
         return []
-    roots = _quadratic_roots(geom.a2, b, c, np.sqrt(disc))
-    # on the fold (disc == 0) q/a is the double root
-    return sorted(float(r) for r in roots[: 1 if disc == 0.0 else 2])
+    if disc == 0.0 and geom.a2 != 0.0:
+        # the fold's double root, q/a of _quadratic_roots, whose c/q is 0/0 at b == c == 0
+        return [float(-0.5 * b / geom.a2)]
+    return sorted(float(r) for r in _quadratic_roots(geom.a2, b, c, np.sqrt(disc)))
 
 
 def joint_density(h, x1, label: int, problem: TwoClassProblem) -> float | np.ndarray:
@@ -203,14 +213,18 @@ def joint_density(h, x1, label: int, problem: TwoClassProblem) -> float | np.nda
     The class density summed over the x2 roots at each (h, x1), divided by
     the Jacobian sqrt(D) (:meth:`ScoreGeometry.x2_quadratic`); zero outside
     the support region, where D < 0.  A point on the fold itself (D >= 0
-    with sqrt(D) below 1e-12) raises :class:`SingularityError`, which names
-    the first such point.
+    with sqrt(D) at most 1e-12 times the root of the size of the terms D is
+    formed from, so that no unit of x2 moves the verdict) raises
+    :class:`SingularityError`, which names the first such point.
     """
     h, x1 = np.broadcast_arrays(_finite(h, "h"), _finite(x1, "x1"))
     geom = score_geometry(problem)
     params = _class_params(problem, label)
     b, c, disc = geom.x2_quadratic(h, x1)
-    fold = (disc >= 0.0) & (np.sqrt(np.abs(disc)) < 1e-12)
+    size = (abs(geom.b0) + np.abs(geom.b1 * x1)) ** 2 + 4.0 * abs(geom.a2) * (
+        abs(geom.c0) + np.abs(geom.c1 * x1) + abs(geom.c2) * x1 * x1 + np.abs(h)
+    )
+    fold = (disc >= 0.0) & (np.sqrt(np.abs(disc)) <= 1e-12 * np.sqrt(size))
     if fold.any():
         i = np.flatnonzero(fold)[0]
         raise SingularityError(

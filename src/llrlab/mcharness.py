@@ -141,7 +141,7 @@ def calibrate_c(p: int, target_delta_sq: float) -> float:
 
 def asymptotic_auc(target_delta_sq: float) -> float:
     """Equal-covariance Bayes AUC at squared separation delta_sq: Phi(delta/sqrt(2))."""
-    return smallmat.std_normal_cdf(np.sqrt(_separation(target_delta_sq)) / np.sqrt(2.0))
+    return float(smallmat.std_normal_cdf_array(np.sqrt(_separation(target_delta_sq)) / np.sqrt(2.0)))
 
 
 @lru_cache(maxsize=64)

@@ -213,13 +213,8 @@ def trapezoid_auc(curve: RocCurve) -> float:
     return float(np.sum(0.5 * (y[:-1] + y[1:]) * np.diff(x)))
 
 
-def binormal_tpf(a: float, b: float, fpf: float) -> float:
-    """TPF of the binormal ROC whose deviate plot is the line a + b*z."""
-    return float(binormal_tpf_array(a, b, fpf))
-
-
 def binormal_tpf_array(a: float, b: float, fpf) -> np.ndarray:
-    """Vectorized :func:`binormal_tpf`."""
+    """TPF of the binormal ROC whose deviate plot is the line a + b*z, elementwise over fpf."""
     z = smallmat.std_normal_quantile_array(fpf)
     return smallmat.std_normal_cdf_array(a + b * z)
 
@@ -229,7 +224,7 @@ def binormal_auc(a: float, b: float) -> float:
     b = float(b)
     if b <= 0.0:
         raise DomainError(f"binormal_auc needs slope b > 0, got {b!r}")
-    return smallmat.std_normal_cdf(float(a) / np.sqrt(1.0 + b * b))
+    return float(smallmat.std_normal_cdf_array(float(a) / np.sqrt(1.0 + b * b)))
 
 
 def normal_deviate_fit(curve: RocCurve) -> BinormalFit:

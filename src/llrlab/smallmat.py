@@ -1,4 +1,4 @@
-"""Small dense linear algebra and scalar normal-distribution utilities.
+"""Small dense linear algebra and the standard normal CDF and quantile.
 
 Everything here is pure and stateless.  Matrices are plain 2-D float64
 numpy arrays, vectors are 1-D arrays; the helpers below validate shape
@@ -69,16 +69,6 @@ def require_symmetric(S, name: str = "matrix") -> np.ndarray:
         if scale > 0 and np.abs(arr - arr.T).max() > SYMMETRY_RTOL * scale:
             raise ContractError(f"{name} is not symmetric within relative tolerance {SYMMETRY_RTOL:g}")
     return arr
-
-
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF, accurate to better than 1e-12 everywhere."""
-    return float(std_normal_cdf_array(z))
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse of :func:`std_normal_cdf` for p strictly inside (0, 1)."""
-    return float(std_normal_quantile_array(p))
 
 
 def std_normal_cdf_array(z) -> np.ndarray:

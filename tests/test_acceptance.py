@@ -9,7 +9,7 @@ import pytest
 
 import llrlab as L
 from llrlab.llrdist import default_h_grid, density_roc, score_geometry
-from llrlab.smallmat import std_normal_cdf
+from llrlab.smallmat import std_normal_cdf_array
 
 DELTA_SQ = 0.8
 ASYMPTOTE = 0.7366
@@ -149,7 +149,7 @@ def test_criterion_4_binormal_exactness_in_degenerate_regime():
         fit = L.normal_deviate_fit(curve)
         assert fit.b == pytest.approx(1.0, abs=1e-4)
         assert L.trapezoid_auc(curve) == pytest.approx(
-            std_normal_cdf(d / np.sqrt(2.0)), abs=1e-5
+            std_normal_cdf_array(d / np.sqrt(2.0)), abs=1e-5
         )
 
 
@@ -181,7 +181,7 @@ def test_criterion_6_binormal_auc_form_arbitration():
             for b in (0.5, 1.0, 2.0):
                 oracle = np.trapezoid(binormal_tpf_array(a, b, fpf), fpf)
                 assert L.binormal_auc(a, b) == pytest.approx(oracle, abs=1e-5)
-                sans_sqrt = std_normal_cdf(a / (1.0 + b * b))
+                sans_sqrt = std_normal_cdf_array(a / (1.0 + b * b))
                 if a != 0.0:
                     # the no-square-root variant disagrees with the
                     # integration oracle wherever the two forms differ

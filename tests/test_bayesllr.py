@@ -12,15 +12,12 @@ from llrlab import (
     SeededRng,
     TwoClassProblem,
     bayes_threshold,
-    classify,
     classify_scores,
-    llr_score,
     llr_scores,
-    mvn_pdf,
     mvn_sample,
 )
 from llrlab.errors import ContractError
-from llrlab.gaussmodel import mahalanobis_sq_rows
+from llrlab.gaussmodel import mahalanobis_sq_rows, mvn_logpdf_array
 from tests.conftest import MU1, SIGMA1
 
 
@@ -53,17 +50,17 @@ class TestLlrScore:
         problem = TwoClassProblem(class1=params, class2=GaussianParams(MU1, SIGMA1))
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert llr_score(rng.normal(size=2), problem) == 0.0
+            assert llr_scores(rng.normal(size=2), problem)[0] == 0.0
 
     def test_matches_log_density_ratio(self, counterexample_problem):
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.normal(loc=1.5, scale=1.2, size=2)
             direct = math.log(
-                mvn_pdf(x, counterexample_problem.class1)
-                / mvn_pdf(x, counterexample_problem.class2)
+                np.exp(mvn_logpdf_array(x, counterexample_problem.class1)[0])
+                / np.exp(mvn_logpdf_array(x, counterexample_problem.class2)[0])
             )
-            assert llr_score(x, counterexample_problem) == pytest.approx(direct, abs=1e-10)
+            assert llr_scores(x, counterexample_problem)[0] == pytest.approx(direct, abs=1e-10)
 
     def test_equal_identity_covariance_is_linear(self):
         p = 4
@@ -75,7 +72,7 @@ class TestLlrScore:
         for _ in range(100):
             x = rng.normal(size=p)
             expected = (mu1 - mu2) @ x - 0.5 * (mu1 @ mu1 - mu2 @ mu2)
-            assert llr_score(x, problem) == pytest.approx(expected, abs=1e-12)
+            assert llr_scores(x, problem)[0] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 11])
     def test_bit_equal_to_the_docstring_expression(self, p):
@@ -94,7 +91,7 @@ class TestLlrScore:
             assert np.array_equal(llr_scores(x, problem), expected)
 
     def test_exact_rational_oracle_at_2_2(self, counterexample_problem):
-        assert llr_score([2.0, 2.0], counterexample_problem) == pytest.approx(
+        assert llr_scores([2.0, 2.0], counterexample_problem)[0] == pytest.approx(
             llr_exact_fraction_oracle([2, 2]), abs=1e-12
         )
 
@@ -190,19 +187,17 @@ class TestBayesThreshold:
 
 class TestClassify:
     def test_above_threshold(self):
-        assert classify(1.0, 0.0) == CLASS1
+        assert classify_scores(1.0, 0.0) == CLASS1
 
     def test_below_threshold(self):
-        assert classify(-0.5, 0.0) == CLASS2
+        assert classify_scores(-0.5, 0.0) == CLASS2
 
     def test_tie_goes_to_class2(self):
-        assert classify(0.0, 0.0) == CLASS2
+        assert classify_scores(0.0, 0.0) == CLASS2
 
-    def test_vectorized_matches_scalar(self):
+    def test_elementwise_over_an_array(self):
         scores = np.array([-1.0, 0.0, 0.3, 2.0])
-        np.testing.assert_array_equal(
-            classify_scores(scores, 0.3), [classify(s, 0.3) for s in scores]
-        )
+        np.testing.assert_array_equal(classify_scores(scores, 0.3), [CLASS2, CLASS2, CLASS2, CLASS1])
 
 
 class TestTwoClassProblem:

@@ -10,9 +10,7 @@ from llrlab import (
     empirical_auc,
     estimate_params,
     llr_scores,
-    mahalanobis,
     mahalanobis_sq,
-    mvn_pdf,
     mvn_sample,
 )
 from llrlab.errors import (
@@ -21,20 +19,20 @@ from llrlab.errors import (
     DecompositionError,
     InsufficientDataError,
 )
-from llrlab.gaussmodel import mahalanobis_sq_rows
+from llrlab.gaussmodel import mahalanobis_sq_rows, mvn_logpdf_array
 from tests.conftest import MU1, MU2, SIGMA1, SIGMA2
 
 
 class TestMvnPdf:
     def test_peak_value_identity_covariance(self):
         params = GaussianParams([0.3, -0.7], np.eye(2))
-        assert mvn_pdf([0.3, -0.7], params) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
+        assert np.exp(mvn_logpdf_array([0.3, -0.7], params)[0]) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
 
     def test_counterexample_class1_at_mean(self):
         params = GaussianParams(MU1, SIGMA1)
         # direct substitution: 1 / (2 pi sqrt(0.96))
-        assert mvn_pdf([2.0, 2.0], params) == pytest.approx(0.16243683359034922, rel=1e-12)
-        assert mvn_pdf([2.0, 2.0], params) == pytest.approx(
+        assert np.exp(mvn_logpdf_array([2.0, 2.0], params)[0]) == pytest.approx(0.16243683359034922, rel=1e-12)
+        assert np.exp(mvn_logpdf_array([2.0, 2.0], params)[0]) == pytest.approx(
             1.0 / (2.0 * np.pi * np.sqrt(0.96)), rel=1e-14
         )
 
@@ -53,19 +51,19 @@ class TestMvnPdf:
         dens = np.exp(-0.5 * q) / (2.0 * np.pi * np.exp(0.5 * params.log_det))
         total = simpson(simpson(dens.reshape(gx.shape), x=ys, axis=1), x=xs)
         assert total == pytest.approx(1.0, abs=1e-6)
-        # spot-check the scalar entry point against the vectorized oracle path
-        assert mvn_pdf(pts[12345], params) == pytest.approx(dens[12345], rel=1e-12)
+        # spot-check one point against the oracle path
+        assert np.exp(mvn_logpdf_array(pts[12345], params)[0]) == pytest.approx(dens[12345], rel=1e-12)
 
     def test_maximized_at_mean(self):
         params = GaussianParams(MU2, SIGMA2)
-        peak = mvn_pdf(MU2, params)
+        peak = np.exp(mvn_logpdf_array(MU2, params)[0])
         rng = np.random.default_rng(5)
         for _ in range(50):
-            assert mvn_pdf(MU2 + rng.normal(scale=0.5, size=2), params) < peak
+            assert np.exp(mvn_logpdf_array(MU2 + rng.normal(scale=0.5, size=2), params)[0]) < peak
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractError):
-            mvn_pdf([1.0, 2.0, 3.0], GaussianParams([0.0, 0.0], np.eye(2)))
+            mvn_logpdf_array([1.0, 2.0, 3.0], GaussianParams([0.0, 0.0], np.eye(2)))
 
 
 class TestMvnSample:
@@ -263,21 +261,21 @@ class TestEstimateParams:
 
 class TestMahalanobis:
     def test_coincident_means(self):
-        assert mahalanobis([1.0, 2.0], [1.0, 2.0], np.eye(2)) == 0.0
+        assert np.sqrt(mahalanobis_sq([1.0, 2.0], [1.0, 2.0], np.eye(2))) == 0.0
 
     def test_eleven_dimensional_calibration_point(self):
         # c = 0.27 with p = 11: distance 0.27*sqrt(11), squared ~ 0.8019
         mu2 = np.full(11, 0.27)
-        d = mahalanobis(np.zeros(11), mu2, np.eye(11))
+        d = np.sqrt(mahalanobis_sq(np.zeros(11), mu2, np.eye(11)))
         assert d == pytest.approx(0.8954886933959579, rel=1e-12)
         assert mahalanobis_sq(np.zeros(11), mu2, np.eye(11)) == pytest.approx(0.8019, abs=1e-12)
 
     def test_one_dimensional(self):
-        assert mahalanobis([2.0], [0.0], [[4.0]]) == pytest.approx(1.0, rel=1e-14)
+        assert np.sqrt(mahalanobis_sq([2.0], [0.0], [[4.0]])) == pytest.approx(1.0, rel=1e-14)
 
     def test_features_in_far_apart_units(self):
         # one standard deviation along each axis; the unscaled condition number is 1e14
-        d = mahalanobis([0.0, 0.0], [1e-4, 1e3], np.diag([1e-8, 1e6]))
+        d = np.sqrt(mahalanobis_sq([0.0, 0.0], [1e-4, 1e3], np.diag([1e-8, 1e6])))
         assert d == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     def test_symmetry(self):
@@ -285,7 +283,7 @@ class TestMahalanobis:
         a, b = rng.normal(size=2 * 3).reshape(2, 3)
         A = rng.normal(size=(3, 3))
         S = A @ A.T + np.eye(3)
-        assert mahalanobis(a, b, S) == pytest.approx(mahalanobis(b, a, S), abs=1e-14)
+        assert np.sqrt(mahalanobis_sq(a, b, S)) == pytest.approx(np.sqrt(mahalanobis_sq(b, a, S)), abs=1e-14)
 
     def test_invariance_under_linear_maps(self):
         rng = np.random.default_rng(17)
@@ -293,10 +291,10 @@ class TestMahalanobis:
         mu2 = rng.normal(size=4)
         B = rng.normal(size=(4, 4))
         S = B @ B.T + np.eye(4)
-        base = mahalanobis(mu1, mu2, S)
+        base = np.sqrt(mahalanobis_sq(mu1, mu2, S))
         for _ in range(20):
             A = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
-            mapped = mahalanobis(A @ mu1, A @ mu2, A @ S @ A.T)
+            mapped = np.sqrt(mahalanobis_sq(A @ mu1, A @ mu2, A @ S @ A.T))
             assert abs(mapped - base) < 1e-10
 
 

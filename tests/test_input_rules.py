@@ -2,7 +2,7 @@
 
 Every public count and class label goes through ``smallmat.as_integer``,
 every value type keeps read-only copies of the arrays its caller hands it,
-and a scalar probability function is its array form on one value.
+and a probability outside (0, 1) is one :class:`DomainError` naming it.
 """
 
 import dataclasses
@@ -18,18 +18,15 @@ from llrlab import (
     ScoreSet,
     SeededRng,
     TwoClassProblem,
-    binormal_tpf,
     calibrate_c,
     marginal_density,
     mvn_sample,
     run_trial,
-    std_normal_cdf,
-    std_normal_quantile,
+    std_normal_quantile_array,
 )
 from llrlab.errors import ContractError, DomainError
 from llrlab.llrdist import HistogramTable
 from llrlab.rocauc import binormal_tpf_array
-from llrlab.smallmat import std_normal_cdf_array, std_normal_quantile_array
 from llrlab.svgplot import Series
 
 PROBLEM = TwoClassProblem(
@@ -137,31 +134,17 @@ def test_a_value_keeps_read_only_copies_of_its_callers_arrays(build):
         assert not getattr(value, name).flags.writeable
 
 
-#: name -> (scalar form, array form) of each function of a probability or its deviate
-FORMS = {
-    "std_normal_cdf": (std_normal_cdf, std_normal_cdf_array),
-    "std_normal_quantile": (std_normal_quantile, std_normal_quantile_array),
-    "binormal_tpf": (lambda p: binormal_tpf(0.7, 1.3, p), lambda p: binormal_tpf_array(0.7, 1.3, p)),
+#: name -> each function of a probability
+OF_A_PROBABILITY = {
+    "std_normal_quantile_array": std_normal_quantile_array,
+    "binormal_tpf_array": lambda p: binormal_tpf_array(0.7, 1.3, p),
 }
 
 
-@pytest.mark.parametrize("name", FORMS)
-def test_a_scalar_form_is_bit_equal_to_its_array_form(name):
-    scalar, array = FORMS[name]
-    gen = np.random.default_rng(29)
-    x = gen.normal(scale=4.0, size=20_000) if name == "std_normal_cdf" else gen.uniform(size=20_000)
-    got = [scalar(v) for v in x]
-    assert all(type(v) is float for v in got)
-    assert np.array(got).tobytes() == array(x).tobytes()
-
-
 @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan, -0.1])
-@pytest.mark.parametrize("name", ["std_normal_quantile", "binormal_tpf"])
+@pytest.mark.parametrize("name", OF_A_PROBABILITY)
 def test_a_probability_outside_the_open_unit_interval_is_one_domain_error(name, bad):
-    scalar, array = FORMS[name]
-    with pytest.raises(DomainError) as from_scalar:
-        scalar(bad)
     # the message names the first entry outside (0, 1)
-    with pytest.raises(DomainError) as from_array:
-        array([0.5, bad, 2.0])
-    assert str(from_scalar.value) == str(from_array.value) == f"quantile requires 0 < p < 1, got {bad!r}"
+    with pytest.raises(DomainError) as raised:
+        OF_A_PROBABILITY[name]([0.5, bad, 2.0])
+    assert str(raised.value) == f"quantile requires 0 < p < 1, got {bad!r}"

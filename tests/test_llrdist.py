@@ -15,7 +15,6 @@ from llrlab import (
     histogram_vs_analytic,
     invert_llr,
     joint_density,
-    llr_score,
     llr_scores,
     marginal_density,
     mvn_sample,
@@ -91,7 +90,7 @@ class TestInvertLlr:
             roots = invert_llr(h, x1, counterexample_problem)
             assert len(roots) == 2
             for r in roots:
-                worst = max(worst, abs(llr_score([x1, r], counterexample_problem) - h))
+                worst = max(worst, abs(llr_scores([x1, r], counterexample_problem)[0] - h))
         assert worst < 1e-9
 
     def test_outside_support_empty(self, counterexample_problem):
@@ -117,11 +116,41 @@ class TestInvertLlr:
         )
         roots = invert_llr(0.3, 0.4, problem)
         assert len(roots) == 1
-        assert llr_score([0.4, roots[0]], problem) == pytest.approx(0.3, abs=1e-9)
+        assert llr_scores([0.4, roots[0]], problem)[0] == pytest.approx(0.3, abs=1e-9)
 
     def test_score_depending_on_x1_only_is_degenerate(self, equal_cov_problem):
         with pytest.raises(ContractError):
             invert_llr(0.1, 0.2, equal_cov_problem)
+
+    def test_fold_where_b_and_c_vanish_is_the_double_root_zero(self):
+        # a fold where b == c == 0: the x2 quadratic is a2 x2^2, whose c/q is 0/0
+        geom = score_geometry(CONCENTRIC)
+        h = geom.c0 + 0.5 * (geom.c1 + 0.5 * geom.c2)
+        assert [float(v) for v in geom.x2_quadratic(h, 0.5)] == [0.0, 0.0, 0.0]
+        roots = invert_llr(h, 0.5, CONCENTRIC)
+        assert roots == [0.0] and np.signbit(roots[0])
+
+
+#: Class 1 N(0, I) against class 2 N(0, 0.2 I): every level curve is a circle.
+CONCENTRIC = TwoClassProblem(
+    class1=GaussianParams([0.0, 0.0], np.eye(2)),
+    class2=GaussianParams([0.0, 0.0], 0.2 * np.eye(2)),
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h, x1: score_geometry(CONCENTRIC).x2_quadratic(h, x1),
+        lambda h, x1: joint_density(h, [0.5, x1], 1, CONCENTRIC),
+        lambda h, x1: invert_llr(h, x1, CONCENTRIC),
+    ],
+    ids=["x2_quadratic", "joint_density", "invert_llr"],
+)
+def test_a_finite_x1_whose_x2_quadratic_overflows_is_a_contract_error(call):
+    # c2 x1^2 overflows for |x1| above ~1e154
+    with pytest.raises(ContractError, match=r"overflows a float at \(h=0, x1=1e\+200\)"):
+        call(0.0, 1e200)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -200,6 +229,38 @@ class TestJointDensity:
         x1, h = TestInvertLlr.FOLD_POINT
         with pytest.raises(SingularityError):
             joint_density(h, x1, 1, counterexample_problem)
+
+    def test_linear_score_with_a_tiny_x2_coefficient_is_no_fold(self):
+        # b0 + b1 x1 is ~6e-13 here: the score's x2 slope, small in x2's units
+        # but not next to the terms it is formed from
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], np.eye(2)),
+            class2=GaussianParams([1e-20, 0.0], [[1 / 3, -6.7e-13], [-6.7e-13, 1.0]]),
+        )
+        geom = score_geometry(problem)
+        assert geom.kind == "linear"
+        x1 = 0.2887
+        h = llr_scores([x1, -2.0], problem)[0]
+        b = float(geom.x2_quadratic(h, x1)[0])
+        (root,) = invert_llr(h, x1, problem)
+        expected = np.exp(mvn_logpdf_array([x1, root], problem.class1)[0]) / abs(b)
+        assert joint_density(h, x1, 1, problem) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1e-13, 1e13])
+    def test_no_unit_of_x2_moves_a_value(self, counterexample_problem, k):
+        # x2 measured in a unit 1/k times the old one: the class densities of
+        # x2 and the score's slope in x2 both scale by 1/k, so no (h, x1)
+        # density moves and no point becomes a fold
+        K = np.diag([1.0, k])
+        c1, c2 = counterexample_problem.class1, counterexample_problem.class2
+        scaled = TwoClassProblem(
+            GaussianParams(K @ c1.mu, K @ c1.sigma @ K), GaussianParams(K @ c2.mu, K @ c2.sigma @ K)
+        )
+        h, x1 = np.meshgrid(np.linspace(-3.0, 9.0, 13), np.linspace(-2.0, 5.0, 11))
+        for label in (1, 2):
+            np.testing.assert_allclose(
+                joint_density(h, x1, label, scaled), joint_density(h, x1, label, counterexample_problem), rtol=1e-9
+            )
 
     def test_array_call_matches_scalar_calls(self, counterexample_problem):
         # both roots, one root's edge and points outside the support; a lone
@@ -367,7 +428,7 @@ class TestSupportRegion:
             class1=GaussianParams([0.0, 0.0], np.eye(2)),
             class2=GaussianParams([1e-200, 0.0], np.diag([1.0, 2.0])),
         )
-        h = llr_score([1.0, 0.5], problem)
+        h = llr_scores([1.0, 0.5], problem)[0]
         ((lo, hi),) = support_region(h, problem)
         assert lo == -np.inf and hi == pytest.approx(6.25e198, rel=1e-12)
         assert joint_density(h, 1.0, 1, problem) > 0.0
@@ -465,7 +526,7 @@ def test_random_spd_pairs_support_density_and_roots_agree(problem):
         # a class mean can be the vertex or saddle point, whose x1 is a fold
         for offset in ((1.0, 0.5), (-2.0, 1.0), (0.5, -2.0)):
             point = params.mu + sd * offset
-            h = llr_score(point, problem)
+            h = llr_scores(point, problem)[0]
             intervals = support_region(h, problem)
             ends = [end for interval in intervals for end in interval if abs(end) <= 1e3]
             for end in ends:

@@ -47,6 +47,7 @@ class TestAsymptoticAuc:
         # c = 0.27 at p = 11 gives delta^2 = 0.8019 and AUC ~ 0.74
         assert asymptotic_auc(0.8019) == pytest.approx(0.7367, abs=1e-4)
         assert round(asymptotic_auc(0.8019), 2) == 0.74
+        assert type(asymptotic_auc(0.8019)) is float
 
     def test_vanishing_separation(self):
         assert asymptotic_auc(1e-12) == pytest.approx(0.5, abs=1e-6)

@@ -9,7 +9,6 @@ from llrlab import (
     ScoreSet,
     auc_probability_identity_check,
     binormal_auc,
-    binormal_tpf,
     empirical_auc,
     empirical_error_fractions,
     empirical_roc,
@@ -259,30 +258,31 @@ def binormal_point_by_quadrature(t, mu1, sigma1, mu2, sigma2):
 class TestBinormal:
     def test_chance_line(self):
         for fpf in (0.1, 0.5, 0.9):
-            assert binormal_tpf(0.0, 1.0, fpf) == pytest.approx(fpf, rel=1e-12)
+            assert binormal_tpf_array(0.0, 1.0, fpf) == pytest.approx(fpf, rel=1e-12)
 
     def test_half_point(self):
-        from llrlab import std_normal_cdf
+        from llrlab import std_normal_cdf_array
 
         for a, b in ((0.3, 0.7), (1.2, 1.0), (-0.5, 2.0)):
-            assert binormal_tpf(a, b, 0.5) == pytest.approx(std_normal_cdf(a), rel=1e-13)
+            assert binormal_tpf_array(a, b, 0.5) == pytest.approx(std_normal_cdf_array(a), rel=1e-13)
 
     def test_against_density_quadrature_oracle(self):
         # score model with (mu1-mu2)/sigma1 = 1.2 and sigma2/sigma1 = 0.8
         mu1, sigma1, mu2, sigma2 = 1.2, 1.0, 0.0, 0.8
         for t in np.linspace(-2.0, 3.0, 99):
             fpf, tpf = binormal_point_by_quadrature(t, mu1, sigma1, mu2, sigma2)
-            assert binormal_tpf(1.2, 0.8, fpf) == pytest.approx(tpf, abs=1e-8)
+            assert binormal_tpf_array(1.2, 0.8, fpf) == pytest.approx(tpf, abs=1e-8)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            binormal_tpf(1.0, 1.0, 0.0)
+            binormal_tpf_array(1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             binormal_auc(1.0, 0.0)
 
     def test_auc_chance(self):
         for b in (0.5, 1.0, 2.0):
             assert binormal_auc(0.0, b) == 0.5
+            assert type(binormal_auc(0.0, b)) is float
 
     def test_auc_equal_variance_point(self):
         # 10^4-point trapezoid integration oracle of the curve itself
