@@ -43,7 +43,6 @@ from .llrdist import (
     joint_density,
     marginal_density,
     score_moments,
-    simdiag,
     support_region,
     transform_problem,
 )
@@ -69,6 +68,6 @@ from .rocauc import (
     normal_deviate_fit,
     trapezoid_auc,
 )
-from .smallmat import cholesky, spd_solve, std_normal_cdf_array, std_normal_quantile_array
+from .smallmat import cholesky, std_normal_cdf_array, std_normal_quantile_array
 
 __version__ = "0.1.0"

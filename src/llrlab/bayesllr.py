@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import smallmat
 from .errors import ContractError
-from .gaussmodel import GaussianParams, mahalanobis_sq_rows
+from .gaussmodel import GaussianParams, as_points, mahalanobis_sq_rows
 
 CLASS1 = 1
 CLASS2 = 2
@@ -44,9 +45,7 @@ def llr_scores(x, problem: TwoClassProblem) -> np.ndarray:
     value = -1/2 [ (x-mu1)' S1^-1 (x-mu1) - (x-mu2)' S2^-1 (x-mu2) ]
             - 1/2 ln(|S1| / |S2|)
     """
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.shape[1] != problem.dim:
-        raise ContractError(f"points have dimension {X.shape[1]}, problem has {problem.dim}")
+    X = as_points(x, problem.dim)
     c1, c2 = problem.class1, problem.class2
     # the docstring's expression, formed in place op for op
     q = mahalanobis_sq_rows(X, c1)
@@ -80,6 +79,8 @@ def bayes_threshold(prior1: float = 0.5, costs=ZERO_ONE_COSTS) -> float:
 
 
 def classify_scores(scores, th: float) -> np.ndarray:
-    """Decide class 1 where score > th, elementwise; ties go to class 2."""
+    """Decide class 1 where score > th, elementwise; ties go to class 2.
+    th passes :func:`smallmat.as_threshold`."""
+    th = smallmat.as_threshold(th)
     s = np.asarray(scores, dtype=float)
     return np.where(s > th, CLASS1, CLASS2)

@@ -2,7 +2,8 @@
 moment estimation, and Mahalanobis separation.
 
 Every log density of a batch of points goes through one quadratic-form
-kernel, :func:`mahalanobis_sq_rows`, which also scores ``llr_scores``.
+kernel, :func:`mahalanobis_sq_rows`, which also scores ``llr_scores`` and
+measures ``mahalanobis_sq``; each batch of points passes :func:`as_points`.
 """
 
 from __future__ import annotations
@@ -128,11 +129,20 @@ class GaussianParams:
         return smallmat.chol_logdet(self.chol)
 
 
+def as_points(x, dim: int) -> np.ndarray:
+    """x as an (n, dim) float64 batch of finite points, a 1-D x as one point:
+    the input rule of every function that takes a batch of points."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ContractError(f"points must be rows of dimension {dim}, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ContractError("x contains non-finite entries")
+    return X
+
+
 def mvn_logpdf_array(x, params: GaussianParams) -> np.ndarray:
     """Log density of rows of x under the multinormal model (vectorized)."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    if X.shape[1] != params.dim:
-        raise ContractError(f"points have dimension {X.shape[1]}, model has {params.dim}")
+    X = as_points(x, params.dim)
     q = mahalanobis_sq_rows(X, params)
     p = params.dim
     return -0.5 * (q + params.log_det + p * _LOG_2PI)
@@ -191,18 +201,25 @@ def estimate_params(samples) -> GaussianParams:
     sigma = dev.T @ dev
     sigma /= n - 1
     sigma = 0.5 * (sigma + sigma.T)
-    if smallmat.condition_estimate(sigma) > smallmat.CONDITION_LIMIT:
-        raise ConditioningError(
-            f"sample covariance from {n} points in dimension {X.shape[1]} is numerically singular"
-        )
+    _require_conditioned(sigma, f"sample covariance from {n} points in dimension {X.shape[1]}")
     return GaussianParams(mu, sigma)
 
 
+def _require_conditioned(sigma, what: str) -> None:
+    """A :class:`ConditioningError` naming ``what`` when the unit-free
+    :func:`smallmat.condition_estimate` finds sigma singular; run before any
+    factorization, so an indefinite sigma that it finds singular is one too."""
+    if smallmat.condition_estimate(sigma) > smallmat.CONDITION_LIMIT:
+        raise ConditioningError(f"{what} is numerically singular")
+
+
 def mahalanobis_sq(mu1, mu2, sigma) -> float:
-    """Squared Mahalanobis distance (mu1-mu2)' Sigma^-1 (mu1-mu2)."""
-    m1 = smallmat.as_vector(mu1, "mu1")
-    m2 = smallmat.as_vector(mu2, "mu2")
-    if m1.shape != m2.shape:
-        raise ContractError("mean vectors must have equal dimension")
-    d = m1 - m2
-    return float(d @ smallmat.spd_solve(sigma, d))
+    """Squared Mahalanobis distance (mu1-mu2)' Sigma^-1 (mu1-mu2), by
+    :func:`mahalanobis_sq_rows` on N(mu2, sigma), after
+    :func:`_require_conditioned`; mu1 is one point of :func:`as_points`."""
+    _require_conditioned(sigma, "covariance")
+    model = GaussianParams(mu2, sigma)
+    X = as_points(mu1, model.dim)
+    if X.shape[0] != 1:
+        raise ContractError(f"mu1 must be one point, got shape {np.shape(mu1)}")
+    return float(mahalanobis_sq_rows(X, model)[0])

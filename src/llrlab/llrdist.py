@@ -68,8 +68,10 @@ class ScoreGeometry:
 
     ``kind`` is "quadratic" when a2 != 0, "linear" when a2 == 0 but the x2
     coefficient is not identically zero, and "x1_only" when the score does
-    not involve x2 at all.  An a2 below the classification tolerance is
-    stored as exactly 0, so the root helper sees the linear case.
+    not involve x2 at all.  A coefficient is rounding noise below 1e-12 of
+    a size that no unit or origin of the features moves (see
+    :func:`score_geometry`).  An a2 below that is stored as exactly 0, so
+    the root helper sees the linear case.
     """
 
     a2: float
@@ -129,13 +131,22 @@ def score_geometry(problem: TwoClassProblem) -> ScoreGeometry:
         - 0.5 * (p1.log_det - p2.log_det)
     )
 
-    scale_a = max(abs(c1_), abs(c2_))
-    scale_b = max(abs(b0), abs(b1), scale_a, 1e-300)
-    if abs(a2) > 1e-12 * scale_a:
+    # each verdict is free of the units and the origin of x1 and x2: a2 is
+    # noise against the c's and b1 against the bound sqrt(a c) on each
+    # precision's b.  With both noise, the x2 slope is b0 less their share,
+    # b1_ (m11 - m21) + c1_ (m12 - m22), and it is noise when it moves h by
+    # at most _NOISE of the score's scale over x2's reach in the class
+    # windows, the rule of _diagonal_score taken in x
+    if abs(a2) > 1e-12 * max(abs(c1_), abs(c2_)):
         kind = "quadratic"
     else:
         a2 = 0.0
-        kind = "linear" if abs(b0) > 1e-12 * scale_b or abs(b1) > 1e-12 * scale_b else "x1_only"
+        d = p1.mu - p2.mu
+        reach = np.abs(d) + _N_SIGMAS * np.sqrt(np.maximum(np.diag(p1.sigma), np.diag(p2.sigma)))
+        scale = 0.5 * max(reach @ np.abs(p1.sigma_inv) @ reach, reach @ np.abs(p2.sigma_inv) @ reach)
+        x1_slope = abs(b1) > 1e-12 * max(a1 * c1_, a2_ * c2_) ** 0.5
+        x2_slope = abs(b1_ * d[0] + c1_ * d[1]) * reach[1] > _NOISE * scale
+        kind = "linear" if x1_slope or x2_slope else "x1_only"
     return ScoreGeometry(a2=a2, b0=b0, b1=b1, c0=c0, c1=c1, c2=c2, kind=kind)
 
 
@@ -212,10 +223,11 @@ def joint_density(h, x1, label: int, problem: TwoClassProblem) -> float | np.nda
 
     The class density summed over the x2 roots at each (h, x1), divided by
     the Jacobian sqrt(D) (:meth:`ScoreGeometry.x2_quadratic`); zero outside
-    the support region, where D < 0.  A point on the fold itself (D >= 0
-    with sqrt(D) at most 1e-12 times the root of the size of the terms D is
-    formed from, so that no unit of x2 moves the verdict) raises
-    :class:`SingularityError`, which names the first such point.
+    the support region, where D < 0, and a root past the float range adds
+    no density.  A point on the fold itself (D >= 0 with sqrt(D) at most
+    1e-12 times the root of the size of the terms D is formed from, so that
+    no unit of x2 moves the verdict) raises :class:`SingularityError`, which
+    names the first such point.
     """
     h, x1 = np.broadcast_arrays(_finite(h, "h"), _finite(x1, "x1"))
     geom = score_geometry(problem)
@@ -234,11 +246,16 @@ def joint_density(h, x1, label: int, problem: TwoClassProblem) -> float | np.nda
     inside = disc > 0.0
     if inside.any():
         sq = np.sqrt(disc[inside])
-        roots = _quadratic_roots(geom.a2, b[inside], c[inside], sq)
+        with np.errstate(over="ignore"):
+            roots = _quadratic_roots(geom.a2, b[inside], c[inside], sq)
         # the points (x1, root) of every root as one batch of rows; their
-        # densities add in root order
+        # densities add in root order, and a root past the float range
+        # carries none
         rows = np.stack([np.tile(x1[inside], len(roots)), np.concatenate(roots)], axis=1)
-        out[inside] = np.exp(mvn_logpdf_array(rows, params)).reshape(len(roots), -1).sum(axis=0) / sq
+        finite = np.isfinite(rows[:, 1])
+        pdf = np.zeros(finite.size)
+        pdf[finite] = np.exp(mvn_logpdf_array(rows[finite], params))
+        out[inside] = pdf.reshape(len(roots), -1).sum(axis=0) / sq
     return float(out) if out.ndim == 0 else out
 
 
@@ -843,15 +860,16 @@ class DiagonalizedProblem:
         return np.atleast_2d(np.asarray(x, dtype=float)) @ self.transform
 
 
-def simdiag(sigma1, sigma2) -> tuple[np.ndarray, np.ndarray]:
-    """W with W' sigma1 W = I and W' sigma2 W = diag(lam), lam descending."""
-    s1 = smallmat.require_symmetric(sigma1, "sigma1")
-    s2 = smallmat.require_symmetric(sigma2, "sigma2")
-    if s1.shape != s2.shape:
-        raise ContractError("covariances must share a dimension")
-    L = smallmat.cholesky(s1)
-    Linv = smallmat.triangular_inverse(L)
-    M = Linv @ s2 @ Linv.T
+def transform_problem(problem: TwoClassProblem) -> DiagonalizedProblem:
+    """Rotate/scale features so the covariances are I and diag(lam), lam
+    descending, whitening with class 1's own Cholesky factor.
+
+    The score of a point and of its image agree exactly (the two Jacobian
+    factors cancel in the likelihood ratio), so classification decisions and
+    score distributions are unchanged.
+    """
+    Linv = smallmat.triangular_inverse(problem.class1.chol)
+    M = Linv @ problem.class2.sigma @ Linv.T
     M = 0.5 * (M + M.T)
     lam, Q = np.linalg.eigh(M)
     order = np.argsort(lam)[::-1]
@@ -860,17 +878,6 @@ def simdiag(sigma1, sigma2) -> tuple[np.ndarray, np.ndarray]:
     if lam[-1] <= 0.0:
         raise ContractError("second covariance is not positive definite in the whitened basis")
     W = Linv.T @ Q
-    return W, lam
-
-
-def transform_problem(problem: TwoClassProblem) -> DiagonalizedProblem:
-    """Rotate/scale features so the covariances are I and diag(lam).
-
-    The score of a point and of its image agree exactly (the two Jacobian
-    factors cancel in the likelihood ratio), so classification decisions and
-    score distributions are unchanged.
-    """
-    W, lam = simdiag(problem.class1.sigma, problem.class2.sigma)
     mu1 = W.T @ problem.class1.mu
     mu2 = W.T @ problem.class2.mu
     new_problem = TwoClassProblem(

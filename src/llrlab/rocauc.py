@@ -139,9 +139,10 @@ def _win_tie_counts(s1: np.ndarray, s2: np.ndarray) -> tuple[int, int]:
 
 
 def empirical_error_fractions(scores: ScoreSet, th: float) -> tuple[float, float]:
-    """(FNF, FPF) at a fixed threshold; ties at th count toward neither."""
+    """(FNF, FPF) at a fixed threshold; ties at th count toward neither.
+    th passes :func:`smallmat.as_threshold`."""
     scores.require_nonempty()
-    th = float(th)
+    th = smallmat.as_threshold(th)
     fnf = np.count_nonzero(scores.class1_scores < th) / scores.class1_scores.size
     fpf = np.count_nonzero(scores.class2_scores > th) / scores.class2_scores.size
     return float(fnf), float(fpf)
@@ -220,11 +221,14 @@ def binormal_tpf_array(a: float, b: float, fpf) -> np.ndarray:
 
 
 def binormal_auc(a: float, b: float) -> float:
-    """Area under the binormal ROC: Phi(a / sqrt(1 + b^2)) for b > 0."""
-    b = float(b)
-    if b <= 0.0:
+    """Area under the binormal ROC, Phi(a / sqrt(1 + b^2)); a :class:`DomainError`
+    unless b > 0, which a NaN b is not, and a is a number."""
+    a, b = float(a), float(b)
+    if not b > 0.0:
         raise DomainError(f"binormal_auc needs slope b > 0, got {b!r}")
-    return float(smallmat.std_normal_cdf_array(float(a) / np.sqrt(1.0 + b * b)))
+    if np.isnan(a):
+        raise DomainError(f"binormal_auc needs an intercept a that is a number, got {a!r}")
+    return float(smallmat.std_normal_cdf_array(a / np.sqrt(1.0 + b * b)))
 
 
 def normal_deviate_fit(curve: RocCurve) -> BinormalFit:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import ConditioningError, ContractError, DecompositionError, DomainError
+from .errors import ContractError, DecompositionError, DomainError
 
 #: :func:`condition_estimate` above which a matrix is singular: the one
 #: singularity test, so no choice of feature units moves a verdict.
@@ -39,6 +39,15 @@ def as_integer(n, name: str, least: int | None = None) -> int:
         bound = "" if least is None else f" of at least {least}"
         raise ContractError(f"{name} must be an integer{bound}, got {n!r}")
     return int(n)
+
+
+def as_threshold(th) -> float:
+    """A score threshold as a float; -+inf are thresholds, but a NaN, which no
+    score is above or below, is a :class:`ContractError`."""
+    th = float(th)
+    if np.isnan(th):
+        raise ContractError("the threshold th must not be NaN")
+    return th
 
 
 def read_only_copy(a, dtype=float) -> np.ndarray:
@@ -134,27 +143,6 @@ def condition_estimate(S) -> float:
             if eig.min() > 0.0:
                 return float(eig.max() / eig.min())
     return np.inf
-
-
-def spd_solve(S, v) -> np.ndarray:
-    """Solve S x = v for symmetric positive definite S.
-
-    Raises :class:`ConditioningError` when :func:`condition_estimate`
-    exceeds :data:`CONDITION_LIMIT`, and :class:`DecompositionError` when
-    S is not positive definite at all.
-    """
-    A = require_symmetric(S, "spd_solve matrix")
-    b = as_vector(v, "spd_solve rhs")
-    if A.shape[0] != b.shape[0]:
-        raise ContractError(
-            f"dimension mismatch: matrix is {A.shape[0]}x{A.shape[1]}, rhs has {b.shape[0]}"
-        )
-    cond = condition_estimate(A)
-    if cond > CONDITION_LIMIT:
-        raise ConditioningError(f"matrix condition estimate {cond:.3g} exceeds {CONDITION_LIMIT:g}")
-    L = cholesky(A)
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, y)
 
 
 def triangular_inverse(L: np.ndarray) -> np.ndarray:

@@ -297,6 +297,32 @@ class TestMahalanobis:
             mapped = np.sqrt(mahalanobis_sq(A @ mu1, A @ mu2, A @ S @ A.T))
             assert abs(mapped - base) < 1e-10
 
+    def test_hand_elimination(self):
+        # Sigma^-1 (1, 1) = (2.5, 2.5)
+        assert mahalanobis_sq([1.0, 1.0], [0.0, 0.0], [[0.3, 0.1], [0.1, 0.3]]) == pytest.approx(5.0, rel=1e-14)
+
+    def test_near_singular_raises(self):
+        with pytest.raises(ConditioningError):
+            mahalanobis_sq([0.0, 0.0], [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+
+    def test_grossly_indefinite_matrix_is_singular_without_a_warning(self):
+        # its scaled off-diagonal entry, 1e200 / 1e-200, overflows: estimate
+        # inf, found before any factorization (RuntimeWarnings are errors here)
+        with pytest.raises(ConditioningError):
+            mahalanobis_sq([0.0, 0.0], [1.0, 1.0], [[1e-200, 1e200], [1e200, 1e-200]])
+
+    def test_indefinite_matrix_is_not_positive_definite(self):
+        with pytest.raises(DecompositionError):
+            mahalanobis_sq([0.0, 0.0], [1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ContractError):
+            mahalanobis_sq([0.0, 0.0, 0.0], [1.0, 2.0], np.eye(2))
+        with pytest.raises(ContractError):
+            mahalanobis_sq([0.0, 0.0], [1.0, 2.0, 3.0], np.eye(2))
+        with pytest.raises(ContractError):
+            mahalanobis_sq([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0], np.eye(2))
+
 
 class TestMahalanobisRows:
     # Scores are written at 17 digits, so the kernel must keep its per-row

@@ -2,7 +2,9 @@
 
 Every public count and class label goes through ``smallmat.as_integer``,
 every value type keeps read-only copies of the arrays its caller hands it,
-and a probability outside (0, 1) is one :class:`DomainError` naming it.
+a probability outside (0, 1) is one :class:`DomainError` naming it, every
+batch of points goes through ``gaussmodel.as_points``, and a NaN threshold
+is a :class:`ContractError`.
 """
 
 import dataclasses
@@ -19,12 +21,16 @@ from llrlab import (
     SeededRng,
     TwoClassProblem,
     calibrate_c,
+    classify_scores,
+    empirical_error_fractions,
+    llr_scores,
     marginal_density,
     mvn_sample,
     run_trial,
     std_normal_quantile_array,
 )
 from llrlab.errors import ContractError, DomainError
+from llrlab.gaussmodel import mvn_logpdf_array
 from llrlab.llrdist import HistogramTable
 from llrlab.rocauc import binormal_tpf_array
 from llrlab.svgplot import Series
@@ -148,3 +154,50 @@ def test_a_probability_outside_the_open_unit_interval_is_one_domain_error(name, 
     with pytest.raises(DomainError) as raised:
         OF_A_PROBABILITY[name]([0.5, bad, 2.0])
     assert str(raised.value) == f"quantile requires 0 < p < 1, got {bad!r}"
+
+
+#: name -> each function of a batch of points
+OF_POINTS = {
+    "llr_scores": lambda x: llr_scores(x, PROBLEM),
+    "mvn_logpdf_array": lambda x: mvn_logpdf_array(x, PROBLEM.class1),
+}
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [[np.inf, 0.0]], [[0.0, 1.0], [-np.inf, 0.0]]])
+@pytest.mark.parametrize("name", OF_POINTS)
+def test_a_point_with_a_non_finite_entry_is_a_contract_error(name, bad):
+    with pytest.raises(ContractError, match="^x contains non-finite entries$"):
+        OF_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("bad", [[0.0, 1.0, 2.0], [[0.0], [1.0]], np.zeros((2, 2, 2))])
+@pytest.mark.parametrize("name", OF_POINTS)
+def test_points_of_another_shape_are_a_contract_error(name, bad):
+    with pytest.raises(ContractError, match="^points must be rows of dimension 2"):
+        OF_POINTS[name](bad)
+
+
+def test_a_finite_point_whose_quadratic_form_overflows_keeps_its_value():
+    # the rule reads the points, not the form: the log density stays -inf
+    with np.errstate(over="ignore"):
+        assert OF_POINTS["mvn_logpdf_array"]([1e200, 0.0])[0] == -np.inf
+
+
+#: name -> (a function of a threshold on class 1 score 1 and class 2 score -1,
+#: its value at th = -inf, at th = inf)
+OF_A_THRESHOLD = {
+    "classify_scores": (lambda th: tuple(classify_scores([1.0, -1.0], th)), (1, 1), (2, 2)),
+    "empirical_error_fractions": (
+        lambda th: empirical_error_fractions(ScoreSet([1.0], [-1.0]), th), (0.0, 1.0), (1.0, 0.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OF_A_THRESHOLD)
+def test_a_nan_threshold_is_a_contract_error_and_an_infinite_one_is_valid(name):
+    # no score is above or below a NaN: it would send every score to class 2
+    call, at_minus_inf, at_inf = OF_A_THRESHOLD[name]
+    with pytest.raises(ContractError, match="^the threshold th must not be NaN$"):
+        call(np.nan)
+    assert call(-np.inf) == at_minus_inf
+    assert call(np.inf) == at_inf

@@ -19,7 +19,6 @@ from llrlab import (
     marginal_density,
     mvn_sample,
     score_moments,
-    simdiag,
     support_region,
     transform_problem,
 )
@@ -221,6 +220,31 @@ class TestQuadraticRoots:
         np.testing.assert_allclose(small, [-1.0, 1.0, -1e-8], rtol=1e-15)
 
 
+# Two scores that are linear in x2 (a2 = 0): -x2 + 1/2, and
+# (x1^2 + x1 x2) / 2 + const, whose x2 slope x1 / 2 is all b1
+LINEAR_SCORES = {
+    "x2_slope": TwoClassProblem(GaussianParams([0.0, 0.0], np.eye(2)), GaussianParams([0.0, 1.0], np.eye(2))),
+    "x1x2_slope": TwoClassProblem(
+        GaussianParams([0.0, 0.0], np.eye(2)), GaussianParams([0.0, 0.0], np.linalg.inv([[2.0, 0.5], [0.5, 1.0]]))
+    ),
+}
+
+# Two scores whose x2 slope is rounding noise: the classes' correlations
+# differ by 2.3e-17, which is b1 against the bound sqrt(a c) of each
+# precision's b; and b0 = 2.3e-37, one exact term, but 1e-38 of the score's
+# scale over x2's reach
+ROUNDING_SLOPES = {
+    "correlation": TwoClassProblem(
+        GaussianParams([0.0, 0.0], np.eye(2)),
+        GaussianParams([0.0, 0.0], [[1.0, 2.34195863e-17], [2.34195863e-17, 1.0]]),
+    ),
+    "mean_gap": TwoClassProblem(
+        GaussianParams([0.0, 0.0], [[1.0, 2.34195863e-17], [2.34195863e-17, 1.0]]),
+        GaussianParams([1e-20, 0.0], [[0.5, 1.17097932e-17], [1.17097932e-17, 1.0]]),
+    ),
+}
+
+
 class TestJointDensity:
     def test_zero_outside_support(self, counterexample_problem):
         assert joint_density(-5.0, 0.5, 1, counterexample_problem) == 0.0
@@ -246,21 +270,75 @@ class TestJointDensity:
         expected = np.exp(mvn_logpdf_array([x1, root], problem.class1)[0]) / abs(b)
         assert joint_density(h, x1, 1, problem) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [1e-13, 1e13])
-    def test_no_unit_of_x2_moves_a_value(self, counterexample_problem, k):
-        # x2 measured in a unit 1/k times the old one: the class densities of
-        # x2 and the score's slope in x2 both scale by 1/k, so no (h, x1)
-        # density moves and no point becomes a fold
-        K = np.diag([1.0, k])
-        c1, c2 = counterexample_problem.class1, counterexample_problem.class2
-        scaled = TwoClassProblem(
+    @staticmethod
+    def _rescaled(problem, k1, k2):
+        K = np.diag([k1, k2])
+        c1, c2 = problem.class1, problem.class2
+        return TwoClassProblem(
             GaussianParams(K @ c1.mu, K @ c1.sigma @ K), GaussianParams(K @ c2.mu, K @ c2.sigma @ K)
         )
+
+    @pytest.mark.parametrize("k", [1e-13, 1e13])
+    @pytest.mark.parametrize("name", ["counterexample", *LINEAR_SCORES])
+    def test_no_unit_of_x2_moves_a_value(self, counterexample_problem, name, k):
+        # x2 measured in a unit 1/k times the old one: the class densities of
+        # x2 and the score's slope in x2 both scale by 1/k, so no (h, x1)
+        # density moves, no point becomes a fold and no linear score turns
+        # into one of x1 only
+        problem = LINEAR_SCORES.get(name, counterexample_problem)
+        scaled = self._rescaled(problem, 1.0, k)
+        assert score_geometry(scaled).kind == score_geometry(problem).kind
         h, x1 = np.meshgrid(np.linspace(-3.0, 9.0, 13), np.linspace(-2.0, 5.0, 11))
         for label in (1, 2):
             np.testing.assert_allclose(
-                joint_density(h, x1, label, scaled), joint_density(h, x1, label, counterexample_problem), rtol=1e-9
+                joint_density(h, x1, label, scaled), joint_density(h, x1, label, problem), rtol=1e-9
             )
+
+    @pytest.mark.parametrize("k", [1e-13, 1e13])
+    @pytest.mark.parametrize("name", ["counterexample", *LINEAR_SCORES])
+    def test_no_unit_of_x1_moves_a_value(self, counterexample_problem, name, k):
+        # x1 measured in a unit 1/k times the old one: the density of (h, k x1)
+        # is that of (h, x1) over k
+        problem = LINEAR_SCORES.get(name, counterexample_problem)
+        scaled = self._rescaled(problem, k, 1.0)
+        assert score_geometry(scaled).kind == score_geometry(problem).kind
+        h, x1 = np.meshgrid(np.linspace(-3.0, 9.0, 13), np.linspace(-2.0, 5.0, 11))
+        for label in (1, 2):
+            np.testing.assert_allclose(
+                k * joint_density(h, k * x1, label, scaled), joint_density(h, x1, label, problem), rtol=1e-9
+            )
+
+    @pytest.mark.parametrize("offset", [(0.0, 1e3), (1e3, 0.0), (0.0, 1e12), (1.7e12, 1.7e12)])
+    @pytest.mark.parametrize("name", ["counterexample", *LINEAR_SCORES])
+    def test_no_origin_of_x1_or_x2_moves_the_kind(self, counterexample_problem, name, offset):
+        # both class means moved by one offset: the score's shape is the same,
+        # whatever rounding the far origin brings to its coefficients (at
+        # (0, 1e12) the x2 slope -1 of "x2_slope" is 1e-12 of the products
+        # of the means it is formed from)
+        problem = LINEAR_SCORES.get(name, counterexample_problem)
+        c1, c2 = problem.class1, problem.class2
+        moved = TwoClassProblem(GaussianParams(c1.mu + offset, c1.sigma), GaussianParams(c2.mu + offset, c2.sigma))
+        assert score_geometry(moved).kind == score_geometry(problem).kind
+
+    @pytest.mark.parametrize("name", ROUNDING_SLOPES)
+    def test_an_x2_slope_of_rounding_size_is_x1_only(self, name):
+        problem = ROUNDING_SLOPES[name]
+        assert score_geometry(problem).kind == "x1_only"
+        with pytest.raises(ContractError, match="depends on x1 only"):
+            joint_density(0.0, 1.0, 1, problem)
+
+    def test_a_score_of_rounding_size_is_rejected_by_both_layers(self):
+        # the (h, x1) layer rejects it above, and the diagonal form keeps no term
+        with pytest.raises(ContractError, match="the score is constant"):
+            marginal_density([0.0], 1, ROUNDING_SLOPES["correlation"])
+
+    def test_a_root_past_the_float_range_adds_no_density(self):
+        # the linear root of (x1^2 + x1 x2) / 2 + const = 1e300 at x1 = 1e-10
+        # is 2e310, beyond the largest float: no density, and no warning
+        problem = LINEAR_SCORES["x1x2_slope"]
+        assert joint_density(1e300, 1e-10, 1, problem) == 0.0
+        both = joint_density(np.array([1e300, 0.0]), np.array([1e-10, 1.0]), 1, problem)
+        assert both[0] == 0.0 and both[1] == joint_density(0.0, 1.0, 1, problem) > 0.0
 
     def test_array_call_matches_scalar_calls(self, counterexample_problem):
         # both roots, one root's edge and points outside the support; a lone
@@ -910,20 +988,24 @@ def test_densities_are_continuous_across_the_parabolic_boundary(parabola_referen
         assert np.abs(got[big] / ref[big] - 1.0).max() <= 150.0 * abs(eps) + 1e-12, label
 
 
-class TestSimdiag:
-    def test_equal_matrices_give_unit_lambda(self):
+class TestTransformProblem:
+    @staticmethod
+    def _check(problem, tol):
+        # W' sigma1 W = I and W' sigma2 W = diag(lam), lam descending
+        diag = transform_problem(problem)
+        W, lam = diag.transform, diag.lam
+        assert np.abs(W.T @ problem.class1.sigma @ W - np.eye(problem.dim)).max() < tol
+        assert np.abs(W.T @ problem.class2.sigma @ W - np.diag(lam)).max() < tol
+        assert np.all(np.diff(lam) <= 0) and np.all(lam > 0)
+        return lam
+
+    def test_equal_covariances_give_unit_lambda(self):
         S = np.array([[2.0, 0.5], [0.5, 1.0]])
-        W, lam = simdiag(S, S)
+        lam = self._check(TwoClassProblem(GaussianParams([1.0, 0.0], S), GaussianParams([0.0, 1.0], S)), 1e-12)
         np.testing.assert_allclose(lam, [1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(W.T @ S @ W, np.eye(2), atol=1e-12)
 
     def test_counterexample_reconstruction(self, counterexample_problem):
-        s1 = counterexample_problem.class1.sigma
-        s2 = counterexample_problem.class2.sigma
-        W, lam = simdiag(s1, s2)
-        assert np.abs(W.T @ s1 @ W - np.eye(2)).max() < 1e-10
-        assert np.abs(W.T @ s2 @ W - np.diag(lam)).max() < 1e-10
-        assert np.all(np.diff(lam) <= 0)
+        self._check(counterexample_problem, 1e-10)
 
     def test_random_spd_pairs(self):
         rng = np.random.default_rng(41)
@@ -932,13 +1014,8 @@ class TestSimdiag:
             B = rng.normal(size=(dim, dim))
             s1 = A @ A.T + dim * np.eye(dim)
             s2 = B @ B.T + dim * np.eye(dim)
-            W, lam = simdiag(s1, s2)
-            assert np.abs(W.T @ s1 @ W - np.eye(dim)).max() < 1e-9
-            assert np.abs(W.T @ s2 @ W - np.diag(lam)).max() < 1e-9
-            assert np.all(lam > 0)
+            self._check(TwoClassProblem(GaussianParams(np.zeros(dim), s1), GaussianParams(np.ones(dim), s2)), 1e-9)
 
-
-class TestTransformProblem:
     def test_decisions_identical(self, counterexample_problem):
         diag = transform_problem(counterexample_problem)
         rng = np.random.default_rng(42)
@@ -1130,11 +1207,11 @@ class TestDiagonalFormCache:
     def test_one_simultaneous_diagonalization_per_problem(self, monkeypatch):
         calls = []
 
-        def counting_simdiag(sigma1, sigma2):
+        def counting_transform(problem):
             calls.append(1)
-            return simdiag(sigma1, sigma2)
+            return transform_problem(problem)
 
-        monkeypatch.setattr(llrdist, "simdiag", counting_simdiag)
+        monkeypatch.setattr(llrdist, "transform_problem", counting_transform)
         for problem in CONICS.values():
             # a fresh problem of equal values is a cold cache entry
             fresh = TwoClassProblem(class1=problem.class1, class2=problem.class2)

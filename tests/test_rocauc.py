@@ -279,6 +279,12 @@ class TestBinormal:
         with pytest.raises(DomainError):
             binormal_auc(1.0, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(1.0, np.nan), (np.nan, 1.0), (np.nan, np.nan)])
+    def test_nan_parameter_is_a_domain_error(self, a, b):
+        # a NaN slope fails b > 0, as a NaN intercept fails to be a number
+        with pytest.raises(DomainError):
+            binormal_auc(a, b)
+
     def test_auc_chance(self):
         for b in (0.5, 1.0, 2.0):
             assert binormal_auc(0.0, b) == 0.5

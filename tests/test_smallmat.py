@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from llrlab import cholesky, estimate_params, spd_solve, std_normal_cdf_array, std_normal_quantile_array
-from llrlab.errors import ConditioningError, ContractError, DecompositionError, DomainError
+from llrlab import cholesky, estimate_params, std_normal_cdf_array, std_normal_quantile_array
+from llrlab.errors import ContractError, DecompositionError, DomainError
 from llrlab.smallmat import SYMMETRY_RTOL, condition_estimate, require_symmetric
 
 
@@ -216,40 +216,6 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError):
             cholesky([[1.0, 0.5], [0.0, 1.0]])
-
-
-class TestSpdSolve:
-    def test_identity(self):
-        v = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(spd_solve(np.eye(3), v), v)
-
-    def test_hand_elimination(self):
-        x = spd_solve([[0.3, 0.1], [0.1, 0.3]], [1.0, 1.0])
-        np.testing.assert_allclose(x, [2.5, 2.5], atol=1e-14)
-
-    def test_near_singular_raises(self):
-        S = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-        with pytest.raises(ConditioningError):
-            spd_solve(S, [1.0, 2.0])
-
-    def test_consistency_random(self):
-        rng = np.random.default_rng(11)
-        for dim in (2, 5, 9, 16):
-            A = rng.normal(size=(dim, dim))
-            S = A @ A.T + dim * np.eye(dim)
-            v = rng.normal(size=dim)
-            x = spd_solve(S, v)
-            assert np.linalg.norm(S @ x - v) <= 1e-10 * np.linalg.norm(v)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            spd_solve(np.eye(2), [1.0, 2.0, 3.0])
-
-    def test_grossly_indefinite_matrix_is_singular_without_a_warning(self):
-        # its scaled off-diagonal entry, 1e200 / 1e-200, overflows: estimate
-        # inf (RuntimeWarnings are errors here)
-        with pytest.raises(ConditioningError):
-            spd_solve([[1e-200, 1e200], [1e200, 1e-200]], [1.0, 1.0])
 
 
 def test_condition_estimate_scales():
