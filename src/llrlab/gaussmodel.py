@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from . import smallmat
 from .errors import ConditioningError, ContractError, InsufficientDataError
@@ -38,13 +39,39 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+class _PhiloxKey(ISeedSequence):
+    """The Philox key words of (seed, stream_id), handed to Philox as its
+    seed sequence, which spares it the OS entropy read of a default one.
+
+    Each word is as numpy forms it from the list [seed, stream_id].  Two
+    words on the same side of 2^63 are kept as they are.  With exactly one
+    at or above 2^63, numpy coerces the list through float64, so both words
+    round to 53 significant bits, and one that rounds to 2^64 (any word at
+    or above 2^64 - 1024) is the key word 0.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int, stream_id: int):
+        if seed >> 63 != stream_id >> 63:
+            seed, stream_id = (int(float(word)) & _MASK64 for word in (seed, stream_id))
+        self.words = np.array([seed, stream_id], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 @dataclass(frozen=True)
 class SeededRng:
     """A value-type handle on a counter-based random stream.
 
     The pair (seed, stream_id) fully determines the output sequence; the
-    underlying generator is Philox, so distinct stream ids are independent
+    underlying generator is Philox, so distinct keys give independent streams
     and the raw bit stream does not depend on platform or execution order.
+    The key is the pair itself when both words are below 2^63 or both at or
+    above it.  Otherwise both words are rounded to 53 significant bits (see
+    :class:`_PhiloxKey`), and pairs that round alike share a stream:
+    SeededRng(3, 2**63) and SeededRng(3, 2**63 + 1000) draw the same numbers.
     Consumers always build a fresh generator from the value, which makes
     every drawing operation a pure function of (seed, stream_id, n).
     """
@@ -70,7 +97,7 @@ class SeededRng:
 
     def generator(self) -> Generator:
         """Fresh numpy Generator positioned at the start of this stream."""
-        return Generator(Philox(key=[self.seed, self.stream_id]))
+        return Generator(Philox(_PhiloxKey(self.seed, self.stream_id)))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniforms strictly inside (0, 1), one 53-bit word each."""

@@ -203,7 +203,9 @@ def _finite(value, name: str) -> np.ndarray:
 
 
 def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
-    """All x2 with score(x1, x2) = h; length 0, 1, or 2 by discriminant sign."""
+    """All x2 with score(x1, x2) = h; length 0, 1, or 2 by discriminant sign,
+    less any root past the float range, which :func:`joint_density` gives no
+    density either."""
     h, x1 = _finite(h, "h"), _finite(x1, "x1")
     geom = score_geometry(problem)
     b, c, disc = (float(v) for v in geom.x2_quadratic(h, x1))
@@ -211,10 +213,13 @@ def invert_llr(h: float, x1: float, problem: TwoClassProblem) -> list[float]:
         raise ContractError("degenerate geometry: the score does not depend on x2 at this x1")
     if disc < 0.0:
         return []
-    if disc == 0.0 and geom.a2 != 0.0:
-        # the fold's double root, q/a of _quadratic_roots, whose c/q is 0/0 at b == c == 0
-        return [float(-0.5 * b / geom.a2)]
-    return sorted(float(r) for r in _quadratic_roots(geom.a2, b, c, np.sqrt(disc)))
+    with np.errstate(over="ignore"):
+        if disc == 0.0 and geom.a2 != 0.0:
+            # the fold's double root, q/a of _quadratic_roots, whose c/q is 0/0 at b == c == 0
+            roots = (-0.5 * b / geom.a2,)
+        else:
+            roots = _quadratic_roots(geom.a2, b, c, np.sqrt(disc))
+    return sorted(float(r) for r in roots if np.isfinite(r))
 
 
 def joint_density(h, x1, label: int, problem: TwoClassProblem) -> float | np.ndarray:

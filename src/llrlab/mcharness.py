@@ -14,9 +14,12 @@ nor on which process runs each trial.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -229,65 +232,123 @@ def _run_slice(config: ExperimentConfig, tasks: list) -> list[TrialResult]:
     return results
 
 
-def _report_slice(config: ExperimentConfig, tasks: list, pipe_fd: int):
-    """Body of a forked worker: run the slice, pickle its results or its
-    error down the pipe, and end the process without returning."""
+#: Forked trial workers, kept from one learning_curve call to the next as
+#: (pid, task pipe into it, result pipe out of it), in the order they are dealt tasks.
+_workers = []
+#: Serializes the calls that deal tasks to the workers.
+_workers_lock = threading.Lock()
+
+
+def _serve(task_fd: int, result_fd: int):
+    """Body of a forked worker: for each (config, tasks) read from the task
+    pipe, run the slice and pickle its results or its error down the result
+    pipe; end the process, without returning, when the task pipe closes.
+
+    It ignores SIGINT, which a terminal's Ctrl-C sends to it along with its
+    caller: the caller kills its workers if the interrupt stops a call, and
+    an interrupt between calls leaves them serving.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     code = 1
     try:
-        try:
-            outcome = (True, _run_slice(config, tasks))
-        except Exception as err:  # every failure is reported to the caller
-            outcome = (False, err)
-        data = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(pipe_fd, "wb") as pipe:
-            pipe.write(data)
+        with open(task_fd, "rb") as inbox, open(result_fd, "wb") as outbox:
+            while True:
+                try:
+                    config, tasks = pickle.load(inbox)
+                except EOFError:
+                    break
+                try:
+                    outcome = (True, _run_slice(config, tasks))
+                except Exception as err:  # every failure is reported to the caller
+                    outcome = (False, err)
+                outbox.write(pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL))
+                outbox.flush()
         code = 0
     finally:
         os._exit(code)
+
+
+def _fork_worker():
+    """Fork one more worker and append it to _workers."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (task_r, task_w, result_r, result_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        os.close(task_w)
+        os.close(result_r)
+        _serve(task_r, result_w)
+    os.close(task_r)
+    os.close(result_w)
+    _workers.append((pid, open(task_w, "wb"), open(result_r, "rb")))
+
+
+def _retire_workers():
+    """Kill and reap every worker."""
+    while _workers:
+        pid, inbox, outbox = _workers.pop()
+        for pipe in (inbox, outbox):
+            with contextlib.suppress(OSError):  # a task left unsent to a dead worker
+                pipe.close()
+        with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _forget_workers():
+    """In a forked child: close the parent's worker pipes, so that those
+    workers still see the task pipe close when the parent ends, and start
+    with no workers and a free lock."""
+    global _workers_lock
+    for _, inbox, outbox in _workers:
+        inbox.close()
+        outbox.close()
+    _workers.clear()
+    _workers_lock = threading.Lock()
+
+
+atexit.register(_retire_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _run_tasks(config: ExperimentConfig, tasks: list, workers: int) -> list[TrialResult]:
     """Results of every task, in task order.
 
     Process k runs tasks[k::workers]: the caller is process 0, and the
-    others are forked from it and send their results back over a pipe.  On
-    any error or interrupt the children are killed; every child is reaped
-    before this returns or raises.
+    others are the first workers - 1 of _workers, forked when first needed.
+    A call that raises, or is interrupted, kills and reaps every worker.
     """
+    if workers == 1:
+        return _run_slice(config, tasks)
     results = [None] * len(tasks)
-    children = []  # (pid, read end of its pipe)
-    finished = False
-    try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _report_slice(config, tasks[k::workers], write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        results[0::workers] = _run_slice(config, tasks[0::workers])
-        for k, (pid, read_fd) in enumerate(children, 1):
-            with open(read_fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise LlrLabError(f"trial worker process {pid} ended without reporting")
-            ok, payload = pickle.loads(data)
-            if not ok:
-                raise payload
-            results[k::workers] = payload
-        finished = True
-    finally:
-        for pid, read_fd in children:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.close(read_fd)
-            os.waitpid(pid, 0)
+    with _workers_lock:
+        try:
+            while len(_workers) < workers - 1:
+                _fork_worker()
+            helpers = _workers[: workers - 1]
+            for k, (pid, inbox, _) in enumerate(helpers, 1):
+                try:
+                    inbox.write(pickle.dumps((config, tasks[k::workers]), protocol=pickle.HIGHEST_PROTOCOL))
+                    inbox.flush()
+                except BrokenPipeError:
+                    raise LlrLabError(f"trial worker process {pid} ended without reporting") from None
+            results[0::workers] = _run_slice(config, tasks[0::workers])
+            for k, (pid, _, outbox) in enumerate(helpers, 1):
+                try:
+                    ok, payload = pickle.load(outbox)
+                except (EOFError, pickle.UnpicklingError):
+                    raise LlrLabError(f"trial worker process {pid} ended without reporting") from None
+                if not ok:
+                    raise payload
+                results[k::workers] = payload
+        except BaseException:
+            _retire_workers()
+            raise
     return results
 
 
@@ -296,11 +357,18 @@ def learning_curve(config: ExperimentConfig, max_workers: int | None = None) -> 
 
     The grid's trials are dealt round-robin, in (p, n, trial) order, over
     min(max_workers, usable cores, trials) processes: the caller and
-    children forked from it, so call it from a single-threaded process or
+    workers forked from it, so call it from a single-threaded process or
     pass max_workers=1.  max_workers=None uses every usable core; 1, or a
     platform without os.fork, runs every trial in the caller.  Each trial
     draws from its own stream, so the result does not depend on
     max_workers, bit for bit.
+
+    The first call that needs a worker forks it, and it serves every later
+    call: a worker runs the library as it stood when it was forked, so code
+    patched after that runs only in the caller.  Calls that use workers run
+    one at a time.  A call that raises kills and reaps every worker, and so
+    does the interpreter's exit; a worker whose caller dies without exiting
+    ends once its task pipe closes.
     """
     if max_workers is not None:
         max_workers = smallmat.as_integer(max_workers, "max_workers", 1)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy.integrate import simpson
 
 from llrlab import (
@@ -127,6 +130,41 @@ class TestSeededRng:
         np.testing.assert_allclose(
             u, [0.3093149111858346, 0.3569562367935076, 0.0369045304683569], rtol=0, atol=1e-16
         )
+        # one word above 2^63, and one that rounds to the key word 0
+        assert SeededRng(1, 2**63 + 5).uniforms(3).tolist() == [
+            0.4416023241550047, 0.12554152782297906, 0.05510588589829685
+        ]
+        assert SeededRng(2**64 - 7, 2).uniforms(3).tolist() == [
+            0.8144335776159866, 0.43968080496272327, 0.29972002917843327
+        ]
+
+    def test_philox_key_is_the_one_numpy_forms_from_the_pair(self):
+        # every regime of the two words: both below 2^63, both at or above,
+        # either one alone above, and one within 1024 of 2^64
+        draw = np.random.default_rng(11)
+        low = lambda: int(draw.integers(0, 2**63, dtype=np.uint64))
+        high = lambda: int(draw.integers(2**63, 2**64 - 1, dtype=np.uint64, endpoint=True))
+        top = lambda: 2**64 - 1 - int(draw.integers(0, 1100))
+        for first, second in ((low, low), (high, high), (low, high), (high, low), (low, top), (top, low)):
+            for _ in range(300):
+                rng = SeededRng(first(), second())
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    expected = Philox(key=[rng.seed, rng.stream_id]).state
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    state = rng.generator().bit_generator.state
+                assert str(state) == str(expected), (rng.seed, rng.stream_id)
+
+    def test_ids_that_round_alike_share_a_stream(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(SeededRng(3, 2**63).uniforms(8), SeededRng(3, 2**63 + 1000).uniforms(8))
+            assert not np.array_equal(SeededRng(3, 2**63).uniforms(8), SeededRng(3, 2**63 + 2048).uniforms(8))
+            # both words at or above 2^63 keep every bit
+            assert not np.array_equal(SeededRng(2**63, 2**63).uniforms(8), SeededRng(2**63, 2**63 + 1).uniforms(8))
+            # within 1024 of 2^64 the word rounds to 2^64, which is the key word 0
+            assert SeededRng(3, 2**64 - 1).generator().bit_generator.state["state"]["key"].tolist() == [3, 0]
 
     def test_uniforms_are_the_integer_midpoint_formula(self):
         # (k + 0.5) / 2^53 for the top 53 bits k of each word, also for

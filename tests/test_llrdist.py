@@ -129,6 +129,19 @@ class TestInvertLlr:
         roots = invert_llr(h, 0.5, CONCENTRIC)
         assert roots == [0.0] and np.signbit(roots[0])
 
+    def test_a_root_past_the_float_range_is_dropped_without_warning(self):
+        # a2 == 0 here, and the one linear root -c/b is about -2e310
+        problem = TwoClassProblem(
+            class1=GaussianParams([0.0, 0.0], np.eye(2)),
+            class2=GaussianParams([0.0, 0.0], np.linalg.inv([[2.0, 0.5], [0.5, 1.0]])),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invert_llr(1e300, 1e-10, problem) == []
+            assert joint_density(1e300, 1e-10, 1, problem) == 0.0
+        (root,) = invert_llr(1.0, 0.3, problem)
+        assert llr_scores([0.3, root], problem)[0] == pytest.approx(1.0, abs=1e-12)
+
 
 #: Class 1 N(0, I) against class 2 N(0, 0.2 I): every level curve is a circle.
 CONCENTRIC = TwoClassProblem(

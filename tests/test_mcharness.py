@@ -1,5 +1,11 @@
 import hashlib
 import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +19,7 @@ from llrlab import (
     mahalanobis_sq,
     run_trial,
 )
-from llrlab.errors import ConditioningError, ContractError
+from llrlab.errors import ConditioningError, ContractError, LlrLabError
 from llrlab import mcharness
 
 
@@ -129,6 +135,54 @@ SMALL = dict(dims=(2, 3), train_sizes=(8, 25), n_trials=6, test_size=40, base_se
 CORES = len(os.sched_getaffinity(0))
 
 
+@pytest.fixture
+def fresh_workers():
+    """No trial worker before the test or after it: a worker runs the code
+    it was forked with, so the test's patches are what its calls fork, and
+    none of its workers serves a later test."""
+    mcharness._retire_workers()
+    yield
+    mcharness._retire_workers()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids forked by mcharness during the test, in order."""
+    pids = []
+    real_fork = os.fork
+
+    def recorded_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(mcharness.os, "fork", recorded_fork)
+    return pids
+
+
+def worker_pids() -> list:
+    return [pid for pid, _, _ in mcharness._workers]
+
+
+def running(pid: int) -> bool:
+    """Whether pid names a live process that has not yet ended (a zombie
+    has ended, whoever is left to reap it)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def wait_until_gone(pids, seconds: float) -> list:
+    """The pids still running after up to seconds of polling."""
+    deadline = time.monotonic() + seconds
+    while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return [pid for pid in pids if running(pid)]
+
+
 class TestLearningCurve:
     def test_row_order_and_shape(self):
         summary = learning_curve(ExperimentConfig(**SMALL))
@@ -143,7 +197,7 @@ class TestLearningCurve:
         trial = run_trial(2, 10, calibrate_c(2, 0.8), 30, cfg.rng().derive(2, 10, 0))
         assert row.mean_auc_true == trial.auc_true
 
-    def test_cell_counts_its_retried_fits(self, monkeypatch):
+    def test_cell_counts_its_retried_fits(self, fresh_workers, monkeypatch):
         # Fail the fit of trial 0's first training sample in cell (2, 8),
         # whichever process runs it; its retry draws a different sample.
         cfg = ExperimentConfig(**SMALL)
@@ -184,8 +238,9 @@ class TestLearningCurve:
         "failing_trial, error",
         [(None, None), (0, ConditioningError), (1, ConditioningError), (0, KeyboardInterrupt)],
     )
-    def test_errors_surface_and_children_are_reaped(self, failing_trial, error, monkeypatch):
-        # At two workers the caller runs trials 0, 2, 4 and the child 1, 3, 5.
+    def test_errors_surface_and_children_are_reaped(self, failing_trial, error, fresh_workers, forks,
+                                                    monkeypatch):
+        # At two workers the caller runs trials 0, 2, 4 and the worker 1, 3, 5.
         cfg = ExperimentConfig(dims=(2,), train_sizes=(8,), n_trials=6, test_size=40, base_seed=77)
         doomed = None if failing_trial is None else cfg.rng().derive(2, 8, failing_trial)
         real_trial = mcharness.run_trial
@@ -195,29 +250,134 @@ class TestLearningCurve:
                 raise error("forced failure")
             return real_trial(p, n, c, test_size, rng)
 
-        forks = []
-        real_fork = os.fork
-
-        def recorded_fork():
-            pid = real_fork()
-            if pid:
-                forks.append(pid)
-            return pid
-
         monkeypatch.setattr(mcharness, "run_trial", fails_one_trial)
-        monkeypatch.setattr(mcharness.os, "fork", recorded_fork)
         if error is None:
             assert learning_curve(cfg, max_workers=2).rows[0].n_trials == 6
+            # the worker stays up for the next call until the workers retire
+            assert worker_pids() == forks and os.waitpid(forks[0], os.WNOHANG) == (0, 0)
+            mcharness._retire_workers()
         else:
             match = "forced failure"
             if error is ConditioningError:
                 match = rf"trial \(p=2, n=8, trial={failing_trial}\) failed: " + match
             with pytest.raises(error, match=match):
                 learning_curve(cfg, max_workers=2)
-        assert len(forks) == 1
+        assert len(forks) == 1 and worker_pids() == []
         for pid in forks:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.skipif(CORES < 2, reason="needs two usable cores to fork")
+    def test_later_calls_reuse_the_workers_and_match_the_serial_bytes(self, fresh_workers, forks):
+        cfg = ExperimentConfig(**SMALL)
+        serial = learning_curve(cfg, max_workers=1).to_csv()
+        assert forks == []
+        for _ in range(3):
+            assert learning_curve(cfg, max_workers=2).to_csv() == serial
+        assert len(forks) == 1 and worker_pids() == forks
+        # every usable core: the call forks only the workers it lacks
+        for _ in range(2):
+            assert learning_curve(cfg).to_csv() == serial
+        assert len(forks) == min(CORES, 24) - 1 and worker_pids() == forks
+        # a Ctrl-C between calls reaches the workers too, and leaves them serving
+        for pid in forks:
+            os.kill(pid, signal.SIGINT)
+        assert learning_curve(cfg).to_csv() == serial
+        assert len(forks) == min(CORES, 24) - 1 and worker_pids() == forks
+        for pid in forks:
+            assert os.waitpid(pid, os.WNOHANG) == (0, 0)
+
+    @pytest.mark.skipif(CORES < 2 or not os.path.isdir("/proc"), reason="needs two cores and /proc")
+    def test_a_worker_killed_between_calls_is_an_error_then_replaced(self, fresh_workers):
+        cfg = ExperimentConfig(**SMALL)
+        serial = learning_curve(cfg, max_workers=1).to_csv()
+        assert learning_curve(cfg, max_workers=2).to_csv() == serial
+        (dead,) = worker_pids()
+        os.kill(dead, signal.SIGKILL)
+        assert wait_until_gone([dead], 10.0) == []
+        with pytest.raises(LlrLabError, match=f"trial worker process {dead} ended without reporting"):
+            learning_curve(cfg, max_workers=2)
+        assert worker_pids() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(dead, os.WNOHANG)
+        assert learning_curve(cfg, max_workers=2).to_csv() == serial
+
+    @pytest.mark.skipif(CORES < 2, reason="needs two usable cores to fork")
+    def test_a_forked_child_of_the_caller_gets_its_own_workers(self, fresh_workers):
+        cfg = ExperimentConfig(**SMALL)
+        serial = learning_curve(cfg, max_workers=1).to_csv()
+        assert learning_curve(cfg, max_workers=2).to_csv() == serial
+        parents = worker_pids()
+        pipes = [pipe.fileno() for _, inbox, outbox in mcharness._workers for pipe in (inbox, outbox)]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                # no worker, and none of the parent's pipes, came along
+                assert mcharness._workers == []
+                for fd in pipes:
+                    with pytest.raises(OSError):
+                        os.fstat(fd)
+                assert learning_curve(cfg, max_workers=2).to_csv() == serial
+                own = worker_pids()
+                mcharness._retire_workers()
+                assert len(own) == 1 and own[0] not in parents
+                code = 0
+            finally:
+                os._exit(code)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert worker_pids() == parents
+        assert learning_curve(cfg, max_workers=2).to_csv() == serial
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    @pytest.mark.parametrize("ending", ["exit", "SIGKILL"])
+    def test_no_worker_outlives_its_caller(self, ending):
+        # Two workers, on three pretended cores, and a bystander: a child the
+        # caller forks after them, which outlives it and must not hold their
+        # task pipes open.
+        script = textwrap.dedent(f"""
+            import atexit, os, time
+            workers = []
+
+            def reaped(pid):
+                try:
+                    os.waitpid(pid, os.WNOHANG)
+                except ChildProcessError:
+                    return True
+                return False
+
+            # registered before llrlab's own exit handler, so it runs after it
+            atexit.register(lambda: print(all(map(reaped, workers)), flush=True))
+            from llrlab import ExperimentConfig, learning_curve, mcharness
+            os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+            learning_curve(ExperimentConfig(**{SMALL!r}), max_workers=3)
+            workers.extend(pid for pid, _, _ in mcharness._workers)
+            bystander = os.fork()
+            if bystander == 0:
+                time.sleep(60)
+                os._exit(0)
+            print(bystander, *workers, flush=True)
+            if {ending!r} == "SIGKILL":
+                time.sleep(60)
+        """)
+        src = str(Path(mcharness.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        bystander = None
+        try:
+            with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env) as caller:
+                bystander, *pids = (int(w) for w in caller.stdout.readline().split())
+                if ending == "SIGKILL":
+                    caller.kill()
+                else:
+                    # the interpreter's exit reaps the workers
+                    assert caller.stdout.readline() == b"True\n"
+                assert caller.wait(timeout=60) == (-signal.SIGKILL if ending == "SIGKILL" else 0)
+            assert len(pids) == 2 and running(bystander)
+            # a killed caller's workers end on their own once its task pipes close
+            assert wait_until_gone(pids, 1.0) == []
+        finally:
+            if bystander is not None:
+                os.kill(bystander, signal.SIGKILL)
 
     def test_without_fork_every_trial_runs_in_the_caller(self, monkeypatch):
         cfg = ExperimentConfig(**SMALL)
@@ -234,7 +394,7 @@ class TestLearningCurve:
             (SMALL, 1, 0),
         ],
     )
-    def test_process_cap(self, config, workers, allowed, monkeypatch):
+    def test_process_cap(self, config, workers, allowed, fresh_workers, monkeypatch):
         forks = []
         real_fork = os.fork
 
